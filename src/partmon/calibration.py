@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene
 from .errors import CalibrationError, ValidationError
-from .evaluation import mcc_from_counts
+from .evaluation import binary_metrics, per_image_counts
 from .geometry import iou
 from .monitor import per_image_rule
 from .partition import GtPartition, MatchingMode, partition
@@ -217,6 +216,8 @@ def select_alphas(
 
     Each alert type is scored independently against its own image labels
     (|fp_gt| >= 1 or |fn_gt| >= 1 per scene). Ties prefer the smaller alpha.
+    ``threads`` is accepted for compatibility and has no effect: the sweep is
+    CPU-bound Python, which threads cannot speed up.
     """
     if not scenes:
         raise CalibrationError("cannot select alphas from an empty scene list")
@@ -224,44 +225,17 @@ def select_alphas(
         raise ValidationError(
             f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions"
         )
-    labels_fp = [len(p.fp_gt) >= 1 for p in partitions]
-    labels_fn = [len(p.fn_gt) >= 1 for p in partitions]
-    grid = alpha_grid(grid_step)
-
-    def score_point(alpha: float) -> tuple[float, float]:
-        fp_cells = [0, 0, 0, 0]  # tp, fp, fn, tn
-        fn_cells = [0, 0, 0, 0]
-        for scene, lab_fp, lab_fn in zip(scenes, labels_fp, labels_fn):
-            alert = per_image_rule(scene.persons, scene.parts, alpha, alpha)
-            _bump(fp_cells, lab_fp, alert.alert_fp)
-            _bump(fn_cells, lab_fn, alert.alert_fn)
-        return mcc_from_counts(*fp_cells), mcc_from_counts(*fn_cells)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(score_point, grid))
-    else:
-        scored = [score_point(alpha) for alpha in grid]
-
-    best_fp = best_fn = grid[0]
-    best_fp_mcc, best_fn_mcc = scored[0]
-    for alpha, (mcc_fp, mcc_fn) in zip(grid[1:], scored[1:]):
+    best_fp = best_fn = None
+    best_fp_mcc = best_fn_mcc = -math.inf
+    for alpha in alpha_grid(grid_step):
+        alerts = [per_image_rule(s.persons, s.parts, alpha, alpha) for s in scenes]
+        fp_counts, fn_counts = per_image_counts(scenes, partitions, alerts)
+        mcc_fp, mcc_fn = binary_metrics(fp_counts)[2], binary_metrics(fn_counts)[2]
         if mcc_fp > best_fp_mcc:
             best_fp, best_fp_mcc = alpha, mcc_fp
         if mcc_fn > best_fn_mcc:
             best_fn, best_fn_mcc = alpha, mcc_fn
     return best_fp, best_fn
-
-
-def _bump(cells: list, label: bool, predicted: bool) -> None:
-    if predicted and label:
-        cells[0] += 1
-    elif predicted and not label:
-        cells[1] += 1
-    elif not predicted and label:
-        cells[2] += 1
-    else:
-        cells[3] += 1
 
 
 def apply_confidence_thresholds(
@@ -296,7 +270,10 @@ def build_operating_point(
     strict_conf: bool = False,
     threads: int = 1,
 ) -> OperatingPoint:
-    """Full calibration: per-class thresholds by max F1, then alphas by max MCC."""
+    """Full calibration: per-class thresholds by max F1, then alphas by max MCC.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     dets_by_class: dict[DetectionClass, list[Detection]] = {}
     for scene in scenes:
         for det in list(scene.persons) + list(scene.parts):
@@ -322,5 +299,5 @@ def build_operating_point(
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]
-    alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step, threads=threads)
+    alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step)
     return OperatingPoint(conf_thresholds=conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau)

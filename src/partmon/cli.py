@@ -1,11 +1,11 @@
 """Command-line entry point: synth -> calibrate -> monitor/evaluate -> reports.
 
 Exit codes: 0 success, 2 for input or validation problems (missing files,
-malformed JSON, unmapped categories, bad flag values), 1 for anything
-unexpected. Every produced report has a manifest recording the command, the
-tool version, input file hashes, and the operating point used; JSON reports
-embed it inline and every output additionally gets a ``<out>.manifest.json``
-sidecar.
+malformed JSON, unmapped categories, bad flag or config values, unwritable
+outputs), 1 for anything unexpected. Every produced report has a manifest
+recording the command, the tool version, input file hashes, and the
+operating point used; JSON reports embed it inline and every output
+additionally gets a ``<out>.manifest.json`` sidecar.
 
 Each flag can also be supplied through ``--config FILE`` (a JSON object
 keyed by the flag's underscored name); explicit flags win on conflict.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,10 +24,8 @@ from . import __version__
 from .calibration import OperatingPoint, apply_confidence_thresholds, build_operating_point
 from .datamodel import (
     FilterMode,
-    GroundTruth,
     Scene,
     filter_images_by_min_person_area,
-    group_detections_only,
     group_into_scenes,
     load_category_map,
     load_detections,
@@ -66,7 +63,17 @@ class RunManifest:
         return asdict(self)
 
 
-@click.group()
+class _PartmonGroup(click.Group):
+    """The single error boundary: input problems under any command exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValidationError, OSError) as exc:
+            raise InputError(str(exc)) from exc
+
+
+@click.group(cls=_PartmonGroup)
 @click.version_option(version=__version__, prog_name="partmon")
 def cli():
     """Plausibility monitoring for person detection via body-part cross-checks."""
@@ -86,12 +93,16 @@ def _apply_config(ctx: click.Context, config_path) -> None:
         raise InputError(f"cannot read config {config_path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"config must be a JSON object: {config_path}")
+    params = {param.name: param for param in ctx.command.params}
     for name, value in raw.items():
         if name not in ctx.params:
             raise InputError(f"config {config_path}: unknown option {name!r}")
-        source = ctx.get_parameter_source(name)
-        if source is click.core.ParameterSource.DEFAULT:
-            ctx.params[name] = value
+        if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
+            continue
+        try:
+            ctx.params[name] = params[name].process_value(ctx, value)
+        except click.BadParameter as exc:
+            raise InputError(f"config {config_path}: {exc.format_message()}") from exc
 
 
 def _sha256(path) -> str:
@@ -102,14 +113,19 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, inputs: dict, operating_point: OperatingPoint | None, out) -> RunManifest:
+_INPUT_FILES = ("gt", "persons", "parts", "category_map", "persons_category_map",
+                "parts_category_map", "operating_point")
+
+
+def _manifest(command: str, params: dict, operating_point: OperatingPoint | None, out) -> RunManifest:
+    """Record every input file a command was given, by path and hash."""
     return RunManifest(
         command=command,
         version=__version__,
         inputs={
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in inputs.items()
-            if path is not None
+            name: {"path": str(params[name]), "sha256": _sha256(params[name])}
+            for name in _INPUT_FILES
+            if params.get(name) is not None
         },
         operating_point=operating_point.to_json_dict() if operating_point else None,
         report=Path(out).name,
@@ -122,44 +138,24 @@ def _write_manifest(manifest: RunManifest | dict, out) -> None:
     sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_inputs(gt_path, persons_path, parts_path, category_map_path,
-                 persons_map_path=None, parts_map_path=None):
-    """Load ground truth and both detection streams, mapping every category."""
-    try:
-        base_map = load_category_map(category_map_path)
-        persons_map = load_category_map(persons_map_path) if persons_map_path else base_map
-        parts_map = load_category_map(parts_map_path) if parts_map_path else base_map
-        gt = load_ground_truth(gt_path, base_map) if gt_path else None
-        person_dets = load_detections(persons_path, persons_map)
-        part_dets = load_detections(parts_path, parts_map)
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
-    return gt, person_dets, part_dets
+def _scenes_from(p: dict) -> list[Scene]:
+    """Load the command's inputs and group them into scenes, echoing grouping warnings.
 
-
-def _scenes_from(gt: GroundTruth, person_dets, part_dets, min_area, filter_mode) -> list[Scene]:
-    try:
-        retained = filter_images_by_min_person_area(gt, min_area, FilterMode(filter_mode))
-        grouping = group_into_scenes(gt, person_dets, part_dets, image_ids=retained)
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
+    Commands with a ``min_area`` option keep only images that pass that filter.
+    """
+    base_map = load_category_map(p["category_map"])
+    persons_map = load_category_map(p["persons_category_map"]) if p["persons_category_map"] else base_map
+    parts_map = load_category_map(p["parts_category_map"]) if p["parts_category_map"] else base_map
+    gt = load_ground_truth(p["gt"], base_map) if p["gt"] else None
+    person_dets = load_detections(p["persons"], persons_map)
+    part_dets = load_detections(p["parts"], parts_map)
+    retained = None
+    if "min_area" in p:
+        retained = filter_images_by_min_person_area(gt, p["min_area"], FilterMode(p["filter_mode"]))
+    grouping = group_into_scenes(gt, person_dets, part_dets, image_ids=retained)
     for warning in grouping.warnings:
         click.echo(f"warning: {warning}", err=True)
     return list(grouping.scenes)
-
-
-def _filtered_scenes(scenes, op: OperatingPoint, strict_conf: bool) -> list[Scene]:
-    try:
-        return apply_confidence_thresholds(scenes, op.conf_thresholds, strict=strict_conf)
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _map_scenes(fn, scenes, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, scenes))
-    return [fn(s) for s in scenes]
 
 
 def _det_record(det) -> dict:
@@ -230,27 +226,37 @@ def cmd_synth(ctx, **kwargs):
 # calibrate
 # ---------------------------------------------------------------------------
 
-_COMMON_INPUT_OPTIONS = [
-    click.option("--gt", type=click.Path(exists=True, dir_okay=False), required=True),
-    click.option("--persons", type=click.Path(exists=True, dir_okay=False), required=True),
-    click.option("--parts", type=click.Path(exists=True, dir_okay=False), required=True),
-    click.option("--category-map", type=click.Path(exists=True, dir_okay=False), required=True),
-    click.option("--persons-category-map", type=click.Path(exists=True, dir_okay=False), default=None,
+_INPUT_PATH = click.Path(exists=True, dir_okay=False)
+
+_DETECTION_OPTIONS = [
+    click.option("--persons", type=_INPUT_PATH, required=True),
+    click.option("--parts", type=_INPUT_PATH, required=True),
+    click.option("--category-map", type=_INPUT_PATH, required=True),
+    click.option("--persons-category-map", type=_INPUT_PATH, default=None,
                  help="Category map for the person stream when it differs from --category-map."),
-    click.option("--parts-category-map", type=click.Path(exists=True, dir_okay=False), default=None,
+    click.option("--parts-category-map", type=_INPUT_PATH, default=None,
                  help="Category map for the part stream (e.g. person-as-part baseline wiring)."),
+]
+
+_RUN_OPTIONS = [
+    click.option("--strict-conf", is_flag=True, default=False,
+                 help="Retain detections with score strictly above the threshold."),
+    click.option("--threads", default=1, show_default=True, type=click.IntRange(1),
+                 help="Accepted for compatibility; has no effect."),
+    click.option("--config", type=_INPUT_PATH, default=None),
+]
+
+_COMMON_INPUT_OPTIONS = [
+    click.option("--gt", type=_INPUT_PATH, required=True),
+    *_DETECTION_OPTIONS,
     click.option("--min-area", default=2247.0, show_default=True, type=click.FloatRange(0),
                  help="Minimum ground-truth person box area in pixels^2."),
     click.option("--filter-mode", default="drop_if_any_below", show_default=True,
                  type=click.Choice([m.value for m in FilterMode])),
     click.option("--matching", default="existential", show_default=True,
                  type=click.Choice([m.value for m in MatchingMode])),
-    click.option("--strict-conf", is_flag=True, default=False,
-                 help="Retain detections with score strictly above the threshold."),
-    click.option("--threads", default=1, show_default=True, type=click.IntRange(1)),
-    click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None),
+    *_RUN_OPTIONS,
 ]
-
 
 def _with_options(options):
     def wrap(fn):
@@ -272,33 +278,15 @@ def cmd_calibrate(ctx, **kwargs):
     """Select per-class confidence thresholds (max F1) and alphas (max MCC)."""
     _apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
-    gt, person_dets, part_dets = _load_inputs(
-        p["gt"], p["persons"], p["parts"], p["category_map"],
-        p["persons_category_map"], p["parts_category_map"],
+    op = build_operating_point(
+        _scenes_from(p),
+        tau=p["tau"],
+        grid_step=p["alpha_grid_step"],
+        matching=MatchingMode(p["matching"]),
+        strict_conf=p["strict_conf"],
     )
-    scenes = _scenes_from(gt, person_dets, part_dets, p["min_area"], p["filter_mode"])
-    try:
-        op = build_operating_point(
-            scenes,
-            tau=p["tau"],
-            grid_step=p["alpha_grid_step"],
-            matching=MatchingMode(p["matching"]),
-            strict_conf=p["strict_conf"],
-            threads=p["threads"],
-        )
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
     op.save(p["out"])
-    manifest = _manifest(
-        "calibrate",
-        {"gt": p["gt"], "persons": p["persons"], "parts": p["parts"],
-         "category_map": p["category_map"],
-         "persons_category_map": p["persons_category_map"],
-         "parts_category_map": p["parts_category_map"]},
-        op,
-        p["out"],
-    )
-    _write_manifest(manifest, p["out"])
+    _write_manifest(_manifest("calibrate", p, op, p["out"]), p["out"])
     click.echo(f"operating point -> {p['out']} (alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn})")
 
 
@@ -307,40 +295,20 @@ def cmd_calibrate(ctx, **kwargs):
 # ---------------------------------------------------------------------------
 
 @cli.command("monitor")
-@click.option("--gt", type=click.Path(exists=True, dir_okay=False), default=None,
+@click.option("--gt", type=_INPUT_PATH, default=None,
               help="Optional; defines the scene universe when given.")
-@click.option("--persons", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--parts", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--category-map", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--persons-category-map", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--parts-category-map", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--operating-point", type=click.Path(exists=True, dir_okay=False), required=True)
+@_with_options(_DETECTION_OPTIONS)
+@click.option("--operating-point", type=_INPUT_PATH, required=True)
 @click.option("--mode", type=click.Choice(["image", "object"]), default="image", show_default=True)
-@click.option("--strict-conf", is_flag=True, default=False)
-@click.option("--threads", default=1, show_default=True, type=click.IntRange(1))
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
+@_with_options(_RUN_OPTIONS)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.pass_context
 def cmd_monitor(ctx, **kwargs):
     """Run the monitor and stream one JSON line per scene."""
     _apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
-    try:
-        op = OperatingPoint.load(p["operating_point"])
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
-    gt, person_dets, part_dets = _load_inputs(
-        p["gt"], p["persons"], p["parts"], p["category_map"],
-        p["persons_category_map"], p["parts_category_map"],
-    )
-    if gt is not None:
-        grouping = group_into_scenes(gt, person_dets, part_dets)
-        for warning in grouping.warnings:
-            click.echo(f"warning: {warning}", err=True)
-        scenes = list(grouping.scenes)
-    else:
-        scenes = list(group_detections_only(person_dets, part_dets))
-    scenes = _filtered_scenes(scenes, op, p["strict_conf"])
+    op = OperatingPoint.load(p["operating_point"])
+    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=p["strict_conf"])
 
     if p["mode"] == "image":
         def line(scene: Scene) -> dict:
@@ -356,22 +324,12 @@ def cmd_monitor(ctx, **kwargs):
                 "fn_mon": [_det_record(d) for d in verdict.fn_mon],
             }
 
-    records = _map_scenes(line, scenes, p["threads"])
+    records = [line(s) for s in scenes]
     out = Path(p["out"])
     with open(out, "w", encoding="utf-8", newline="") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    manifest = _manifest(
-        "monitor",
-        {"gt": p["gt"], "persons": p["persons"], "parts": p["parts"],
-         "category_map": p["category_map"],
-         "persons_category_map": p["persons_category_map"],
-         "parts_category_map": p["parts_category_map"],
-         "operating_point": p["operating_point"]},
-        op,
-        out,
-    )
-    _write_manifest(manifest, out)
+    _write_manifest(_manifest("monitor", p, op, out), out)
     click.echo(f"monitored {len(scenes)} scenes -> {out}")
 
 
@@ -381,7 +339,7 @@ def cmd_monitor(ctx, **kwargs):
 
 @cli.command("evaluate")
 @_with_options(_COMMON_INPUT_OPTIONS)
-@click.option("--operating-point", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--operating-point", type=_INPUT_PATH, required=True)
 @click.option("--protocol", type=click.Choice(["per-image", "per-object"]),
               default="per-image", show_default=True)
 @click.option("--system", default="monitor", show_default=True,
@@ -395,59 +353,32 @@ def cmd_evaluate(ctx, **kwargs):
     """Score the monitor against ground truth and write a report."""
     _apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
-    try:
-        op = OperatingPoint.load(p["operating_point"])
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
-    gt, person_dets, part_dets = _load_inputs(
-        p["gt"], p["persons"], p["parts"], p["category_map"],
-        p["persons_category_map"], p["parts_category_map"],
-    )
-    scenes = _scenes_from(gt, person_dets, part_dets, p["min_area"], p["filter_mode"])
-    scenes = _filtered_scenes(scenes, op, p["strict_conf"])
+    op = OperatingPoint.load(p["operating_point"])
+    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=p["strict_conf"])
     matching = MatchingMode(p["matching"])
     partitions = [partition(s.persons, s.gt_persons(), op.tau, matching) for s in scenes]
+    manifest = _manifest("evaluate", p, op, p["out"])
 
-    manifest = _manifest(
-        "evaluate",
-        {"gt": p["gt"], "persons": p["persons"], "parts": p["parts"],
-         "category_map": p["category_map"],
-         "persons_category_map": p["persons_category_map"],
-         "parts_category_map": p["parts_category_map"],
-         "operating_point": p["operating_point"]},
-        op,
-        p["out"],
-    )
-
-    try:
-        if p["protocol"] == "per-image":
-            alerts = _map_scenes(
-                lambda s: per_image_rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn),
-                scenes, p["threads"],
-            )
-            fp_counts, fn_counts = per_image_counts(scenes, partitions, alerts)
-            result = PerImageResult(
-                system=p["system"], total_images=len(scenes),
-                fp_alert=fp_counts, fn_alert=fn_counts,
-            )
-        else:
-            verdicts = _map_scenes(
-                lambda s: per_object_rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn),
-                scenes, p["threads"],
-            )
-            confusion = object_confusion(
-                scenes, partitions, verdicts, op.alpha_fn,
-                ghost_all_classes=p["ghost_all_classes"],
-            )
-            result = PerObjectResult(
-                system=p["system"], confusion=confusion, balances=balances(confusion),
-            )
-        emit_report(
-            result, p["fmt"], p["out"],
-            manifest=manifest.to_json_dict() if p["fmt"] == "json" else None,
+    if p["protocol"] == "per-image":
+        alerts = [per_image_rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn) for s in scenes]
+        fp_counts, fn_counts = per_image_counts(scenes, partitions, alerts)
+        result = PerImageResult(
+            system=p["system"], total_images=len(scenes),
+            fp_alert=fp_counts, fn_alert=fn_counts,
         )
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
+    else:
+        verdicts = [per_object_rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn) for s in scenes]
+        confusion = object_confusion(
+            scenes, partitions, verdicts, op.alpha_fn,
+            ghost_all_classes=p["ghost_all_classes"],
+        )
+        result = PerObjectResult(
+            system=p["system"], confusion=confusion, balances=balances(confusion),
+        )
+    emit_report(
+        result, p["fmt"], p["out"],
+        manifest=manifest.to_json_dict() if p["fmt"] == "json" else None,
+    )
     _write_manifest(manifest, p["out"])
     click.echo(f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}")
 
@@ -457,34 +388,31 @@ def cmd_evaluate(ctx, **kwargs):
 # ---------------------------------------------------------------------------
 
 @cli.command("validate")
-@click.option("--gt", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--persons", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--parts", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--category-map", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--operating-point", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--gt", type=_INPUT_PATH, default=None)
+@click.option("--persons", type=_INPUT_PATH, default=None)
+@click.option("--parts", type=_INPUT_PATH, default=None)
+@click.option("--category-map", type=_INPUT_PATH, default=None)
+@click.option("--operating-point", type=_INPUT_PATH, default=None)
 def cmd_validate(gt, persons, parts, category_map, operating_point):
     """Parse the given inputs and report what they contain."""
-    try:
-        cat_map = load_category_map(category_map) if category_map else None
-        if (gt or persons or parts) and cat_map is None:
-            raise InputError("--category-map is required to validate annotation or detection files")
-        if gt:
-            loaded = load_ground_truth(gt, cat_map)
-            click.echo(f"gt: {len(loaded.images)} images, {len(loaded.annotations)} annotations")
-        if persons:
-            dets = load_detections(persons, cat_map)
-            click.echo(f"persons: {len(dets)} detections")
-        if parts:
-            dets = load_detections(parts, cat_map)
-            click.echo(f"parts: {len(dets)} detections")
-        if operating_point:
-            op = OperatingPoint.load(operating_point)
-            click.echo(
-                f"operating point: tau={op.tau}, alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn}, "
-                f"{len(op.conf_thresholds)} class thresholds"
-            )
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
+    cat_map = load_category_map(category_map) if category_map else None
+    if (gt or persons or parts) and cat_map is None:
+        raise InputError("--category-map is required to validate annotation or detection files")
+    if gt:
+        loaded = load_ground_truth(gt, cat_map)
+        click.echo(f"gt: {len(loaded.images)} images, {len(loaded.annotations)} annotations")
+    if persons:
+        dets = load_detections(persons, cat_map)
+        click.echo(f"persons: {len(dets)} detections")
+    if parts:
+        dets = load_detections(parts, cat_map)
+        click.echo(f"parts: {len(dets)} detections")
+    if operating_point:
+        op = OperatingPoint.load(operating_point)
+        click.echo(
+            f"operating point: tau={op.tau}, alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn}, "
+            f"{len(op.conf_thresholds)} class thresholds"
+        )
     click.echo("ok")
 
 

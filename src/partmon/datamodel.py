@@ -12,6 +12,7 @@ Loaded collections are immutable; share them freely across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -101,12 +102,6 @@ class GroundTruth:
     def image_ids(self) -> tuple[int, ...]:
         return tuple(img.id for img in self.images)
 
-    def annotations_by_image(self) -> dict[int, list[GtAnnotation]]:
-        by_img: dict[int, list[GtAnnotation]] = {img.id: [] for img in self.images}
-        for ann in self.annotations:
-            by_img.setdefault(ann.image_id, []).append(ann)
-        return by_img
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -184,7 +179,12 @@ def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> De
 def _parse_bbox(raw, context: str) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValidationError(f"{context}: bbox must be [x, y, w, h], got {raw!r}")
-    x, y, w, h = (float(v) for v in raw)
+    try:
+        x, y, w, h = (float(v) for v in raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{context}: bbox values must be numbers, got {raw!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+        raise ValidationError(f"{context}: bbox values must be finite, got {raw!r}")
     if w < 0 or h < 0:
         raise ValidationError(f"{context}: negative bbox width/height {raw!r}")
     return Box(x, y, w, h)
@@ -197,6 +197,14 @@ def _parse_image_id(raw, context: str) -> int:
         raise ValidationError(f"{context}: image_id must be an integer, got {raw!r}") from None
 
 
+def _objects(entries: list, what: str):
+    """Yield (index, entry) for each entry, rejecting any that is not a JSON object."""
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{what} #{index}: expected a JSON object, got {entry!r}")
+        yield index, entry
+
+
 def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> GroundTruth:
     """Load a COCO-style annotation file.
 
@@ -205,8 +213,9 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
     mapped through ``category_map``; unknown ids raise TaxonomyError.
     """
     raw = _read_json(path)
-    if not isinstance(raw, dict) or "images" not in raw or "annotations" not in raw:
-        raise ValidationError(f"ground truth must contain 'images' and 'annotations': {path}")
+    if not (isinstance(raw, dict) and isinstance(raw.get("images"), list)
+            and isinstance(raw.get("annotations"), list)):
+        raise ValidationError(f"ground truth must contain 'images' and 'annotations' arrays: {path}")
 
     images = tuple(
         ImageInfo(
@@ -215,11 +224,11 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
             height=img.get("height"),
             file_name=img.get("file_name"),
         )
-        for img in raw["images"]
+        for _, img in _objects(raw["images"], "image entry")
     )
 
     annotations = []
-    for entry in raw["annotations"]:
+    for _, entry in _objects(raw["annotations"], "annotation"):
         ann_id = entry.get("id")
         cls = _map_category(entry.get("category_id"), category_map)
         box = _parse_bbox(entry.get("bbox"), f"annotation id {ann_id}")
@@ -244,10 +253,13 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
     if not isinstance(raw, list):
         raise ValidationError(f"detection results must be a JSON array: {path}")
     detections = []
-    for index, entry in enumerate(raw):
+    for index, entry in _objects(raw, "detection"):
         cls = _map_category(entry.get("category_id"), category_map)
         box = _parse_bbox(entry.get("bbox"), f"detection #{index}")
-        score = float(entry.get("score", -1.0))
+        try:
+            score = float(entry.get("score", -1.0))
+        except (TypeError, ValueError):
+            raise ValidationError(f"detection #{index}: score must be a number, got {entry.get('score')!r}") from None
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"detection #{index}: score {score} outside [0, 1]")
         detections.append(
@@ -315,19 +327,10 @@ def filter_images_by_min_person_area(
     """
     if min_area < 0:
         raise ValidationError(f"min_area must be non-negative, got {min_area}")
-    persons_by_image: dict[int, list[GtAnnotation]] = {img_id: [] for img_id in gt.image_ids}
-    for ann in gt.annotations:
-        if ann.category is DetectionClass.PERSON:
-            persons_by_image.setdefault(ann.image_id, []).append(ann)
-
-    retained = set()
-    for img_id in gt.image_ids:
-        persons = persons_by_image.get(img_id, [])
-        if any(area(p.box) < min_area for p in persons):
-            continue
-        if mode is FilterMode.REQUIRE_ALL_ABOVE and not persons:
-            continue
-        retained.add(img_id)
+    persons = [ann for ann in gt.annotations if ann.category is DetectionClass.PERSON]
+    retained = set(gt.image_ids) - {ann.image_id for ann in persons if area(ann.box) < min_area}
+    if mode is FilterMode.REQUIRE_ALL_ABOVE:
+        retained &= {ann.image_id for ann in persons}
     return retained
 
 
@@ -338,7 +341,7 @@ class GroupingResult:
 
 
 def group_into_scenes(
-    gt: GroundTruth,
+    gt: GroundTruth | None,
     person_dets: Sequence[Detection],
     part_dets: Sequence[Detection],
     image_ids: set[int] | None = None,
@@ -350,25 +353,30 @@ def group_into_scenes(
     filtering); detections on images unknown to the ground truth produce
     warning records, or a ValidationError in strict mode. Detections on known
     but unselected images are excluded silently.
-    """
-    universe = set(gt.image_ids) if image_ids is None else set(image_ids)
-    known = set(gt.image_ids)
 
+    With ``gt=None`` (runtime monitoring) every image id is known, scenes
+    carry no annotations, and the default universe is the images holding at
+    least one kept detection: a person-class entry of the person stream or a
+    part-class entry of the part stream.
+    """
+    known = None
     anns_by_img: dict[int, list[GtAnnotation]] = {}
-    for ann in gt.annotations:
-        anns_by_img.setdefault(ann.image_id, []).append(ann)
+    if gt is not None:
+        known = set(gt.image_ids)
+        for ann in gt.annotations:
+            anns_by_img.setdefault(ann.image_id, []).append(ann)
 
     persons_by_img: dict[int, list[Detection]] = {}
     parts_by_img: dict[int, list[Detection]] = {}
     warnings = []
     for det in person_dets:
-        if det.image_id not in known:
+        if known is not None and det.image_id not in known:
             warnings.append(f"person detection det_id={det.det_id} references unknown image id {det.image_id}")
             continue
         if det.category is DetectionClass.PERSON:
             persons_by_img.setdefault(det.image_id, []).append(det)
     for det in part_dets:
-        if det.image_id not in known:
+        if known is not None and det.image_id not in known:
             warnings.append(f"part detection det_id={det.det_id} references unknown image id {det.image_id}")
             continue
         if det.category.is_part:
@@ -376,6 +384,11 @@ def group_into_scenes(
 
     if strict and warnings:
         raise ValidationError("; ".join(warnings))
+
+    if image_ids is not None:
+        universe = set(image_ids)
+    else:
+        universe = known if known is not None else set(persons_by_img) | set(parts_by_img)
 
     scenes = tuple(
         Scene(
@@ -394,20 +407,4 @@ def group_detections_only(
     part_dets: Sequence[Detection],
 ) -> tuple[Scene, ...]:
     """Group detections without ground truth (runtime monitoring input)."""
-    persons_by_img: dict[int, list[Detection]] = {}
-    parts_by_img: dict[int, list[Detection]] = {}
-    for det in person_dets:
-        if det.category is DetectionClass.PERSON:
-            persons_by_img.setdefault(det.image_id, []).append(det)
-    for det in part_dets:
-        if det.category.is_part:
-            parts_by_img.setdefault(det.image_id, []).append(det)
-    image_ids = sorted(set(persons_by_img) | set(parts_by_img))
-    return tuple(
-        Scene(
-            image_id=img_id,
-            persons=tuple(persons_by_img.get(img_id, ())),
-            parts=tuple(parts_by_img.get(img_id, ())),
-        )
-        for img_id in image_ids
-    )
+    return group_into_scenes(None, person_dets, part_dets).scenes

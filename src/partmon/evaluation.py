@@ -16,14 +16,14 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
 from .datamodel import Scene
 from .errors import ValidationError
-from .geometry import area, intersection_area
-from .monitor import AlertPair, MonitorVerdict
+from .monitor import AlertPair, MonitorVerdict, is_covered, is_supported
 from .partition import GtPartition
 
 
@@ -95,23 +95,16 @@ def per_image_counts(
             f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions, "
             f"{len(alerts)} alerts"
         )
-    fp_cells = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-    fn_cells = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-    for part, alert in zip(partitions, alerts):
-        _tally(fp_cells, label=len(part.fp_gt) >= 1, predicted=alert.alert_fp)
-        _tally(fn_cells, label=len(part.fn_gt) >= 1, predicted=alert.alert_fn)
-    return BinaryCounts(**fp_cells), BinaryCounts(**fn_cells)
+    fp_cells = Counter((len(p.fp_gt) >= 1, bool(a.alert_fp)) for p, a in zip(partitions, alerts))
+    fn_cells = Counter((len(p.fn_gt) >= 1, bool(a.alert_fn)) for p, a in zip(partitions, alerts))
+    return _binary_counts(fp_cells), _binary_counts(fn_cells)
 
 
-def _tally(cells: dict, label: bool, predicted: bool) -> None:
-    if predicted and label:
-        cells["tp"] += 1
-    elif predicted and not label:
-        cells["fp"] += 1
-    elif not predicted and label:
-        cells["fn"] += 1
-    else:
-        cells["tn"] += 1
+def _binary_counts(cells: Counter) -> BinaryCounts:
+    """Read the four cells off a Counter of (label, predicted) pairs."""
+    return BinaryCounts(
+        tp=cells[True, True], fp=cells[False, True], fn=cells[True, False], tn=cells[False, False]
+    )
 
 
 def object_confusion(
@@ -157,23 +150,13 @@ def object_confusion(
         cells["fp_gt_tp_mon"] += len(fp_gt & tp_mon)
         cells["fp_gt_fp_mon"] += len(fp_gt & fp_mon)
 
-        for missed in part.fn_gt:
-            detected = any(
-                intersection_area(p.box, missed.box) >= alpha_fn * area(p.box)
-                for p in verdict.fn_mon
-            )
-            if detected:
-                cells["fn_gt_fn_mon"] += 1
-
+        cells["fn_gt_fn_mon"] += sum(
+            is_supported(missed, verdict.fn_mon, alpha_fn) for missed in part.fn_gt
+        )
         anchors = scene.gt if ghost_all_classes else scene.gt_persons()
-        for orphan in verdict.fn_mon:
-            a_part = area(orphan.box)
-            is_ghost = all(
-                intersection_area(ann.box, orphan.box) < alpha_fn * a_part
-                for ann in anchors
-            )
-            if is_ghost:
-                cells["tn_gt_fn_mon"] += 1
+        cells["tn_gt_fn_mon"] += sum(
+            not is_covered(orphan, anchors, alpha_fn) for orphan in verdict.fn_mon
+        )
     return ObjectConfusion(**cells)
 
 

@@ -53,6 +53,22 @@ def _check_inputs(parts: Sequence[Detection], alpha_fp: float, alpha_fn: float) 
             raise DegeneratePartBoxError(f"degenerate part box: {part.box}")
 
 
+def is_supported(person, parts: Sequence, alpha: float) -> bool:
+    """True iff some part lies inside ``person`` by at least alpha of its own area.
+
+    Takes any records with a ``box``, e.g. a missed annotation against orphans.
+    """
+    box = person.box
+    return any(intersection_area(box, part.box) >= alpha * area(part.box) for part in parts)
+
+
+def is_covered(part, persons: Sequence, alpha: float) -> bool:
+    """True iff some box in ``persons`` (detections or annotations) covers alpha of ``part``."""
+    box = part.box
+    threshold = alpha * area(box)
+    return any(intersection_area(person.box, box) >= threshold for person in persons)
+
+
 def per_image_rule(
     persons: Sequence[Detection],
     parts: Sequence[Detection],
@@ -66,21 +82,10 @@ def per_image_rule(
     by less than alpha_fn * part_area.
     """
     _check_inputs(parts, alpha_fp, alpha_fn)
-    alert_fp = any(
-        all(
-            intersection_area(person.box, part.box) < alpha_fp * area(part.box)
-            for part in parts
-        )
-        for person in persons
+    return AlertPair(
+        alert_fp=not all(is_supported(person, parts, alpha_fp) for person in persons),
+        alert_fn=not all(is_covered(part, persons, alpha_fn) for part in parts),
     )
-    alert_fn = any(
-        all(
-            intersection_area(person.box, part.box) < alpha_fn * area(part.box)
-            for person in persons
-        )
-        for part in parts
-    )
-    return AlertPair(alert_fp=alert_fp, alert_fn=alert_fn)
 
 
 def per_object_rule(
@@ -98,23 +103,11 @@ def per_object_rule(
     _check_inputs(parts, alpha_fp, alpha_fn)
     tp, fp = [], []
     for person in persons:
-        supported = any(
-            intersection_area(person.box, part.box) >= alpha_fp * area(part.box)
-            for part in parts
-        )
-        (tp if supported else fp).append(person)
-    fn = [
-        part
-        for part in parts
-        if all(
-            intersection_area(person.box, part.box) < alpha_fn * area(part.box)
-            for person in persons
-        )
-    ]
+        (tp if is_supported(person, parts, alpha_fp) else fp).append(person)
     return MonitorVerdict(
         tp_mon=tuple(tp),
         fp_mon=tuple(fp),
-        fn_mon=tuple(fn),
+        fn_mon=tuple(part for part in parts if not is_covered(part, persons, alpha_fn)),
         alpha_fp=alpha_fp,
         alpha_fn=alpha_fn,
     )

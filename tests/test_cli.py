@@ -301,6 +301,57 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert result.exit_code == 2
 
 
+def assert_input_error(result, fragment):
+    """Exit 2 with a one-line message naming the problem, never a traceback."""
+    assert result.exit_code == 2, result.output
+    assert fragment in result.output
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1, result.output
+
+
+@pytest.mark.parametrize("config, option", [
+    ({"matching": "foo"}, "--matching"),
+    ({"threads": 0}, "--threads"),
+])
+def test_config_values_get_the_checks_of_flags(tmp_path, corpus_dir, config, option):
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir), "--config", cfg, "--out", str(out)])
+    assert_input_error(result, option)
+    assert not out.exists()
+
+
+DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
+
+
+@pytest.mark.parametrize("flag, payload, fragment", [
+    ("--persons", "[%s]" % (DET % ("[NaN, 0, 10, 10]", "0.9")), "finite"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, Infinity, 10]", "0.9")), "finite"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 1e999, 10]", "0.9")), "finite"),
+    ("--persons", "[%s]" % (DET % ('["a", 0, 10, 10]', "0.9")), "numbers"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", '"high"')), "score"),
+    ("--persons", "[%s, 5]" % (DET % ("[0, 0, 10, 10]", "0.9")), "detection #1"),
+    ("--gt", '{"images": [7], "annotations": []}', "image entry #0"),
+    ("--gt", '{"images": [{"id": 1}], "annotations": ["x"]}', "annotation #0"),
+], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
+        "non-object-detection", "non-object-image", "non-object-annotation"])
+def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
+    category_map = write_json(tmp_path / "map.json", {"1": "Person"})
+    result = runner.invoke(cli, ["validate", flag, str(bad), "--category-map", category_map])
+    assert_input_error(result, fragment)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "monitor"])
+def test_unwritable_out_exits_2(tmp_path, corpus_dir, command):
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    op_args = [] if command == "calibrate" else ["--operating-point", op]
+    out = tmp_path / "no_such_dir" / "out.json"
+    result = runner.invoke(cli, [command, *corpus_args(corpus_dir), *op_args, "--out", str(out)])
+    assert_input_error(result, "no_such_dir")
+
+
 def test_monitor_output_identical_across_thread_counts(tmp_path, corpus_dir):
     op = write_json(tmp_path / "op.json", ZERO_OP)
     blobs = set()
