@@ -5,7 +5,9 @@ observed score values, keeping the threshold with the best F1. The two
 overlap parameters are swept independently over a regular grid in (0, 1) and
 chosen by the Matthews correlation of the per-image alerts against the
 ground-truth image labels; they are separable because the FP alert depends
-only on alpha_fp and the FN alert only on alpha_fn.
+only on alpha_fp and the FN alert only on alpha_fn. Each alert turns on at
+most once as alpha grows, so the sweep locates that point per scene by
+bisection rather than evaluating the rule at every grid value.
 
 Tie-breaking is deterministic and documented: equal F1 prefers the higher
 threshold (fewer retained detections), equal MCC prefers the smaller alpha
@@ -18,14 +20,15 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene
 from .errors import CalibrationError, ValidationError
-from .evaluation import binary_metrics, per_image_counts
+from .evaluation import mcc_from_counts
 from .geometry import iou
-from .monitor import per_image_rule
+from .monitor import alert_fn, alert_fp, check_inputs
 from .partition import GtPartition, MatchingMode, partition
 
 _ONE_PLUS_ULP = math.nextafter(1.0, math.inf)
@@ -100,6 +103,8 @@ def alpha_grid(step: float) -> list[float]:
             break
         grid.append(value)
         k += 1
+    if not grid:
+        raise CalibrationError(f"grid step {step} leaves no grid point in (0, 1)")
     return grid
 
 
@@ -216,8 +221,19 @@ def select_alphas(
 
     Each alert type is scored independently against its own image labels
     (|fp_gt| >= 1 or |fn_gt| >= 1 per scene). Ties prefer the smaller alpha.
-    ``threads`` is accepted for compatibility and has no effect: the sweep is
-    CPU-bound Python, which threads cannot speed up.
+
+    Both alerts are monotone in alpha: raising alpha only makes a part's
+    overlap test harder to pass, and the rounded product alpha * part_area
+    never decreases as alpha grows. So along the sorted grid each scene's
+    alert is off up to some flip index and on from there; the flip index is
+    the grid's length when the alert never turns on. A bisection per scene
+    and alert finds it with the monitor's own predicates, so it returns
+    exactly what evaluating the rule at every grid point would. Scenes are
+    then counted by (label, flip index), and a running sum gives the
+    confusion counts, hence the MCC, at every grid point. The cost is a few
+    rule evaluations per scene, nearly independent of the grid size.
+
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if not scenes:
         raise CalibrationError("cannot select alphas from an empty scene list")
@@ -225,17 +241,24 @@ def select_alphas(
         raise ValidationError(
             f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions"
         )
-    best_fp = best_fn = None
-    best_fp_mcc = best_fn_mcc = -math.inf
-    for alpha in alpha_grid(grid_step):
-        alerts = [per_image_rule(s.persons, s.parts, alpha, alpha) for s in scenes]
-        fp_counts, fn_counts = per_image_counts(scenes, partitions, alerts)
-        mcc_fp, mcc_fn = binary_metrics(fp_counts)[2], binary_metrics(fn_counts)[2]
-        if mcc_fp > best_fp_mcc:
-            best_fp, best_fp_mcc = alpha, mcc_fp
-        if mcc_fn > best_fn_mcc:
-            best_fn, best_fn_mcc = alpha, mcc_fn
-    return best_fp, best_fn
+    grid = alpha_grid(grid_step)
+    n = len(grid)
+    # flips[kind][label][k]: scenes whose alert of that kind first turns on at grid[k]; k = n: never.
+    flips = [[[0] * (n + 1) for _ in range(2)] for _ in range(2)]
+    for scene, part in zip(scenes, partitions):
+        persons, parts = scene.persons, scene.parts
+        check_inputs(parts, grid[0], grid[0])
+        for kind, alert, label in ((0, alert_fp, part.fp_gt), (1, alert_fn, part.fn_gt)):
+            k = bisect_left(range(n), True, key=lambda i: alert(persons, parts, grid[i]))
+            flips[kind][len(label) >= 1][k] += 1
+
+    def best_alpha(neg, pos):
+        positives, negatives = sum(pos), sum(neg)
+        mccs = [mcc_from_counts(tp, fp, positives - tp, negatives - fp)
+                for _, tp, fp in zip(grid, accumulate(pos), accumulate(neg))]
+        return grid[mccs.index(max(mccs))]  # the first maximum: ties go to the smaller alpha
+
+    return best_alpha(*flips[0]), best_alpha(*flips[1])
 
 
 def apply_confidence_thresholds(

@@ -187,6 +187,8 @@ def _parse_bbox(raw, context: str) -> Box:
         raise ValidationError(f"{context}: bbox values must be finite, got {raw!r}")
     if w < 0 or h < 0:
         raise ValidationError(f"{context}: negative bbox width/height {raw!r}")
+    if w * h == 0.0 and w > 0 and h > 0:
+        raise ValidationError(f"{context}: bbox area underflows to 0, got {raw!r}")
     return Box(x, y, w, h)
 
 

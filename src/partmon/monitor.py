@@ -43,7 +43,8 @@ class MonitorVerdict:
     alpha_fn: float
 
 
-def _check_inputs(parts: Sequence[Detection], alpha_fp: float, alpha_fn: float) -> None:
+def check_inputs(parts: Sequence[Detection], alpha_fp: float, alpha_fn: float) -> None:
+    """Reject alphas outside (0, 1) and part boxes of zero area."""
     if not 0.0 < alpha_fp < 1.0:
         raise ValueError(f"alpha_fp must lie in (0, 1), got {alpha_fp}")
     if not 0.0 < alpha_fn < 1.0:
@@ -69,6 +70,16 @@ def is_covered(part, persons: Sequence, alpha: float) -> bool:
     return any(intersection_area(person.box, box) >= threshold for person in persons)
 
 
+def alert_fp(persons: Sequence[Detection], parts: Sequence[Detection], alpha: float) -> bool:
+    """True iff some person is supported by no part at ``alpha``; inputs unchecked."""
+    return not all(is_supported(person, parts, alpha) for person in persons)
+
+
+def alert_fn(persons: Sequence[Detection], parts: Sequence[Detection], alpha: float) -> bool:
+    """True iff some part is covered by no person at ``alpha``; inputs unchecked."""
+    return not all(is_covered(part, persons, alpha) for part in parts)
+
+
 def per_image_rule(
     persons: Sequence[Detection],
     parts: Sequence[Detection],
@@ -81,10 +92,10 @@ def per_image_rule(
     alpha_fp * part_area. alert_fn: some part detection overlaps every person
     by less than alpha_fn * part_area.
     """
-    _check_inputs(parts, alpha_fp, alpha_fn)
+    check_inputs(parts, alpha_fp, alpha_fn)
     return AlertPair(
-        alert_fp=not all(is_supported(person, parts, alpha_fp) for person in persons),
-        alert_fn=not all(is_covered(part, persons, alpha_fn) for part in parts),
+        alert_fp=alert_fp(persons, parts, alpha_fp),
+        alert_fn=alert_fn(persons, parts, alpha_fn),
     )
 
 
@@ -100,7 +111,7 @@ def per_object_rule(
     plausible (tp_mon), otherwise suspected ghost (fp_mon). A part covered by
     no person to alpha_fn of its area is an orphan (fn_mon).
     """
-    _check_inputs(parts, alpha_fp, alpha_fn)
+    check_inputs(parts, alpha_fp, alpha_fn)
     tp, fp = [], []
     for person in persons:
         (tp if is_supported(person, parts, alpha_fp) else fp).append(person)

@@ -13,12 +13,12 @@ from partmon.calibration import (
 )
 from partmon.datamodel import DetectionClass, Scene
 from partmon.errors import CalibrationError, ValidationError
-from partmon.geometry import Box
+from partmon.geometry import Box, DegeneratePartBoxError
 from partmon.oracle import oracle_mcc, oracle_partition, oracle_per_image
 from partmon.partition import partition
 from partmon.synth import SynthConfig, generate
 
-from conftest import ann, det, part_det
+from conftest import ann, det, part_det, rule_argmax_alphas
 
 
 def test_alpha_grid_default_step():
@@ -30,6 +30,15 @@ def test_alpha_grid_default_step():
 def test_alpha_grid_excludes_endpoints():
     assert 1.0 not in alpha_grid(0.25)
     assert alpha_grid(0.25) == [0.25, 0.5, 0.75]
+
+
+def test_alpha_grid_without_interior_point_is_rejected():
+    # k * step rounds to 1.0 already at k = 1, which leaves the grid empty.
+    with pytest.raises(CalibrationError, match="no grid point"):
+        alpha_grid(0.99999999999)
+    scenes, partitions = _alpha_test_scenes()
+    with pytest.raises(CalibrationError, match="no grid point"):
+        select_alphas(scenes, partitions, grid_step=0.99999999999)
 
 
 def test_threshold_sweep_prefers_inclusive_low_threshold():
@@ -214,6 +223,108 @@ def test_select_alphas_deterministic_across_thread_counts():
     reference = select_alphas(scenes, partitions, grid_step=0.05, threads=1)
     for threads in range(2, 9):
         assert select_alphas(scenes, partitions, grid_step=0.05, threads=threads) == reference
+
+
+def _scenes_and_partitions(scenes):
+    return scenes, [partition(s.persons, s.gt_persons(), 0.5) for s in scenes]
+
+
+def _grid_edge_scenes():
+    """Integer boxes whose part coverage is exactly 0.25 or 0.2 (a 4x5 part, intersection 5 or 4).
+
+    Scene 1 is clean, with coverage 0.25: the FP alert must stay off at alpha
+    0.25 and fire from the next grid point on. Scene 2's ghost person has
+    coverage 0.2 and should fire from the first alpha above 0.2. Scenes 3 and
+    4 mirror this for the FN alert: scene 3 misses a person and its part is
+    covered to 0.2 by the wrong one; scene 4 is clean, its part covered to 0.25.
+    So MCC is 1 exactly on the grid points in (0.2, 0.25], and a strict
+    comparison would move the optimum down to 0.2.
+    """
+    def person_scene(image_id, x, part_box, gt_boxes):
+        return Scene(
+            image_id=image_id,
+            persons=(det(Box(x, 0, 10, 10), image_id=image_id, det_id=0),),
+            parts=(part_det(part_box, image_id=image_id, det_id=0),),
+            gt=tuple(ann(b, image_id=image_id, ann_id=i) for i, b in enumerate(gt_boxes)),
+        )
+
+    return _scenes_and_partitions([
+        person_scene(1, 0, Box(-3, 0, 4, 5), [Box(0, 0, 10, 10)]),
+        person_scene(2, 100, Box(109, 6, 4, 5), []),
+        person_scene(3, 200, Box(209, 6, 4, 5), [Box(200, 0, 10, 10), Box(220, 0, 10, 10)]),
+        person_scene(4, 300, Box(309, 5, 4, 5), [Box(300, 0, 10, 10)]),
+    ])
+
+
+@pytest.mark.parametrize("step, expected", [(0.25, (0.25, 0.25)), (0.05, (0.25, 0.25)), (0.01, (0.21, 0.21))])
+def test_select_alphas_flip_on_exact_grid_coverage(step, expected):
+    scenes, partitions = _grid_edge_scenes()
+    assert select_alphas(scenes, partitions, grid_step=step) == expected
+    assert rule_argmax_alphas(scenes, partitions, step) == expected
+
+
+def _sparse_scenes():
+    """Scenes with no persons, with no parts, empty ones, and a person without parts."""
+    person = Box(0, 0, 10, 10)
+    inner = Box(2, 2, 4, 4)
+    return _scenes_and_partitions([
+        # Only a part, next to a missed person: the FN alert fires at every alpha.
+        Scene(image_id=1, parts=(part_det(Box(0, 0, 4, 5), image_id=1),), gt=(ann(person, image_id=1),)),
+        # Only a ghost person: the FP alert fires at every alpha, the FN alert never.
+        Scene(image_id=2, persons=(det(person, image_id=2),)),
+        # Nothing detected, one missed person.
+        Scene(image_id=3, gt=(ann(person, image_id=3),)),
+        # Nothing at all.
+        Scene(image_id=4),
+        # Two matched persons, one of them without a part.
+        Scene(
+            image_id=5,
+            persons=(det(person, image_id=5, det_id=0), det(Box(50, 0, 10, 10), image_id=5, det_id=1)),
+            parts=(part_det(inner, image_id=5),),
+            gt=(ann(person, image_id=5, ann_id=0), ann(Box(50, 0, 10, 10), image_id=5, ann_id=1)),
+        ),
+        # A clean scene whose part sits on the person's edge (coverage 0.5).
+        Scene(image_id=6, persons=(det(person, image_id=6),), parts=(part_det(Box(8, 0, 4, 5), image_id=6),),
+              gt=(ann(person, image_id=6),)),
+    ])
+
+
+@pytest.mark.parametrize("step", [0.25, 0.05, 0.01])
+def test_select_alphas_on_scenes_without_persons_or_parts(step):
+    scenes, partitions = _sparse_scenes()
+    assert select_alphas(scenes, partitions, grid_step=step) == rule_argmax_alphas(scenes, partitions, step)
+
+
+@pytest.mark.parametrize("step", [0.25, 0.05, 0.01])
+@pytest.mark.parametrize("positive", [True, False])
+def test_select_alphas_with_one_label_only_returns_smallest(step, positive):
+    # Every scene is a positive (a ghost and a missed person) or every scene
+    # is clean, so MCC is 0 at every grid point and the smallest alpha wins.
+    scenes = []
+    for image_id in range(1, 5):
+        person = Box(100 * image_id, 0, 10, 10)
+        part = part_det(Box(person.x + 3 * image_id - 4, 0, 4, 5), image_id=image_id)
+        gt = [ann(person, image_id=image_id, ann_id=0)]
+        if positive:
+            gt = [ann(Box(person.x, 50, 10, 10), image_id=image_id, ann_id=0)]
+        scenes.append(Scene(image_id=image_id, persons=(det(person, image_id=image_id),), parts=(part,),
+                            gt=tuple(gt)))
+    scenes, partitions = _scenes_and_partitions(scenes)
+    labels = {(len(p.fp_gt) >= 1, len(p.fn_gt) >= 1) for p in partitions}
+    assert labels == {(positive, positive)}
+    smallest = alpha_grid(step)[0]
+    assert select_alphas(scenes, partitions, grid_step=step) == (smallest, smallest)
+    assert rule_argmax_alphas(scenes, partitions, step) == (smallest, smallest)
+
+
+def test_select_alphas_rejects_part_box_whose_area_underflows():
+    # Both sides are positive, but their product rounds to 0.0.
+    tiny = part_det(Box(1, 1, 1e-200, 1e-200))
+    scenes, partitions = _scenes_and_partitions(
+        [Scene(image_id=1, persons=(det(Box(0, 0, 10, 10)),), parts=(tiny,), gt=(ann(Box(0, 0, 10, 10)),))]
+    )
+    with pytest.raises(DegeneratePartBoxError):
+        select_alphas(scenes, partitions, grid_step=0.05)
 
 
 def test_build_operating_point_deterministic_across_threads():

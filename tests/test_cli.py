@@ -343,6 +343,28 @@ def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     assert_input_error(result, fragment)
 
 
+def test_part_box_whose_area_underflows_exits_2(tmp_path, corpus_dir):
+    # Both sides are positive and finite, but w * h rounds to 0.0.
+    parts_path = corpus_dir / "parts.json"
+    parts = json.loads(parts_path.read_text())
+    x, y = parts[0]["bbox"][:2]
+    parts[0]["bbox"] = [x, y, 1e-200, 1e-200]
+    write_json(parts_path, parts)
+    out = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir), "--out", str(out)])
+    assert_input_error(result, "detection #0: bbox area underflows to 0")
+    assert not out.exists()
+
+
+def test_alpha_grid_step_without_grid_point_exits_2(tmp_path, corpus_dir):
+    # The step passes the open range check, but rounds to 1.0 at k = 1.
+    out = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir),
+                                 "--alpha-grid-step", "0.99999999999", "--out", str(out)])
+    assert_input_error(result, "no grid point in (0, 1)")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "evaluate", "monitor"])
 def test_unwritable_out_exits_2(tmp_path, corpus_dir, command):
     op = write_json(tmp_path / "op.json", ZERO_OP)

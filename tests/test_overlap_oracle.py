@@ -21,7 +21,7 @@ from partmon.monitor import per_image_rule, per_object_rule
 from partmon.oracle import oracle_mcc, oracle_metrics, oracle_partition, oracle_per_image
 from partmon.partition import partition
 
-from conftest import ann, det, part_det, pos_boxes, pos_sizes
+from conftest import ann, det, part_det, pos_boxes, pos_sizes, rule_argmax_alphas
 
 offsets = st.integers(-30, 30).map(float)
 part_sizes = st.integers(1, 40).map(float)
@@ -119,3 +119,11 @@ def brute_force_alphas(scenes, tau, step):
 def test_select_alphas_matches_brute_force_on_overlapping_scenes(scenes, tau, step):
     partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
     assert select_alphas(scenes, partitions, step) == brute_force_alphas(scenes, tau, step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes=corpora, tau=taus, step=st.sampled_from([0.25, 0.05, 0.01]))
+def test_select_alphas_matches_rule_at_every_grid_point(scenes, tau, step):
+    # Integer boxes: coverage often lands exactly on a grid value, the edge of the >= test.
+    partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
+    assert select_alphas(scenes, partitions, step) == rule_argmax_alphas(scenes, partitions, step)
