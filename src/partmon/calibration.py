@@ -1,13 +1,15 @@
 """Operating-point selection.
 
 Per-class confidence thresholds come from an exhaustive sweep over the
-observed score values, keeping the threshold with the best F1. The two
-overlap parameters are swept independently over a regular grid in (0, 1) and
-chosen by the Matthews correlation of the per-image alerts against the
-ground-truth image labels; they are separable because the FP alert depends
-only on alpha_fp and the FN alert only on alpha_fn. Each alert turns on at
-most once as alpha grows, so the sweep locates that point per scene by
-bisection rather than evaluating the rule at every grid value.
+observed score values, keeping the threshold with the best F1. Under either
+matching mode, one matching pass per image fixes which detections and
+ground-truth boxes count at every threshold, so each candidate is scored by
+bisection. The two overlap parameters are swept independently over a regular
+grid in (0, 1) and chosen by the Matthews correlation of the per-image alerts
+against the ground-truth image labels; they are separable because the FP
+alert depends only on alpha_fp and the FN alert only on alpha_fn. Each alert
+turns on at most once as alpha grows, so the sweep locates that point per
+scene by bisection rather than evaluating the rule at every grid value.
 
 Tie-breaking is deterministic and documented: equal F1 prefers the higher
 threshold (fewer retained detections), equal MCC prefers the smaller alpha
@@ -24,12 +26,11 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .datamodel import Detection, DetectionClass, GtAnnotation, Scene
+from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, read_json
 from .errors import CalibrationError, ValidationError
 from .evaluation import mcc_from_counts
-from .geometry import iou
 from .monitor import alert_fn, alert_fp, check_inputs
-from .partition import GtPartition, MatchingMode, partition
+from .partition import GtPartition, MatchingMode, matches, partition
 
 _ONE_PLUS_ULP = math.nextafter(1.0, math.inf)
 
@@ -65,6 +66,10 @@ class OperatingPoint:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "OperatingPoint":
+        if not isinstance(raw, dict):
+            raise ValidationError(f"invalid operating point: expected a JSON object, got {type(raw).__name__}")
+        if not isinstance(raw.get("conf", {}), dict):
+            raise ValidationError("invalid operating point: 'conf' must be an object of class thresholds")
         try:
             conf = {DetectionClass(name): float(v) for name, v in raw["conf"].items()}
             return cls(
@@ -73,7 +78,7 @@ class OperatingPoint:
                 alpha_fn=float(raw["alpha_fn"]),
                 tau=float(raw["tau"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
     def save(self, path) -> None:
@@ -81,14 +86,7 @@ class OperatingPoint:
 
     @classmethod
     def load(cls, path) -> "OperatingPoint":
-        path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"file not found: {path}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed operating point JSON in {path}: {exc}") from exc
-        return cls.from_json_dict(raw)
+        return cls.from_json_dict(read_json(path))
 
 
 def alpha_grid(step: float) -> list[float]:
@@ -140,10 +138,7 @@ def select_confidence_threshold(
     max_score = max(d.score for d in dets)
     candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max_score, math.inf)})
 
-    if matching is MatchingMode.EXISTENTIAL:
-        evaluate = _make_existential_counter(dets, gts, tau, strict)
-    else:
-        evaluate = _make_rescan_counter(dets, gts, tau, matching, strict)
+    evaluate = _make_counter(dets, gts, tau, matching, strict)
 
     best_t, best_f1 = candidates[0], -1.0
     for t in candidates:
@@ -154,30 +149,35 @@ def select_confidence_threshold(
     return best_t
 
 
-def _make_existential_counter(dets, gts, tau, strict):
-    # Under existential matching, whether a detection matches is independent
-    # of the retained set, so one IoU pass suffices and each threshold is a
-    # pair of bisections.
+def _make_counter(dets, gts, tau, matching, strict):
+    # Whether a detection matches does not depend on the threshold. Under
+    # existential matching that is immediate. Under greedy matching the
+    # detections kept at any threshold are a prefix of the score-descending
+    # visiting order, so the full pass decides them exactly as a pass over
+    # the kept ones would. A ground-truth box is missed at threshold t iff the
+    # best score among the detections matched to it (under greedy matching,
+    # the one that consumed it) is not retained at t. So one matching pass per
+    # image suffices, and each threshold is three bisections.
+    dets_by_img: dict[int, list[Detection]] = {}
+    for det in dets:
+        dets_by_img.setdefault(det.image_id, []).append(det)
     gts_by_img: dict[int, list[GtAnnotation]] = {}
     for gt in gts:
         gts_by_img.setdefault(gt.image_id, []).append(gt)
 
-    all_scores, matched_scores = [], []
-    gt_best: dict[int, float] = {id(g): -1.0 for g in gts}
-    for det in dets:
-        all_scores.append(det.score)
-        matched = False
-        for gt in gts_by_img.get(det.image_id, ()):
-            if iou(det.box, gt.box) > tau:
-                matched = True
-                key = id(gt)
-                if det.score > gt_best[key]:
-                    gt_best[key] = det.score
-        if matched:
-            matched_scores.append(det.score)
-    all_scores.sort()
+    matched_scores, best_scores = [], []
+    for img, img_gts in gts_by_img.items():
+        img_dets = dets_by_img.get(img, [])
+        best = [-1.0] * len(img_gts)
+        matched = set()
+        for i, j in matches(img_dets, img_gts, tau, matching):
+            matched.add(i)
+            best[j] = max(best[j], img_dets[i].score)
+        matched_scores += [img_dets[i].score for i in matched]
+        best_scores += best
+    all_scores = sorted(d.score for d in dets)
     matched_scores.sort()
-    best_scores = sorted(gt_best.values())
+    best_scores.sort()
     cut = bisect_right if strict else bisect_left
 
     def evaluate(t: float) -> tuple[int, int, int]:
@@ -185,28 +185,6 @@ def _make_existential_counter(dets, gts, tau, strict):
         tp = len(matched_scores) - cut(matched_scores, t)
         fn = cut(best_scores, t)
         return tp, kept - tp, fn
-
-    return evaluate
-
-
-def _make_rescan_counter(dets, gts, tau, matching, strict):
-    dets_by_img: dict[int, list[Detection]] = {}
-    for det in dets:
-        dets_by_img.setdefault(det.image_id, []).append(det)
-    gts_by_img: dict[int, list[GtAnnotation]] = {}
-    for gt in gts:
-        gts_by_img.setdefault(gt.image_id, []).append(gt)
-    image_ids = sorted(set(dets_by_img) | set(gts_by_img))
-
-    def evaluate(t: float) -> tuple[int, int, int]:
-        tp = fp = fn = 0
-        for img in image_ids:
-            kept = [d for d in dets_by_img.get(img, ()) if (d.score > t if strict else d.score >= t)]
-            part = partition(kept, gts_by_img.get(img, ()), tau, matching)
-            tp += len(part.tp_gt)
-            fp += len(part.fp_gt)
-            fn += len(part.fn_gt)
-        return tp, fp, fn
 
     return evaluate
 

@@ -30,6 +30,7 @@ from .datamodel import (
     load_category_map,
     load_detections,
     load_ground_truth,
+    read_json,
 )
 from .errors import ValidationError
 from .evaluation import (
@@ -87,10 +88,7 @@ def _apply_config(ctx: click.Context, config_path) -> None:
     """Fill parameters from a JSON config for flags the user did not pass."""
     if config_path is None:
         return
-    try:
-        raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {config_path}: {exc}") from exc
+    raw = read_json(config_path)
     if not isinstance(raw, dict):
         raise InputError(f"config must be a JSON object: {config_path}")
     params = {param.name: param for param in ctx.command.params}

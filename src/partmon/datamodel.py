@@ -134,15 +134,21 @@ class FilterMode(Enum):
     REQUIRE_ALL_ABOVE = "require_all_above"
 
 
-def _read_json(path) -> object:
+def read_json(path) -> object:
+    """Parse a UTF-8 JSON file; every way the bytes can fail to parse is a ParseError."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
-    text = path.read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.msg, offset=exc.pos) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8: {exc.reason}", offset=exc.start) from exc
+    except RecursionError as exc:
+        raise ParseError(path, "nested too deeply") from exc
+    except ValueError as exc:  # e.g. an integer literal beyond the int-to-str digit limit
+        raise ParseError(path, str(exc)) from exc
 
 
 def load_category_map(path) -> dict[int, DetectionClass]:
@@ -150,7 +156,7 @@ def load_category_map(path) -> dict[int, DetectionClass]:
 
     Several source ids may map onto the same class (e.g. left/right limbs).
     """
-    raw = _read_json(path)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"category map must be a JSON object: {path}")
     mapping: dict[int, DetectionClass] = {}
@@ -159,7 +165,7 @@ def load_category_map(path) -> dict[int, DetectionClass]:
             cat_id = int(key)
         except (TypeError, ValueError):
             raise ValidationError(f"category map key is not an integer id: {key!r}") from None
-        cls = _CLASS_BY_NAME.get(name)
+        cls = _CLASS_BY_NAME.get(name) if isinstance(name, str) else None
         if cls is None:
             raise TaxonomyError(
                 f"category map value {name!r} for id {cat_id} is not one of "
@@ -172,7 +178,7 @@ def load_category_map(path) -> dict[int, DetectionClass]:
 def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> DetectionClass:
     try:
         return category_map[int(category_id)]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise TaxonomyError(f"unmapped category id: {category_id!r}") from None
 
 
@@ -183,19 +189,25 @@ def _parse_bbox(raw, context: str) -> Box:
         x, y, w, h = (float(v) for v in raw)
     except (TypeError, ValueError):
         raise ValidationError(f"{context}: bbox values must be numbers, got {raw!r}") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
-        raise ValidationError(f"{context}: bbox values must be finite, got {raw!r}")
+    except OverflowError:  # an integer literal too large for a float
+        x = y = w = h = math.inf
+    # x + w and y + h are finite iff all four values are and no far edge overflows.
+    if not (math.isfinite(x + w) and math.isfinite(y + h)):
+        raise ValidationError(f"{context}: bbox values and far edges must be finite, got {raw!r}")
     if w < 0 or h < 0:
         raise ValidationError(f"{context}: negative bbox width/height {raw!r}")
-    if w * h == 0.0 and w > 0 and h > 0:
+    box_area = w * h
+    if box_area == 0.0 and w > 0 and h > 0:
         raise ValidationError(f"{context}: bbox area underflows to 0, got {raw!r}")
+    if box_area == math.inf:
+        raise ValidationError(f"{context}: bbox area overflows, got {raw!r}")
     return Box(x, y, w, h)
 
 
 def _parse_image_id(raw, context: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{context}: image_id must be an integer, got {raw!r}") from None
 
 
@@ -214,7 +226,7 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
     with ``id``, ``image_id``, ``category_id``, ``bbox``). Category ids are
     mapped through ``category_map``; unknown ids raise TaxonomyError.
     """
-    raw = _read_json(path)
+    raw = read_json(path)
     if not (isinstance(raw, dict) and isinstance(raw.get("images"), list)
             and isinstance(raw.get("annotations"), list)):
         raise ValidationError(f"ground truth must contain 'images' and 'annotations' arrays: {path}")
@@ -251,7 +263,7 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
     Detections get sequential ``det_id`` values in file order, so reloading a
     file reproduces identical records.
     """
-    raw = _read_json(path)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ValidationError(f"detection results must be a JSON array: {path}")
     detections = []
@@ -260,7 +272,7 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         box = _parse_bbox(entry.get("bbox"), f"detection #{index}")
         try:
             score = float(entry.get("score", -1.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"detection #{index}: score must be a number, got {entry.get('score')!r}") from None
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"detection #{index}: score {score} outside [0, 1]")

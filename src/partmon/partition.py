@@ -6,6 +6,9 @@ single ground-truth box may validate several detections. The greedy mode
 (score-descending, highest-IoU-first, each ground-truth box consumed once)
 exists for comparison with the usual benchmark convention and is off by
 default.
+
+``matches`` is the one place where the match rule is written; ``partition``
+and the confidence-threshold sweep both derive their counts from its pairs.
 """
 
 from __future__ import annotations
@@ -37,37 +40,29 @@ class GtPartition:
     tau: float
 
 
-def partition(
+def matches(
     persons: Sequence[Detection],
     gt_persons: Sequence[GtAnnotation],
     tau: float,
     matching: MatchingMode = MatchingMode.EXISTENTIAL,
-) -> GtPartition:
-    """Classify detections as TP/FP and ground truth as FN at IoU > tau.
+) -> list[tuple[int, int]]:
+    """Return the (detection index, ground-truth index) pairs matched at IoU > tau.
 
-    The inequality is strict on both sides: IoU exactly equal to tau neither
-    validates a detection nor rescues a ground-truth box from FN.
+    Existential matching returns every pair whose IoU exceeds tau. Greedy
+    matching visits detections by descending score, ties in input order;
+    each takes the unconsumed ground-truth box of highest IoU above tau, the
+    first one on equal IoU, so every ground-truth box appears at most once.
+    The inequality is strict: IoU exactly equal to tau never matches.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if matching is MatchingMode.GREEDY:
-        return _partition_greedy(persons, gt_persons, tau)
+    if matching is MatchingMode.EXISTENTIAL:
+        return [(i, j) for i, det in enumerate(persons)
+                for j, gt in enumerate(gt_persons) if iou(det.box, gt.box) > tau]
 
-    tp, fp = [], []
-    for det in persons:
-        if any(iou(det.box, gt.box) > tau for gt in gt_persons):
-            tp.append(det)
-        else:
-            fp.append(det)
-    fn = [gt for gt in gt_persons if all(iou(det.box, gt.box) <= tau for det in persons)]
-    return GtPartition(tp_gt=tuple(tp), fp_gt=tuple(fp), fn_gt=tuple(fn), tau=tau)
-
-
-def _partition_greedy(persons, gt_persons, tau):
-    # Score-descending, stable on input order for ties; each GT consumed once.
     order = sorted(range(len(persons)), key=lambda i: -persons[i].score)
     consumed = [False] * len(gt_persons)
-    matched = [False] * len(persons)
+    pairs = []
     for i in order:
         det = persons[i]
         best_j, best_iou = -1, tau
@@ -78,9 +73,28 @@ def _partition_greedy(persons, gt_persons, tau):
             if v > best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0:
-            matched[i] = True
             consumed[best_j] = True
-    tp = tuple(d for d, m in zip(persons, matched) if m)
-    fp = tuple(d for d, m in zip(persons, matched) if not m)
-    fn = tuple(g for g, c in zip(gt_persons, consumed) if not c)
-    return GtPartition(tp_gt=tp, fp_gt=fp, fn_gt=fn, tau=tau)
+            pairs.append((i, best_j))
+    return pairs
+
+
+def partition(
+    persons: Sequence[Detection],
+    gt_persons: Sequence[GtAnnotation],
+    tau: float,
+    matching: MatchingMode = MatchingMode.EXISTENTIAL,
+) -> GtPartition:
+    """Classify detections as TP/FP and ground truth as FN at IoU > tau.
+
+    A detection is a TP iff it takes part in some matched pair, and a
+    ground-truth box is FN iff it takes part in none.
+    """
+    pairs = matches(persons, gt_persons, tau, matching)
+    matched = {i for i, _ in pairs}
+    covered = {j for _, j in pairs}
+    return GtPartition(
+        tp_gt=tuple(d for i, d in enumerate(persons) if i in matched),
+        fp_gt=tuple(d for i, d in enumerate(persons) if i not in matched),
+        fn_gt=tuple(g for j, g in enumerate(gt_persons) if j not in covered),
+        tau=tau,
+    )

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partmon.calibration import (
     OperatingPoint,
@@ -13,12 +15,12 @@ from partmon.calibration import (
 )
 from partmon.datamodel import DetectionClass, Scene
 from partmon.errors import CalibrationError, ValidationError
-from partmon.geometry import Box, DegeneratePartBoxError
+from partmon.geometry import Box, DegeneratePartBoxError, iou
 from partmon.oracle import oracle_mcc, oracle_partition, oracle_per_image
-from partmon.partition import partition
+from partmon.partition import MatchingMode, partition
 from partmon.synth import SynthConfig, generate
 
-from conftest import ann, det, part_det, rule_argmax_alphas
+from conftest import ann, det, part_det, pos_boxes, rule_argmax_alphas
 
 
 def test_alpha_grid_default_step():
@@ -121,6 +123,86 @@ def test_threshold_is_argmax_under_independent_resweeep(seed):
         assert best >= f1 or best == pytest.approx(f1)
         if f1 == best:
             assert chosen >= t  # ties must resolve toward the higher threshold
+
+
+def _greedy_f1_by_rescan(dets, gts, tau, threshold, strict):
+    """F1 of a literal greedy re-partition of every image at one threshold."""
+    tp = fp = fn = 0
+    for img in {d.image_id for d in dets} | {g.image_id for g in gts}:
+        kept = [d for d in dets if d.image_id == img and (d.score > threshold if strict else d.score >= threshold)]
+        free = [g for g in gts if g.image_id == img]
+        # Highest score first; sorted() is stable, so tied scores keep input order.
+        for d in sorted(kept, key=lambda d: -d.score):
+            ious = [iou(d.box, g.box) for g in free]
+            if ious and max(ious) > tau:
+                del free[ious.index(max(ious))]  # the first of equal IoUs
+                tp += 1
+            else:
+                fp += 1
+        fn += len(free)
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    return 2 * p * r / (p + r) if p + r else 0.0
+
+
+def _greedy_argmax_threshold(dets, gts, tau, strict):
+    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max(d.score for d in dets), math.inf)})
+    best_t, best_f1 = None, -1.0
+    for t in candidates:
+        f1 = _greedy_f1_by_rescan(dets, gts, tau, t, strict)
+        if f1 >= best_f1:  # ties go to the higher threshold
+            best_t, best_f1 = t, f1
+    return best_t
+
+
+# Two ground-truth persons four pixels apart. A detection at x = 1 overlaps
+# both above tau 0.5 but prefers the left one; x = -2 covers only the left
+# one and x = 5 only the right one.
+_LEFT, _RIGHT = ann(Box(0, 0, 10, 10), ann_id=1), ann(Box(4, 0, 10, 10), ann_id=2)
+
+
+def _greedy_case(*dets):
+    return [det(Box(x, 0, 10, 10), score=score, det_id=i) for i, (x, score) in enumerate(dets)]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("dets", [
+    # The 0.9 detection consumes the left person, so the right one is missed
+    # until the 0.5 detection is retained, although the 0.9 one overlaps it.
+    _greedy_case((1, 0.9), (60, 0.7), (4, 0.5)),
+    # Tied scores: in input order x = -2 takes the left person and x = 1 the
+    # right one; the other order would leave the right one to x = 5.
+    _greedy_case((-2, 0.8), (1, 0.8), (5, 0.5)),
+], ids=["missed-until-its-consumer", "tied-scores"])
+def test_greedy_threshold_on_overlapping_persons(dets, strict):
+    chosen = select_confidence_threshold(dets, [_LEFT, _RIGHT], 0.5, matching=MatchingMode.GREEDY, strict=strict)
+    assert chosen == _greedy_argmax_threshold(dets, [_LEFT, _RIGHT], 0.5, strict)
+
+
+@st.composite
+def _greedy_corpus(draw):
+    """Clustered persons with near-duplicate detections and tied scores, in shuffled order."""
+    dets, gts = [], []
+    for image_id in range(1, draw(st.integers(1, 3)) + 1):
+        anchor = draw(pos_boxes)
+        boxes = [Box(anchor.x + draw(st.integers(-6, 6)), anchor.y + draw(st.integers(-6, 6)), anchor.w, anchor.h)
+                 for _ in range(draw(st.integers(0, 3)))]
+        gts += [ann(b, image_id=image_id) for b in [anchor] + boxes]
+        for b in [anchor] + boxes + [anchor]:
+            if draw(st.booleans()):
+                shifted = Box(b.x + draw(st.integers(-4, 4)), b.y + draw(st.integers(-4, 4)), b.w, b.h)
+                dets.append(det(shifted, image_id=image_id, score=draw(st.sampled_from([0.2, 0.5, 0.8]))))
+    return draw(st.permutations(dets)), gts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_greedy_corpus(), st.sampled_from([0.3, 0.5]), st.booleans())
+def test_greedy_threshold_is_argmax_of_rescan(corpus, tau, strict):
+    dets, gts = corpus
+    if not dets:
+        return
+    chosen = select_confidence_threshold(dets, gts, tau, matching=MatchingMode.GREEDY, strict=strict)
+    assert chosen == _greedy_argmax_threshold(dets, gts, tau, strict)
 
 
 def _alpha_test_scenes():

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass
@@ -333,13 +335,40 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s, 5]" % (DET % ("[0, 0, 10, 10]", "0.9")), "detection #1"),
     ("--gt", '{"images": [7], "annotations": []}', "image entry #0"),
     ("--gt", '{"images": [{"id": 1}], "annotations": ["x"]}', "annotation #0"),
+    ("--persons", b'[{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10], "score": 0.9, "x": "\xff"}]',
+     "not UTF-8"),
+    ("--gt", b'{"images": [], "annotations": [], "info": "\xe9"}', "not UTF-8"),
+    ("--category-map", b'{"1": "Person", "2": "\xc3"}', "not UTF-8"),
+    ("--operating-point", b'{"tau": 0.5, "note": "\xff"}', "not UTF-8"),
+    ("--config", b'{"seed": 1, "n_scenes": "\xff"}', "not UTF-8"),
+    ("--persons", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": 1e999'),
+     "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": 1e999}], "annotations": []}', "image_id must be an integer"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": 1e999'),
+     "unmapped category id"),
+    ("--category-map", '{"1": ["Person"]}', "category map value"),
+    ("--operating-point", '{"conf": [], "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}', "'conf' must be an object"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 1e200, 1e200]", "0.9")), "area overflows"),
+    ("--persons", "[%s]" % (DET % ("[1e308, 0, 1e308, 10]", "0.9")), "far edges must be finite"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 1%s, 10]" % ("0" * 400), "0.9")), "must be finite"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1%s" % ("0" * 5000))), "integer string conversion"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
-        "non-object-detection", "non-object-image", "non-object-annotation"])
+        "non-object-detection", "non-object-image", "non-object-annotation",
+        "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
+        "non-utf8-config", "deep-nesting", "overflow-image-id", "overflow-gt-image-id",
+        "overflow-category-id", "non-string-category-name", "non-object-conf",
+        "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
-    bad.write_text(payload, encoding="utf-8")
-    category_map = write_json(tmp_path / "map.json", {"1": "Person"})
-    result = runner.invoke(cli, ["validate", flag, str(bad), "--category-map", category_map])
+    bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
+    if flag == "--config":
+        args = ["synth", "--config", str(bad), "--out", str(tmp_path / "corpus")]
+    else:
+        # A repeated --category-map takes the last value, so the bad file wins.
+        category_map = write_json(tmp_path / "map.json", {"1": "Person"})
+        args = ["validate", "--category-map", category_map, flag, str(bad)]
+    result = runner.invoke(cli, args)
     assert_input_error(result, fragment)
 
 
@@ -408,3 +437,57 @@ def test_monitor_output_references_manifest(tmp_path, corpus_dir):
     assert manifest["report"] == "alerts.jsonl"
     assert manifest["command"] == "monitor"
     assert "sha256" in manifest["inputs"]["persons"]
+
+
+# Arbitrary JSON, plus records shaped like each input file whose fields are
+# sometimes arbitrary JSON, so the fuzzing also reaches past the shape checks.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(shaped, otherwise=_json):
+    """``shaped`` three times in four, otherwise ``otherwise``."""
+    return st.sampled_from([shaped, shaped, shaped, otherwise]).flatmap(lambda strategy: strategy)
+
+
+_numbers = _mostly(st.integers(0, 12), st.integers() | st.floats()
+                   | st.sampled_from([10**400, 1e200, 1e308, 1e-200]))
+_ids = _mostly(st.just(1))
+_boxes = _mostly(st.lists(_numbers, min_size=4, max_size=4))
+_detection = st.fixed_dictionaries(
+    {"image_id": _ids, "category_id": _ids, "bbox": _boxes}, optional={"score": _mostly(_numbers)}
+)
+_gt = _mostly(st.fixed_dictionaries({
+    "images": st.lists(_mostly(st.fixed_dictionaries({"id": _ids})), max_size=2),
+    "annotations": st.lists(_mostly(st.fixed_dictionaries(
+        {"id": _ids, "image_id": _ids, "category_id": _ids, "bbox": _boxes})), max_size=2),
+}))
+_detections = _mostly(st.lists(_mostly(_detection), max_size=2))
+_class_names = st.sampled_from([c.value for c in DetectionClass])
+_category_map = _mostly(st.fixed_dictionaries({"1": _mostly(_class_names)}, optional={"2": _class_names}))
+_operating_point = _mostly(st.fixed_dictionaries({
+    "conf": _mostly(st.dictionaries(_class_names | st.text(max_size=5), _mostly(_numbers), max_size=2)),
+    "alpha_fp": _mostly(st.just(0.5), _numbers), "alpha_fn": _mostly(st.just(0.5), _numbers),
+    "tau": _mostly(st.just(0.5), _numbers),
+}))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gt=_gt, persons=_detections, category_map=_category_map, operating_point=_operating_point)
+def test_validate_arbitrary_json_exits_0_or_2(tmp_path, gt, persons, category_map, operating_point):
+    args = ["validate"]
+    for flag, payload in (("--gt", gt), ("--persons", persons), ("--category-map", category_map),
+                          ("--operating-point", operating_point)):
+        path = tmp_path / (flag[2:] + ".json")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        args += [flag, str(path)]
+    result = runner.invoke(cli, args)
+    assert result.exit_code in (0, 2), result.output
+    assert "Traceback" not in result.output
+    *summary, last = result.output.strip().splitlines()
+    # validate reports each file as it loads it, then "ok" or a one-line error.
+    assert all(line.startswith(("gt: ", "persons: ", "operating point: ")) for line in summary), result.output
+    assert last == "ok" if result.exit_code == 0 else last.startswith("Error: "), result.output
