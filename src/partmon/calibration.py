@@ -8,8 +8,8 @@ bisection. The two overlap parameters are swept independently over a regular
 grid in (0, 1) and chosen by the Matthews correlation of the per-image alerts
 against the ground-truth image labels; they are separable because the FP
 alert depends only on alpha_fp and the FN alert only on alpha_fn. Each alert
-turns on at most once as alpha grows, so the sweep locates that point per
-scene by bisection rather than evaluating the rule at every grid value.
+turns on at most once as alpha grows, so one overlap pass per scene locates
+that point for both alerts, with no rule evaluation per grid value.
 
 Tie-breaking is deterministic and documented: equal F1 prefers the higher
 threshold (fewer retained detections), equal MCC prefers the smaller alpha
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, read_json
 from .errors import CalibrationError, ValidationError
 from .evaluation import mcc_from_counts
-from .monitor import alert_fn, alert_fp, check_inputs
+from .monitor import overlaps
 from .partition import GtPartition, MatchingMode, matches, partition
 
 _ONE_PLUS_ULP = math.nextafter(1.0, math.inf)
@@ -93,6 +93,8 @@ def alpha_grid(step: float) -> list[float]:
     """The candidate overlap values {step, 2*step, ...} inside (0, 1)."""
     if not 0.0 < step < 1.0:
         raise CalibrationError(f"grid step must lie in (0, 1), got {step}")
+    if round(step, 10) == 0.0:  # grid values start at 0.0, no alpha, in a list of ~1/step floats
+        raise CalibrationError(f"grid step {step} rounds to 0 at the grid's 10 decimal places")
     grid = []
     k = 1
     while True:
@@ -200,35 +202,39 @@ def select_alphas(
     Each alert type is scored independently against its own image labels
     (|fp_gt| >= 1 or |fn_gt| >= 1 per scene). Ties prefer the smaller alpha.
 
-    Both alerts are monotone in alpha: raising alpha only makes a part's
-    overlap test harder to pass, and the rounded product alpha * part_area
-    never decreases as alpha grows. So along the sorted grid each scene's
-    alert is off up to some flip index and on from there; the flip index is
-    the grid's length when the alert never turns on. A bisection per scene
-    and alert finds it with the monitor's own predicates, so it returns
-    exactly what evaluating the rule at every grid point would. Scenes are
-    then counted by (label, flip index), and a running sum gives the
-    confusion counts, hence the MCC, at every grid point. The cost is a few
-    rule evaluations per scene, nearly independent of the grid size.
+    Each person x part pair passes the overlap test on a prefix of the grid,
+    since alpha * part_area never decreases as alpha grows. One
+    ``monitor.overlaps`` pass per scene gives each pair's prefix length:
+    ``bisect_right(grid, inter / part_area)``, moved by the exact test
+    ``inter >= grid[k] * part_area`` until that test decides it. The FP alert
+    turns on at grid index min over persons of (max over their parts), the FN
+    alert at min over parts of (max over persons), the grid's length meaning
+    never: exactly where the rules would flip, with no rule evaluated. Scenes
+    are counted by (label, flip index); running sums give the MCC at every
+    grid point.
 
     ``threads`` is accepted for compatibility and has no effect.
     """
     if not scenes:
         raise CalibrationError("cannot select alphas from an empty scene list")
     if len(partitions) != len(scenes):
-        raise ValidationError(
-            f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions"
-        )
+        raise ValidationError(f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions")
     grid = alpha_grid(grid_step)
     n = len(grid)
     # flips[kind][label][k]: scenes whose alert of that kind first turns on at grid[k]; k = n: never.
     flips = [[[0] * (n + 1) for _ in range(2)] for _ in range(2)]
     for scene, part in zip(scenes, partitions):
-        persons, parts = scene.persons, scene.parts
-        check_inputs(parts, grid[0], grid[0])
-        for kind, alert, label in ((0, alert_fp, part.fp_gt), (1, alert_fn, part.fn_gt)):
-            k = bisect_left(range(n), True, key=lambda i: alert(persons, parts, grid[i]))
-            flips[kind][len(label) >= 1][k] += 1
+        # best_fp[i]: grid points at which person i is supported; best_fn[j]: at which part j is covered.
+        best_fp, best_fn = [0] * len(scene.persons), [0] * len(scene.parts)
+        for i, j, inter, part_area in overlaps(scene.persons, scene.parts, grid[0]):
+            k = bisect_right(grid, inter / part_area)
+            while k < n and inter >= grid[k] * part_area:
+                k += 1
+            while k and not inter >= grid[k - 1] * part_area:
+                k -= 1
+            best_fp[i], best_fn[j] = max(best_fp[i], k), max(best_fn[j], k)
+        flips[0][len(part.fp_gt) >= 1][min(best_fp, default=n)] += 1
+        flips[1][len(part.fn_gt) >= 1][min(best_fn, default=n)] += 1
 
     def best_alpha(neg, pos):
         positives, negatives = sum(pos), sum(neg)
@@ -291,12 +297,8 @@ def build_operating_point(
     for cls in sorted(dets_by_class, key=lambda c: c.value):
         gts = gts_by_class.get(cls, [])
         if not gts:
-            raise CalibrationError(
-                f"F1 undefined for class {cls.value}: no ground-truth instances"
-            )
-        conf[cls] = select_confidence_threshold(
-            dets_by_class[cls], gts, tau, matching=matching, strict=strict_conf
-        )
+            raise CalibrationError(f"F1 undefined for class {cls.value}: no ground-truth instances")
+        conf[cls] = select_confidence_threshold(dets_by_class[cls], gts, tau, matching=matching, strict=strict_conf)
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -140,9 +141,10 @@ def read_json(path) -> object:
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.msg, offset=exc.pos) from exc
+        text = path.read_bytes().decode("utf-8")  # no newline translation: offsets stay true
+        return json.loads(text)
+    except json.JSONDecodeError as exc:  # exc.pos counts characters, not bytes
+        raise ParseError(path, exc.msg, offset=len(text[:exc.pos].encode("utf-8"))) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(path, f"not UTF-8: {exc.reason}", offset=exc.start) from exc
     except RecursionError as exc:
@@ -182,6 +184,10 @@ def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> De
         raise TaxonomyError(f"unmapped category id: {category_id!r}") from None
 
 
+# The largest accepted box area: the union of two boxes in an IoU then stays finite.
+_MAX_AREA = sys.float_info.max / 2
+
+
 def _parse_bbox(raw, context: str) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValidationError(f"{context}: bbox must be [x, y, w, h], got {raw!r}")
@@ -199,7 +205,7 @@ def _parse_bbox(raw, context: str) -> Box:
     box_area = w * h
     if box_area == 0.0 and w > 0 and h > 0:
         raise ValidationError(f"{context}: bbox area underflows to 0, got {raw!r}")
-    if box_area == math.inf:
+    if box_area > _MAX_AREA:
         raise ValidationError(f"{context}: bbox area overflows, got {raw!r}")
     return Box(x, y, w, h)
 

@@ -17,13 +17,13 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
 from .datamodel import Scene
 from .errors import ValidationError
-from .monitor import AlertPair, MonitorVerdict, is_covered, is_supported
+from .monitor import AlertPair, MonitorVerdict, masks
 from .partition import GtPartition
 
 
@@ -91,10 +91,8 @@ def per_image_counts(
     contains at least one missed person (|fn_gt| >= 1).
     """
     if not (len(scenes) == len(partitions) == len(alerts)):
-        raise ValidationError(
-            f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions, "
-            f"{len(alerts)} alerts"
-        )
+        raise ValidationError(f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions, "
+                              f"{len(alerts)} alerts")
     fp_cells = Counter((len(p.fp_gt) >= 1, bool(a.alert_fp)) for p, a in zip(partitions, alerts))
     fn_cells = Counter((len(p.fn_gt) >= 1, bool(a.alert_fn)) for p, a in zip(partitions, alerts))
     return _binary_counts(fp_cells), _binary_counts(fn_cells)
@@ -124,15 +122,9 @@ def object_confusion(
     to the full annotation set (e.g. when part ground truth exists).
     """
     if not (len(scenes) == len(partitions) == len(verdicts)):
-        raise ValidationError(
-            f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions, "
-            f"{len(verdicts)} verdicts"
-        )
-    cells = dict.fromkeys(
-        ("tp_gt_tp_mon", "tp_gt_fp_mon", "fp_gt_tp_mon", "fp_gt_fp_mon",
-         "fn_gt_fn_mon", "tn_gt_fn_mon"),
-        0,
-    )
+        raise ValidationError(f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions, "
+                              f"{len(verdicts)} verdicts")
+    cells = dict.fromkeys((f.name for f in fields(ObjectConfusion)), 0)
     for scene, part, verdict in zip(scenes, partitions, verdicts):
         n_gt = len(part.tp_gt) + len(part.fp_gt)
         n_mon = len(verdict.tp_mon) + len(verdict.fp_mon)
@@ -150,13 +142,11 @@ def object_confusion(
         cells["fp_gt_tp_mon"] += len(fp_gt & tp_mon)
         cells["fp_gt_fp_mon"] += len(fp_gt & fp_mon)
 
-        cells["fn_gt_fn_mon"] += sum(
-            is_supported(missed, verdict.fn_mon, alpha_fn) for missed in part.fn_gt
-        )
+        found, _ = masks(part.fn_gt, verdict.fn_mon, alpha_fn, alpha_fn)
+        cells["fn_gt_fn_mon"] += found.count(True)
         anchors = scene.gt if ghost_all_classes else scene.gt_persons()
-        cells["tn_gt_fn_mon"] += sum(
-            not is_covered(orphan, anchors, alpha_fn) for orphan in verdict.fn_mon
-        )
+        _, anchored = masks(anchors, verdict.fn_mon, alpha_fn, alpha_fn)
+        cells["tn_gt_fn_mon"] += anchored.count(False)
     return ObjectConfusion(**cells)
 
 
@@ -198,7 +188,7 @@ class PerObjectResult:
 
 def round_ratio(value: float) -> float:
     """Round to 4 decimal places, half-even (report formatting convention)."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
+    return float(_ratio_str(value))
 
 
 def _ratio_str(value: float) -> str:

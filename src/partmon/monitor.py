@@ -1,10 +1,11 @@
 """Runtime plausibility monitor: per-image alerts and per-object verdicts.
 
 Both rules cross-check person detections against body-part detections using
-the overlap test intersection >= alpha * part_area. Quantifiers over empty
-sets follow standard logic: a person detection in a scene with no parts at
-all has no supporting evidence and is flagged, while an empty part set can
-never raise a missing-person alert.
+the overlap test intersection >= alpha * part_area, read off one pass over a
+scene's overlapping person x part pairs. Quantifiers over empty sets follow
+standard logic: a person detection in a scene with no parts at all has no
+supporting evidence and is flagged, while an empty part set can never raise
+a missing-person alert.
 
 Inputs are assumed to be pre-filtered by per-class confidence thresholds;
 the monitor itself never looks at scores.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import Detection
-from .geometry import DegeneratePartBoxError, area, intersection_area
+from .geometry import DegeneratePartBoxError
 
 
 @dataclass(frozen=True)
@@ -43,48 +44,62 @@ class MonitorVerdict:
     alpha_fn: float
 
 
-def check_inputs(parts: Sequence[Detection], alpha_fp: float, alpha_fn: float) -> None:
-    """Reject alphas outside (0, 1) and part boxes of zero area."""
-    if not 0.0 < alpha_fp < 1.0:
-        raise ValueError(f"alpha_fp must lie in (0, 1), got {alpha_fp}")
-    if not 0.0 < alpha_fn < 1.0:
-        raise ValueError(f"alpha_fn must lie in (0, 1), got {alpha_fn}")
-    for part in parts:
-        if area(part.box) <= 0:
-            raise DegeneratePartBoxError(f"degenerate part box: {part.box}")
+def check_alphas(alpha_fp: float, alpha_fn: float) -> None:
+    """Reject alphas outside (0, 1)."""
+    for name, alpha in (("alpha_fp", alpha_fp), ("alpha_fn", alpha_fn)):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {alpha}")
 
 
-def is_supported(person, parts: Sequence, alpha: float) -> bool:
-    """True iff some part lies inside ``person`` by at least alpha of its own area.
+def overlaps(persons: Sequence, parts: Sequence, alpha_min: float) -> list[tuple[int, int, float, float]]:
+    """``(i, j, intersection, part_area)`` for each pair that can pass the overlap test at alpha >= alpha_min.
 
-    Takes any records with a ``box``, e.g. a missed annotation against orphans.
+    Those are the pairs of persons[i] and parts[j] whose boxes overlap, with
+    the float operations of ``geometry.intersection_area(person.box,
+    part.box)`` in the same order, so bit for bit the same. Where
+    ``alpha_min * part_area`` underflows to 0.0 the test passes with no
+    overlap at all, so such a part is also paired with every person at
+    intersection 0.0. Takes any records with a ``box``; raises
+    DegeneratePartBoxError for a part box of zero area.
     """
-    box = person.box
-    return any(intersection_area(box, part.box) >= alpha * area(part.box) for part in parts)
+    boxes, tiny = [], []
+    for j, part in enumerate(parts):
+        b = part.box
+        part_area = b.w * b.h
+        if part_area <= 0:
+            raise DegeneratePartBoxError(f"degenerate part box: {b}")
+        boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, part_area, j))
+        if alpha_min * part_area == 0.0:
+            tiny.append((j, part_area))
+    pairs = []
+    for i, person in enumerate(persons):
+        a = person.box
+        ax1, ay1, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
+        # min(ax2, bx2) - max(ax1, bx1), as in intersection_area: min(p, q) keeps p
+        # unless q < p, and max(p, q) keeps p unless q > p.
+        for bx1, by1, bx2, by2, part_area, j in boxes:
+            iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+            if iw > 0:
+                ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+                if ih > 0:
+                    pairs.append((i, j, iw * ih, part_area))
+    return pairs + [(i, j, 0.0, part_area) for j, part_area in tiny for i in range(len(persons))]
 
 
-def is_covered(part, persons: Sequence, alpha: float) -> bool:
-    """True iff some box in ``persons`` (detections or annotations) covers alpha of ``part``."""
-    box = part.box
-    threshold = alpha * area(box)
-    return any(intersection_area(person.box, box) >= threshold for person in persons)
-
-
-def alert_fp(persons: Sequence[Detection], parts: Sequence[Detection], alpha: float) -> bool:
-    """True iff some person is supported by no part at ``alpha``; inputs unchecked."""
-    return not all(is_supported(person, parts, alpha) for person in persons)
-
-
-def alert_fn(persons: Sequence[Detection], parts: Sequence[Detection], alpha: float) -> bool:
-    """True iff some part is covered by no person at ``alpha``; inputs unchecked."""
-    return not all(is_covered(part, persons, alpha) for part in parts)
+def masks(persons: Sequence, parts: Sequence, alpha_fp: float, alpha_fn: float) -> tuple[list[bool], list[bool]]:
+    """(supported, covered): per person, some part lies inside it by alpha_fp of the part's area;
+    per part, some person covers alpha_fn of it. Parts are checked as in ``overlaps``."""
+    supported, covered = [False] * len(persons), [False] * len(parts)
+    for i, j, inter, part_area in overlaps(persons, parts, min(alpha_fp, alpha_fn)):
+        if inter >= alpha_fp * part_area:
+            supported[i] = True
+        if inter >= alpha_fn * part_area:
+            covered[j] = True
+    return supported, covered
 
 
 def per_image_rule(
-    persons: Sequence[Detection],
-    parts: Sequence[Detection],
-    alpha_fp: float,
-    alpha_fn: float,
+    persons: Sequence[Detection], parts: Sequence[Detection], alpha_fp: float, alpha_fn: float
 ) -> AlertPair:
     """Raise scene-level alerts for suspected ghost persons and missed persons.
 
@@ -92,18 +107,13 @@ def per_image_rule(
     alpha_fp * part_area. alert_fn: some part detection overlaps every person
     by less than alpha_fn * part_area.
     """
-    check_inputs(parts, alpha_fp, alpha_fn)
-    return AlertPair(
-        alert_fp=alert_fp(persons, parts, alpha_fp),
-        alert_fn=alert_fn(persons, parts, alpha_fn),
-    )
+    check_alphas(alpha_fp, alpha_fn)
+    supported, covered = masks(persons, parts, alpha_fp, alpha_fn)
+    return AlertPair(alert_fp=not all(supported), alert_fn=not all(covered))
 
 
 def per_object_rule(
-    persons: Sequence[Detection],
-    parts: Sequence[Detection],
-    alpha_fp: float,
-    alpha_fn: float,
+    persons: Sequence[Detection], parts: Sequence[Detection], alpha_fp: float, alpha_fn: float
 ) -> MonitorVerdict:
     """Classify each detection instead of the whole scene.
 
@@ -111,14 +121,12 @@ def per_object_rule(
     plausible (tp_mon), otherwise suspected ghost (fp_mon). A part covered by
     no person to alpha_fn of its area is an orphan (fn_mon).
     """
-    check_inputs(parts, alpha_fp, alpha_fn)
-    tp, fp = [], []
-    for person in persons:
-        (tp if is_supported(person, parts, alpha_fp) else fp).append(person)
+    check_alphas(alpha_fp, alpha_fn)
+    supported, covered = masks(persons, parts, alpha_fp, alpha_fn)
     return MonitorVerdict(
-        tp_mon=tuple(tp),
-        fp_mon=tuple(fp),
-        fn_mon=tuple(part for part in parts if not is_covered(part, persons, alpha_fn)),
+        tp_mon=tuple(p for p, keep in zip(persons, supported) if keep),
+        fp_mon=tuple(p for p, keep in zip(persons, supported) if not keep),
+        fn_mon=tuple(p for p, keep in zip(parts, covered) if not keep),
         alpha_fp=alpha_fp,
         alpha_fn=alpha_fn,
     )

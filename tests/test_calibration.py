@@ -38,6 +38,13 @@ def test_alpha_grid_without_interior_point_is_rejected():
     # k * step rounds to 1.0 already at k = 1, which leaves the grid empty.
     with pytest.raises(CalibrationError, match="no grid point"):
         alpha_grid(0.99999999999)
+
+
+@pytest.mark.parametrize("step", [4e-11, 1e-11, 5e-324])
+def test_alpha_grid_step_that_rounds_to_zero_is_rejected(step):
+    # Rejected before a single grid value is built: the grid would hold ~1/step floats.
+    with pytest.raises(CalibrationError, match="rounds to 0"):
+        alpha_grid(step)
     scenes, partitions = _alpha_test_scenes()
     with pytest.raises(CalibrationError, match="no grid point"):
         select_alphas(scenes, partitions, grid_step=0.99999999999)

@@ -353,12 +353,15 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ("[1e308, 0, 1e308, 10]", "0.9")), "far edges must be finite"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 1%s, 10]" % ("0" * 400), "0.9")), "must be finite"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1%s" % ("0" * 5000))), "integer string conversion"),
+    # Area 1e308 is finite, but the union of two such boxes in an IoU would not be.
+    ("--persons", "[%s]" % (DET % ("[0, 0, 1e154, 1e154]", "0.9")), "area overflows"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
         "non-utf8-config", "deep-nesting", "overflow-image-id", "overflow-gt-image-id",
         "overflow-category-id", "non-string-category-name", "non-object-conf",
-        "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit"])
+        "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit",
+        "overflow-iou-union"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
@@ -391,6 +394,15 @@ def test_alpha_grid_step_without_grid_point_exits_2(tmp_path, corpus_dir):
     result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir),
                                  "--alpha-grid-step", "0.99999999999", "--out", str(out)])
     assert_input_error(result, "no grid point in (0, 1)")
+    assert not out.exists()
+
+
+def test_alpha_grid_step_that_rounds_to_zero_exits_2(tmp_path, corpus_dir):
+    # Below 5e-11 every early grid value rounds to 0.0 at the grid's 10 decimals.
+    out = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir),
+                                 "--alpha-grid-step", "1e-11", "--out", str(out)])
+    assert_input_error(result, "rounds to 0")
     assert not out.exists()
 
 

@@ -20,9 +20,10 @@ from partmon.datamodel import (
     load_category_map,
     load_detections,
     load_ground_truth,
+    read_json,
 )
 from partmon.errors import ParseError, TaxonomyError, ValidationError
-from partmon.geometry import Box, area
+from partmon.geometry import Box, area, iou
 
 from conftest import ann, det, part_det
 
@@ -92,6 +93,29 @@ def test_load_ground_truth_malformed_json(tmp_path):
         load_ground_truth(path, CATEGORY_MAP)
     assert err.value.offset is not None
     assert "byte offset" in str(err.value)
+
+
+@pytest.mark.parametrize("payload, offset", [
+    ('["ééééé", }', 15),  # 10 characters, but each é is two bytes
+    (b'[1,\r\n}', 5),  # no newline translation
+], ids=["multibyte-characters", "crlf"])
+def test_parse_error_reports_the_byte_offset(tmp_path, payload, offset):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        read_json(path)
+    assert err.value.offset == offset
+    assert f"(byte offset {offset})" in str(err.value)
+
+
+def test_largest_accepted_box_has_a_finite_iou_with_itself(tmp_path):
+    # Area 8.98e307, just under half the float range; 1e154 x 1e154 is rejected.
+    big = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e154, 8.98e153], "score": 0.9}
+    (det_,) = load_detections(write_json(tmp_path / "big.json", [big]), CATEGORY_MAP)
+    assert iou(det_.box, det_.box) == 1.0
+    big["bbox"] = [0, 0, 1e154, 1e154]
+    with pytest.raises(ValidationError, match="area overflows"):
+        load_detections(write_json(tmp_path / "bigger.json", [big]), CATEGORY_MAP)
 
 
 def test_load_ground_truth_negative_extent_names_annotation(tmp_path):
