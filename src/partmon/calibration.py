@@ -18,15 +18,14 @@ threshold (fewer retained detections), equal MCC prefers the smaller alpha
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, read_json
+from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, read_json, write_json
 from .errors import CalibrationError, ValidationError
 from .evaluation import mcc_from_counts
 from .monitor import overlaps
@@ -82,7 +81,7 @@ class OperatingPoint:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "OperatingPoint":
@@ -137,21 +136,6 @@ def select_confidence_threshold(
     if not dets:
         return 1.0
 
-    max_score = max(d.score for d in dets)
-    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max_score, math.inf)})
-
-    evaluate = _make_counter(dets, gts, tau, matching, strict)
-
-    best_t, best_f1 = candidates[0], -1.0
-    for t in candidates:
-        tp, fp, fn = evaluate(t)
-        f1 = _f1(tp, fp, fn)
-        if f1 >= best_f1:
-            best_t, best_f1 = t, f1
-    return best_t
-
-
-def _make_counter(dets, gts, tau, matching, strict):
     # Whether a detection matches does not depend on the threshold. Under
     # existential matching that is immediate. Under greedy matching the
     # detections kept at any threshold are a prefix of the score-descending
@@ -182,13 +166,16 @@ def _make_counter(dets, gts, tau, matching, strict):
     best_scores.sort()
     cut = bisect_right if strict else bisect_left
 
-    def evaluate(t: float) -> tuple[int, int, int]:
+    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(all_scores[-1], math.inf)})
+    best_t, best_f1 = candidates[0], -1.0
+    for t in candidates:
         kept = len(all_scores) - cut(all_scores, t)
         tp = len(matched_scores) - cut(matched_scores, t)
         fn = cut(best_scores, t)
-        return tp, kept - tp, fn
-
-    return evaluate
+        f1 = _f1(tp, kept - tp, fn)
+        if f1 >= best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
 
 
 def select_alphas(
@@ -251,22 +238,19 @@ def apply_confidence_thresholds(
     strict: bool = False,
 ) -> list[Scene]:
     """Drop detections below their class threshold; scenes keep their ground truth."""
-
-    def keep(det: Detection) -> bool:
-        if det.category not in conf:
-            raise ValidationError(f"no confidence threshold for class {det.category.value}")
-        threshold = conf[det.category]
-        return det.score > threshold if strict else det.score >= threshold
-
-    return [
-        Scene(
-            image_id=s.image_id,
-            persons=tuple(d for d in s.persons if keep(d)),
-            parts=tuple(d for d in s.parts if keep(d)),
-            gt=s.gt,
-        )
-        for s in scenes
-    ]
+    passes = operator.gt if strict else operator.ge
+    try:
+        return [
+            Scene(
+                image_id=s.image_id,
+                persons=tuple(d for d in s.persons if passes(d.score, conf[d.category])),
+                parts=tuple(d for d in s.parts if passes(d.score, conf[d.category])),
+                gt=s.gt,
+            )
+            for s in scenes
+        ]
+    except KeyError as exc:  # only conf[...] can raise it
+        raise ValidationError(f"no confidence threshold for class {exc.args[0].value}") from None
 
 
 def build_operating_point(

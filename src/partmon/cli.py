@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -31,6 +31,7 @@ from .datamodel import (
     load_detections,
     load_ground_truth,
     read_json,
+    write_json,
 )
 from .errors import ValidationError
 from .evaluation import (
@@ -48,20 +49,6 @@ from .synth import SynthConfig, generate, write_corpus
 
 class InputError(click.ClickException):
     exit_code = 2
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record for one produced file: command, inputs, parameters."""
-
-    command: str
-    version: str
-    inputs: dict
-    operating_point: dict | None
-    report: str
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 class _PartmonGroup(click.Group):
@@ -115,25 +102,23 @@ _INPUT_FILES = ("gt", "persons", "parts", "category_map", "persons_category_map"
                 "parts_category_map", "operating_point")
 
 
-def _manifest(command: str, params: dict, operating_point: OperatingPoint | None, out) -> RunManifest:
+def _manifest(command: str, params: dict, operating_point: OperatingPoint, out) -> dict:
     """Record every input file a command was given, by path and hash."""
-    return RunManifest(
-        command=command,
-        version=__version__,
-        inputs={
+    return {
+        "command": command,
+        "version": __version__,
+        "inputs": {
             name: {"path": str(params[name]), "sha256": _sha256(params[name])}
             for name in _INPUT_FILES
             if params.get(name) is not None
         },
-        operating_point=operating_point.to_json_dict() if operating_point else None,
-        report=Path(out).name,
-    )
+        "operating_point": operating_point.to_json_dict(),
+        "report": Path(out).name,
+    }
 
 
-def _write_manifest(manifest: RunManifest | dict, out) -> None:
-    payload = manifest.to_json_dict() if isinstance(manifest, RunManifest) else manifest
-    sidecar = Path(str(out) + ".manifest.json")
-    sidecar.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _write_manifest(manifest: dict, out) -> None:
+    write_json(str(out) + ".manifest.json", manifest)
 
 
 def _scenes_from(p: dict) -> list[Scene]:
@@ -375,7 +360,7 @@ def cmd_evaluate(ctx, **kwargs):
         )
     emit_report(
         result, p["fmt"], p["out"],
-        manifest=manifest.to_json_dict() if p["fmt"] == "json" else None,
+        manifest=manifest if p["fmt"] == "json" else None,
     )
     _write_manifest(manifest, p["out"])
     click.echo(f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}")

@@ -153,6 +153,17 @@ def read_json(path) -> object:
         raise ParseError(path, str(exc)) from exc
 
 
+def json_text(payload) -> str:
+    """The one output JSON format: sorted keys, two-space indent, one trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as UTF-8 ``json_text``, with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json_text(payload))
+
+
 def load_category_map(path) -> dict[int, DetectionClass]:
     """Load a JSON object mapping source category id -> taxonomy class name.
 
@@ -177,9 +188,16 @@ def load_category_map(path) -> dict[int, DetectionClass]:
     return mapping
 
 
+def _integer(raw) -> int:
+    """int(raw) for an id; a boolean or a number with a fractional part is refused, not truncated."""
+    if raw.__class__ is bool or (raw.__class__ is float and not raw.is_integer()):
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> DetectionClass:
     try:
-        return category_map[int(category_id)]
+        return category_map[_integer(category_id)]
     except (KeyError, TypeError, ValueError, OverflowError):
         raise TaxonomyError(f"unmapped category id: {category_id!r}") from None
 
@@ -192,7 +210,9 @@ def _parse_bbox(raw, context: str) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ValidationError(f"{context}: bbox must be [x, y, w, h], got {raw!r}")
     try:
-        x, y, w, h = (float(v) for v in raw)
+        if bool in map(type, raw):  # float() would read true as 1.0
+            raise TypeError
+        x, y, w, h = map(float, raw)
     except (TypeError, ValueError):
         raise ValidationError(f"{context}: bbox values must be numbers, got {raw!r}") from None
     except OverflowError:  # an integer literal too large for a float
@@ -212,7 +232,7 @@ def _parse_bbox(raw, context: str) -> Box:
 
 def _parse_image_id(raw, context: str) -> int:
     try:
-        return int(raw)
+        return _integer(raw)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{context}: image_id must be an integer, got {raw!r}") from None
 
@@ -277,7 +297,10 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         cls = _map_category(entry.get("category_id"), category_map)
         box = _parse_bbox(entry.get("bbox"), f"detection #{index}")
         try:
-            score = float(entry.get("score", -1.0))
+            score = entry.get("score", -1.0)
+            if score.__class__ is bool:
+                raise TypeError
+            score = float(score)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"detection #{index}: score must be a number, got {entry.get('score')!r}") from None
         if not 0.0 <= score <= 1.0:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
-from .datamodel import Scene
+from .datamodel import Scene, json_text
 from .errors import ValidationError
 from .monitor import AlertPair, MonitorVerdict, masks
 from .partition import GtPartition
@@ -238,7 +237,7 @@ def render_report(result: PerImageResult | PerObjectResult, fmt: str, manifest: 
             report = per_image_report(result, manifest)
         else:
             report = per_object_report(result, manifest)
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json_text(report)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

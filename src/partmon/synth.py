@@ -15,7 +15,6 @@ reproduces the same corpus on any platform.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from .datamodel import (
     dump_detections,
     dump_ground_truth,
     group_into_scenes,
+    write_json,
 )
 from .geometry import Box
 
@@ -139,8 +139,11 @@ def generate(config: SynthConfig) -> Corpus:
     images, annotations = [], []
     person_dets, part_dets, labels = [], [], []
     next_ann_id = 1
-    next_person_det = 0
-    next_part_det = 0
+
+    def detect(dets: list, cls: DetectionClass, box: Box, low: float, high: float) -> int:
+        """Append a detection on the current image, scored after its box is drawn; return its det_id."""
+        dets.append(Detection(image_id, cls, box, score=round(rng.uniform(low, high), 4), det_id=len(dets)))
+        return len(dets) - 1
 
     for scene_idx in range(config.n_scenes):
         image_id = scene_idx + 1
@@ -175,30 +178,13 @@ def generate(config: SynthConfig) -> Corpus:
             if rng.random() < config.drop_person_prob:
                 fn_ids.append(person_ann_id)
             else:
-                det = Detection(
-                    image_id,
-                    DetectionClass.PERSON,
-                    _jittered(person_box, config.jitter, rng),
-                    score=round(rng.uniform(0.5, 0.99), 4),
-                    det_id=next_person_det,
-                )
-                person_dets.append(det)
-                tp_ids.append(next_person_det)
-                next_person_det += 1
+                box = _jittered(person_box, config.jitter, rng)
+                tp_ids.append(detect(person_dets, DetectionClass.PERSON, box, 0.5, 0.99))
 
             for cls, pbox in part_boxes:
                 if rng.random() < config.drop_part_prob:
                     continue
-                part_dets.append(
-                    Detection(
-                        image_id,
-                        cls,
-                        _jittered(pbox, config.jitter, rng),
-                        score=round(rng.uniform(0.5, 0.99), 4),
-                        det_id=next_part_det,
-                    )
-                )
-                next_part_det += 1
+                detect(part_dets, cls, _jittered(pbox, config.jitter, rng), 0.5, 0.99)
 
             # Ghosts live on their own strip, disjoint from every person box.
             if rng.random() < config.ghost_person_prob:
@@ -206,17 +192,7 @@ def generate(config: SynthConfig) -> Corpus:
                 gh = float(rng.randint(120, 260))
                 gx = float(col * _PERSON_CELL + rng.randint(0, 40))
                 gy = float(_GHOST_Y + rng.randint(0, 30))
-                person_dets.append(
-                    Detection(
-                        image_id,
-                        DetectionClass.PERSON,
-                        Box(gx, gy, gw, gh),
-                        score=round(rng.uniform(0.05, 0.7), 4),
-                        det_id=next_person_det,
-                    )
-                )
-                fp_ids.append(next_person_det)
-                next_person_det += 1
+                fp_ids.append(detect(person_dets, DetectionClass.PERSON, Box(gx, gy, gw, gh), 0.05, 0.7))
                 max_extent = max(max_extent, gx + gw)
 
             if rng.random() < config.ghost_part_prob:
@@ -225,17 +201,7 @@ def generate(config: SynthConfig) -> Corpus:
                 gh = float(rng.randint(20, 60))
                 gx = float(col * _PERSON_CELL + rng.randint(0, 120))
                 gy = float(_GHOST_Y + 280 + rng.randint(0, 20))
-                part_dets.append(
-                    Detection(
-                        image_id,
-                        cls,
-                        Box(gx, gy, gw, gh),
-                        score=round(rng.uniform(0.05, 0.7), 4),
-                        det_id=next_part_det,
-                    )
-                )
-                ghost_part_ids.append(next_part_det)
-                next_part_det += 1
+                ghost_part_ids.append(detect(part_dets, cls, Box(gx, gy, gw, gh), 0.05, 0.7))
                 max_extent = max(max_extent, gx + gw)
 
         images.append(
@@ -276,11 +242,11 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
         "category_map": out_dir / "category_map.json",
         "labels": out_dir / "labels.json",
     }
-    _write_json(paths["gt"], dump_ground_truth(corpus.gt, CATEGORY_IDS))
-    _write_json(paths["persons"], dump_detections(corpus.person_dets, CATEGORY_IDS))
-    _write_json(paths["parts"], dump_detections(corpus.part_dets, CATEGORY_IDS))
-    _write_json(paths["category_map"], CATEGORY_MAP)
-    _write_json(
+    write_json(paths["gt"], dump_ground_truth(corpus.gt, CATEGORY_IDS))
+    write_json(paths["persons"], dump_detections(corpus.person_dets, CATEGORY_IDS))
+    write_json(paths["parts"], dump_detections(corpus.part_dets, CATEGORY_IDS))
+    write_json(paths["category_map"], CATEGORY_MAP)
+    write_json(
         paths["labels"],
         [
             {
@@ -294,7 +260,3 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
         ],
     )
     return paths
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -355,13 +355,29 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1%s" % ("0" * 5000))), "integer string conversion"),
     # Area 1e308 is finite, but the union of two such boxes in an IoU would not be.
     ("--persons", "[%s]" % (DET % ("[0, 0, 1e154, 1e154]", "0.9")), "area overflows"),
+    # int() would truncate these to a valid id, and float() would read true as 1.0.
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": 1.9'),
+     "image_id must be an integer"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": true'),
+     "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": 1.5}], "annotations": []}', "image_id must be an integer"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": 1.9'),
+     "unmapped category id"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": true'),
+     "unmapped category id"),
+    ("--gt", '{"images": [{"id": 1}], "annotations": '
+             '[{"id": 1, "image_id": 1, "category_id": true, "bbox": [0, 0, 10, 10]}]}', "unmapped category id"),
+    ("--persons", "[%s]" % (DET % ("[true, 0, 10, 10]", "0.9")), "bbox values must be numbers"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "true")), "score must be a number"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
         "non-utf8-config", "deep-nesting", "overflow-image-id", "overflow-gt-image-id",
         "overflow-category-id", "non-string-category-name", "non-object-conf",
         "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit",
-        "overflow-iou-union"])
+        "overflow-iou-union", "fractional-image-id", "boolean-image-id", "fractional-gt-image-id",
+        "fractional-category-id", "boolean-category-id", "boolean-gt-category-id", "boolean-bbox",
+        "boolean-score"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))

@@ -146,6 +146,22 @@ def test_load_detections_basic(tmp_path):
     )
 
 
+def test_integral_float_and_string_values_still_load(tmp_path):
+    # Only booleans and fractional ids are refused; integral floats and numeric strings convert.
+    path = write_json(
+        tmp_path / "dets.json",
+        [{"image_id": 7.0, "category_id": "1", "bbox": ["1", 2.0, 3, 4], "score": 1}],
+    )
+    assert load_detections(path, CATEGORY_MAP) == (
+        Detection(image_id=7, category=DetectionClass.PERSON, box=Box(1, 2, 3, 4), score=1.0, det_id=0),
+    )
+    gt = write_json(tmp_path / "gt.json", {"images": [{"id": "3"}], "annotations": [
+        {"id": 1, "image_id": 3.0, "category_id": 9.0, "bbox": [0, 0, 5, 5]}]})
+    loaded = load_ground_truth(gt, CATEGORY_MAP)
+    assert loaded.image_ids == (3,)
+    assert [(a.image_id, a.category) for a in loaded.annotations] == [(3, DetectionClass.HEAD)]
+
+
 def test_load_detections_empty_and_bad_score(tmp_path):
     assert load_detections(write_json(tmp_path / "e.json", []), CATEGORY_MAP) == ()
     path = write_json(
