@@ -13,6 +13,7 @@ keyed by the flag's underscored name); explicit flags win on conflict.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import asdict
@@ -55,10 +56,15 @@ class _PartmonGroup(click.Group):
     """The single error boundary: input problems under any command exit 2."""
 
     def invoke(self, ctx):
+        collecting = gc.isenabled()
+        gc.disable()  # a command's records form no cycles: reference counting frees them
         try:
             return super().invoke(ctx)
         except (ValidationError, OSError) as exc:
             raise InputError(str(exc)) from exc
+        finally:
+            if collecting:
+                gc.enable()
 
 
 @click.group(cls=_PartmonGroup)

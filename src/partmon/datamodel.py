@@ -6,7 +6,8 @@ category map). Ground truth arrives as a COCO annotation file, detections as
 a COCO results array; both are mapped onto the taxonomy via an explicit
 category-map JSON so DensePose/COCO/VOC id spaces all work unchanged.
 
-Loaded collections are immutable; share them freely across threads.
+The loaders check each field once and build records through one trusted path,
+without the public constructors' re-checks. Loaded records are still frozen.
 """
 
 from __future__ import annotations
@@ -175,24 +176,28 @@ def load_category_map(path) -> dict[int, DetectionClass]:
     mapping: dict[int, DetectionClass] = {}
     for key, name in raw.items():
         try:
-            cat_id = int(key)
+            cat_id = _integer(key)
         except (TypeError, ValueError):
             raise ValidationError(f"category map key is not an integer id: {key!r}") from None
         cls = _CLASS_BY_NAME.get(name) if isinstance(name, str) else None
         if cls is None:
-            raise TaxonomyError(
-                f"category map value {name!r} for id {cat_id} is not one of "
-                f"{sorted(_CLASS_BY_NAME)}"
-            )
+            raise TaxonomyError(f"category map value {name!r} for id {cat_id} is not one of {sorted(_CLASS_BY_NAME)}")
         mapping[cat_id] = cls
     return mapping
 
 
-def _integer(raw) -> int:
-    """int(raw) for an id; a boolean or a number with a fractional part is refused, not truncated."""
-    if raw.__class__ is bool or (raw.__class__ is float and not raw.is_integer()):
+def _plain(raw):
+    """``raw``, unless int() or float() would read it leniently: a boolean, or a string with "_" or non-ASCII."""
+    if raw.__class__ is bool or (raw.__class__ is str and ("_" in raw or not raw.isascii())):
         raise ValueError(raw)
-    return int(raw)
+    return raw
+
+
+def _integer(raw) -> int:
+    """int(raw) for an id; a number with a fractional part is refused, not truncated."""
+    if raw.__class__ is float and not raw.is_integer():
+        raise ValueError(raw)
+    return raw if raw.__class__ is int else int(_plain(raw))
 
 
 def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> DetectionClass:
@@ -202,39 +207,60 @@ def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> De
         raise TaxonomyError(f"unmapped category id: {category_id!r}") from None
 
 
+# The trusted build path: a frozen record's generated __init__ without the __post_init__ checks
+# the loader has just made. Fields set in order, not via __dict__, keep the record's compact layout.
+_new, _set = object.__new__, object.__setattr__
+
+
+def _annotation(image_id: int, category: DetectionClass, box: Box, ann_id) -> GtAnnotation:
+    ann = _new(GtAnnotation)
+    _set(ann, "image_id", image_id), _set(ann, "category", category)
+    _set(ann, "box", box), _set(ann, "ann_id", ann_id)
+    return ann
+
+
+def _detection(image_id: int, category: DetectionClass, box: Box, score: float, det_id: int) -> Detection:
+    det = _new(Detection)
+    _set(det, "image_id", image_id), _set(det, "category", category), _set(det, "box", box)
+    _set(det, "score", score), _set(det, "det_id", det_id)
+    return det
+
+
 # The largest accepted box area: the union of two boxes in an IoU then stays finite.
 _MAX_AREA = sys.float_info.max / 2
 
 
-def _parse_bbox(raw, context: str) -> Box:
+def _parse_bbox(raw, what: str, key) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ValidationError(f"{context}: bbox must be [x, y, w, h], got {raw!r}")
-    try:
-        if bool in map(type, raw):  # float() would read true as 1.0
-            raise TypeError
-        x, y, w, h = map(float, raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{context}: bbox values must be numbers, got {raw!r}") from None
-    except OverflowError:  # an integer literal too large for a float
-        x = y = w = h = math.inf
+        raise ValidationError(f"{what}{key}: bbox must be [x, y, w, h], got {raw!r}")
+    x, y, w, h = raw  # four JSON floats are used as they are
+    if not (x.__class__ is float and y.__class__ is float and w.__class__ is float and h.__class__ is float):
+        try:
+            x, y, w, h = map(float, [_plain(v) for v in raw])  # refuse before any overflow
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what}{key}: bbox values must be numbers, got {raw!r}") from None
+        except OverflowError:  # an integer literal too large for a float
+            x = y = w = h = math.inf
     # x + w and y + h are finite iff all four values are and no far edge overflows.
     if not (math.isfinite(x + w) and math.isfinite(y + h)):
-        raise ValidationError(f"{context}: bbox values and far edges must be finite, got {raw!r}")
+        raise ValidationError(f"{what}{key}: bbox values and far edges must be finite, got {raw!r}")
     if w < 0 or h < 0:
-        raise ValidationError(f"{context}: negative bbox width/height {raw!r}")
+        raise ValidationError(f"{what}{key}: negative bbox width/height {raw!r}")
     box_area = w * h
     if box_area == 0.0 and w > 0 and h > 0:
-        raise ValidationError(f"{context}: bbox area underflows to 0, got {raw!r}")
+        raise ValidationError(f"{what}{key}: bbox area underflows to 0, got {raw!r}")
     if box_area > _MAX_AREA:
-        raise ValidationError(f"{context}: bbox area overflows, got {raw!r}")
-    return Box(x, y, w, h)
+        raise ValidationError(f"{what}{key}: bbox area overflows, got {raw!r}")
+    box = _new(Box)
+    _set(box, "x", x), _set(box, "y", y), _set(box, "w", w), _set(box, "h", h)
+    return box
 
 
-def _parse_image_id(raw, context: str) -> int:
+def _parse_image_id(raw, what: str, key="") -> int:
     try:
         return _integer(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{context}: image_id must be an integer, got {raw!r}") from None
+        raise ValidationError(f"{what}{key}: image_id must be an integer, got {raw!r}") from None
 
 
 def _objects(entries: list, what: str):
@@ -257,29 +283,18 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
             and isinstance(raw.get("annotations"), list)):
         raise ValidationError(f"ground truth must contain 'images' and 'annotations' arrays: {path}")
 
-    images = tuple(
-        ImageInfo(
-            id=_parse_image_id(img.get("id"), "image entry"),
-            width=img.get("width"),
-            height=img.get("height"),
-            file_name=img.get("file_name"),
-        )
-        for _, img in _objects(raw["images"], "image entry")
-    )
+    images = tuple(ImageInfo(_parse_image_id(img.get("id"), "image entry"), img.get("width"), img.get("height"),
+                             img.get("file_name")) for _, img in _objects(raw["images"], "image entry"))
 
     annotations = []
     for _, entry in _objects(raw["annotations"], "annotation"):
         ann_id = entry.get("id")
         cls = _map_category(entry.get("category_id"), category_map)
-        box = _parse_bbox(entry.get("bbox"), f"annotation id {ann_id}")
-        annotations.append(
-            GtAnnotation(
-                image_id=_parse_image_id(entry.get("image_id"), f"annotation id {ann_id}"),
-                category=cls,
-                box=box,
-                ann_id=ann_id,
-            )
-        )
+        box = _parse_bbox(entry.get("bbox"), "annotation id ", ann_id)
+        image_id = _parse_image_id(entry.get("image_id"), "annotation id ", ann_id)
+        if box.w <= 0 or box.h <= 0:  # the public constructor raises its message
+            GtAnnotation(image_id, cls, box, ann_id)
+        annotations.append(_annotation(image_id, cls, box, ann_id))
     return GroundTruth(annotations=tuple(annotations), images=images)
 
 
@@ -295,25 +310,19 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
     detections = []
     for index, entry in _objects(raw, "detection"):
         cls = _map_category(entry.get("category_id"), category_map)
-        box = _parse_bbox(entry.get("bbox"), f"detection #{index}")
+        box = _parse_bbox(entry.get("bbox"), "detection #", index)
         try:
-            score = entry.get("score", -1.0)
-            if score.__class__ is bool:
-                raise TypeError
-            score = float(score)
+            score = float(_plain(entry["score"]))
+        except KeyError:
+            raise ValidationError(f"detection #{index}: score is missing") from None
         except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"detection #{index}: score must be a number, got {entry.get('score')!r}") from None
+            raise ValidationError(f"detection #{index}: score must be a number, got {entry['score']!r}") from None
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"detection #{index}: score {score} outside [0, 1]")
-        detections.append(
-            Detection(
-                image_id=_parse_image_id(entry.get("image_id"), f"detection #{index}"),
-                category=cls,
-                box=box,
-                score=score,
-                det_id=index,
-            )
-        )
+        image_id = _parse_image_id(entry.get("image_id"), "detection #", index)
+        if box.w <= 0 or box.h <= 0:  # the public constructor raises its message
+            Detection(image_id, cls, box, score, index)
+        detections.append(_detection(image_id, cls, box, score, index))
     return tuple(detections)
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import partmon.cli as cli_module
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass
 from partmon.oracle import oracle_metrics
@@ -369,6 +371,18 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
              '[{"id": 1, "image_id": 1, "category_id": true, "bbox": [0, 0, 10, 10]}]}', "unmapped category id"),
     ("--persons", "[%s]" % (DET % ("[true, 0, 10, 10]", "0.9")), "bbox values must be numbers"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "true")), "score must be a number"),
+    ("--persons", '[{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]}]', "detection #0: score is missing"),
+    # int() and float() read underscores and non-ASCII digits; JSON numbers have neither.
+    ("--category-map", '{"1_0": "Person"}', "category map key is not an integer id"),
+    ("--category-map", '{"\u0661": "Person"}', "category map key is not an integer id"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": "0_7"'),
+     "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": "1\u2003"}], "annotations": []}', "image_id must be an integer"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": "\u0661"'),
+     "unmapped category id"),
+    ("--persons", "[%s]" % (DET % ('[0, 0, "1_0", 10]', "0.9")), "bbox values must be numbers"),
+    ("--persons", "[%s]" % (DET % ('[0, 0, 10, "\u0661\u0660"]', "0.9")), "bbox values must be numbers"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", '"\u0660.\u0665"')), "score must be a number"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -377,7 +391,9 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit",
         "overflow-iou-union", "fractional-image-id", "boolean-image-id", "fractional-gt-image-id",
         "fractional-category-id", "boolean-category-id", "boolean-gt-category-id", "boolean-bbox",
-        "boolean-score"])
+        "boolean-score", "missing-score", "underscore-category-map-key", "non-ascii-category-map-key",
+        "underscore-image-id", "non-ascii-space-gt-image-id", "non-ascii-category-id", "underscore-bbox",
+        "non-ascii-bbox", "non-ascii-score"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
@@ -389,6 +405,84 @@ def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
         args = ["validate", "--category-map", category_map, flag, str(bad)]
     result = runner.invoke(cli, args)
     assert_input_error(result, fragment)
+
+
+@pytest.mark.parametrize("bbox, shown", [
+    ("[3, 4, 0, 10]", "Box(x=3.0, y=4.0, w=0.0, h=10.0)"),
+    ("[3, 4, 10, 0]", "Box(x=3.0, y=4.0, w=10.0, h=0.0)"),
+    ("[3, 4, -0.0, 10]", "Box(x=3.0, y=4.0, w=-0.0, h=10.0)"),
+], ids=["zero-width", "zero-height", "negative-zero-width"])
+@pytest.mark.parametrize("flag, payload, message", [
+    ("--gt", '{"images": [{"id": 1}], "annotations": [{"id": 5, "image_id": 1, "category_id": 1, "bbox": %s}]}',
+     "annotation box must have positive width and height (annotation id 5): %s"),
+    ("--persons", "[%s]" % (DET % ("%s", "0.9")), "detection box must have positive width and height, got %s"),
+], ids=["gt", "detections"])
+def test_zero_extent_bbox_message(tmp_path, flag, payload, message, bbox, shown):
+    # _parse_bbox lets a zero extent through; the record's own constructor rejects it.
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload % bbox, encoding="utf-8")
+    category_map = write_json(tmp_path / "map.json", {"1": "Person"})
+    result = runner.invoke(cli, ["validate", "--category-map", category_map, flag, str(bad)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["Error: " + message % shown]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_commands_pause_and_restore_the_collector(tmp_path, corpus_dir, monkeypatch, enabled):
+    seen = []  # the collector's state while each command loads its inputs
+    load = cli_module.load_category_map
+
+    def recording_load(path):
+        seen.append(gc.isenabled())
+        return load(path)
+
+    monkeypatch.setattr(cli_module, "load_category_map", recording_load)
+    bad = write_json(tmp_path / "bad.json", [5])
+    category_map = str(corpus_dir / "category_map.json")
+    commands = [(["validate", *corpus_args(corpus_dir)], 0),
+                (["validate", "--category-map", category_map, "--persons", bad], 2)]
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for args, code in commands:
+            result = runner.invoke(cli, args)
+            assert result.exit_code == code, result.output
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == [False, False]
+
+
+def _garbage_after_commands(tmp_path, n_scenes):
+    """What gc.collect() finds after each of calibrate, evaluate and monitor run with the collector paused."""
+    corpus = tmp_path / f"corpus{n_scenes}"
+    result = runner.invoke(cli, ["synth", "--seed", "3", "--n-scenes", str(n_scenes), "--jitter", "2",
+                                 "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    op, args = str(tmp_path / "op.json"), corpus_args(corpus)
+    commands = [
+        ["calibrate", *args, "--out", op],
+        ["evaluate", *args, "--operating-point", op, "--protocol", "per-object", "--out", str(tmp_path / "r.json")],
+        ["monitor", *args[2:], "--operating-point", op, "--mode", "object", "--out", str(tmp_path / "m.jsonl")],
+    ]
+    before = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    found = []
+    try:
+        for command in commands:
+            result = runner.invoke(cli, command)
+            assert result.exit_code == 0, result.output
+            found.append(gc.collect())
+    finally:
+        (gc.enable if before else gc.disable)()
+    return found
+
+
+def test_pausing_the_collector_leaves_no_garbage_that_grows_with_the_corpus(tmp_path):
+    # 400 scenes hold about 20x the records of 20; a cycle per record or per scene would show here.
+    small, large = _garbage_after_commands(tmp_path, 20), _garbage_after_commands(tmp_path, 400)
+    assert all(big <= few + 20 for few, big in zip(small, large)), (small, large)
 
 
 def test_part_box_whose_area_underflows_exits_2(tmp_path, corpus_dir):

@@ -1,7 +1,8 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partmon.datamodel import (
@@ -9,6 +10,7 @@ from partmon.datamodel import (
     DetectionClass,
     FilterMode,
     GroundTruth,
+    GtAnnotation,
     ImageInfo,
     PART_CLASSES,
     Scene,
@@ -160,6 +162,63 @@ def test_integral_float_and_string_values_still_load(tmp_path):
     loaded = load_ground_truth(gt, CATEGORY_MAP)
     assert loaded.image_ids == (3,)
     assert [(a.image_id, a.category) for a in loaded.annotations] == [(3, DetectionClass.HEAD)]
+
+
+# Each value in a form the loaders convert: a JSON integer, an integral float, or a numeric string.
+def _spelled(values):
+    return values.flatmap(lambda v: st.sampled_from([v, float(v), str(v)]))
+
+
+_coords = st.integers(-1000, 1000) | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_extents = st.integers(1, 1000) | st.floats(1e-3, 1e6)
+_bbox = st.tuples(_coords, _coords, _extents, _extents).flatmap(
+    lambda values: st.tuples(*(st.sampled_from([v, str(v)]) for v in values)).map(list))
+_image_ids = _spelled(st.integers(0, 10**6))
+_category_ids = _spelled(st.sampled_from(sorted(CATEGORY_MAP)))
+_scores = st.floats(0.0, 1.0) | st.sampled_from([0, 1]) | st.floats(0.0, 1.0).map(str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fixed_dictionaries({"image_id": _image_ids, "category_id": _category_ids, "bbox": _bbox,
+                                       "score": _scores}), max_size=5))
+def test_loaded_detections_equal_public_constructions(tmp_path_factory, entries):
+    path = write_json(tmp_path_factory.mktemp("dets") / "dets.json", entries)
+    expected = tuple(
+        Detection(image_id=int(e["image_id"]), category=CATEGORY_MAP[int(e["category_id"])],
+                  box=Box(*map(float, e["bbox"])), score=float(e["score"]), det_id=index)
+        for index, e in enumerate(entries)
+    )
+    loaded = load_detections(path, CATEGORY_MAP)
+    assert loaded == expected
+    assert [hash(d) for d in loaded] == [hash(d) for d in expected]
+    assert [repr(d) for d in loaded] == [repr(d) for d in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fixed_dictionaries({"id": st.none() | st.integers() | st.text(max_size=3),
+                                       "image_id": _image_ids, "category_id": _category_ids, "bbox": _bbox}),
+                max_size=5))
+def test_loaded_annotations_equal_public_constructions(tmp_path_factory, entries):
+    path = write_json(tmp_path_factory.mktemp("gt") / "gt.json", {"images": [], "annotations": entries})
+    expected = tuple(
+        GtAnnotation(image_id=int(e["image_id"]), category=CATEGORY_MAP[int(e["category_id"])],
+                     box=Box(*map(float, e["bbox"])), ann_id=e["id"])
+        for e in entries
+    )
+    loaded = load_ground_truth(path, CATEGORY_MAP).annotations
+    assert loaded == expected
+    assert [hash(a) for a in loaded] == [hash(a) for a in expected]
+    assert [repr(a) for a in loaded] == [repr(a) for a in expected]
+
+
+def test_loaded_records_are_frozen(tmp_path, gt_file):
+    (detection,) = load_detections(write_json(
+        tmp_path / "dets.json", [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}]), CATEGORY_MAP)
+    annotation = load_ground_truth(gt_file, CATEGORY_MAP).annotations[0]
+    for record, name in ((detection, "score"), (detection, "box"), (detection.box, "w"),
+                         (annotation, "image_id"), (annotation.box, "x")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0)
 
 
 def test_load_detections_empty_and_bad_score(tmp_path):
