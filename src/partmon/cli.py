@@ -16,7 +16,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -33,6 +34,7 @@ from .datamodel import (
     load_ground_truth,
     read_json,
     write_json,
+    write_text,
 )
 from .errors import ValidationError
 from .evaluation import (
@@ -50,6 +52,16 @@ from .synth import SynthConfig, generate, write_corpus
 
 class InputError(click.ClickException):
     exit_code = 2
+
+
+class _FiniteRange(click.FloatRange):
+    """A FloatRange that also refuses NaN and infinities, which its bounds alone let through."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
 
 
 class _PartmonGroup(click.Group):
@@ -91,9 +103,13 @@ def _apply_config(ctx: click.Context, config_path) -> None:
         if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
             continue
         try:
+            if value is None or isinstance(value, (list, dict)):  # a flag's value is one string, number or boolean
+                raise TypeError(f"expected a string, number or boolean, got {json.dumps(value)}")
             ctx.params[name] = params[name].process_value(ctx, value)
         except click.BadParameter as exc:
             raise InputError(f"config {config_path}: {exc.format_message()}") from exc
+        except (TypeError, ValueError, OverflowError, AttributeError) as exc:  # raised by a type's own cast
+            raise InputError(f"config {config_path}: invalid value for {name!r}: {exc}") from exc
 
 
 def _sha256(path) -> str:
@@ -163,9 +179,12 @@ def _det_record(det) -> dict:
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition(":")
-        return int(lo), int(hi if hi else lo)
+        lo, hi = int(lo), int(hi if hi else lo)
     except ValueError:
         raise InputError(f"{flag} expects LO:HI, got {text!r}") from None
+    if not 0 <= lo <= hi:
+        raise InputError(f"{flag} expects LO:HI with 0 <= LO <= HI, got {text!r}")
+    return lo, hi
 
 
 @cli.command("synth")
@@ -173,11 +192,11 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 @click.option("--n-scenes", default=20, show_default=True, type=click.IntRange(0))
 @click.option("--persons-per-scene", default="1:4", show_default=True)
 @click.option("--parts-per-person", default="1:6", show_default=True)
-@click.option("--drop-person-prob", default=0.15, show_default=True, type=click.FloatRange(0, 1))
-@click.option("--drop-part-prob", default=0.1, show_default=True, type=click.FloatRange(0, 1))
-@click.option("--ghost-person-prob", default=0.1, show_default=True, type=click.FloatRange(0, 1))
-@click.option("--ghost-part-prob", default=0.1, show_default=True, type=click.FloatRange(0, 1))
-@click.option("--jitter", default=0.0, show_default=True, type=click.FloatRange(0))
+@click.option("--drop-person-prob", default=0.15, show_default=True, type=_FiniteRange(0, 1))
+@click.option("--drop-part-prob", default=0.1, show_default=True, type=_FiniteRange(0, 1))
+@click.option("--ghost-person-prob", default=0.1, show_default=True, type=_FiniteRange(0, 1))
+@click.option("--ghost-part-prob", default=0.1, show_default=True, type=_FiniteRange(0, 1))
+@click.option("--jitter", default=0.0, show_default=True, type=_FiniteRange(0))
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.pass_context
@@ -185,17 +204,9 @@ def cmd_synth(ctx, **kwargs):
     """Generate a seeded synthetic corpus with known error labels."""
     _apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
-    config = SynthConfig(
-        seed=p["seed"],
-        n_scenes=p["n_scenes"],
-        persons_per_scene=_parse_range(str(p["persons_per_scene"]), "--persons-per-scene"),
-        parts_per_person=_parse_range(str(p["parts_per_person"]), "--parts-per-person"),
-        drop_person_prob=p["drop_person_prob"],
-        drop_part_prob=p["drop_part_prob"],
-        ghost_person_prob=p["ghost_person_prob"],
-        ghost_part_prob=p["ghost_part_prob"],
-        jitter=p["jitter"],
-    )
+    ranges = {name: _parse_range(str(p[name]), "--" + name.replace("_", "-"))
+              for name in ("persons_per_scene", "parts_per_person")}
+    config = SynthConfig(**{f.name: p[f.name] for f in fields(SynthConfig)} | ranges)  # each field has its option
     corpus = generate(config)
     paths = write_corpus(corpus, p["out"])
     manifest = {
@@ -238,7 +249,7 @@ _RUN_OPTIONS = [
 _COMMON_INPUT_OPTIONS = [
     click.option("--gt", type=_INPUT_PATH, required=True),
     *_DETECTION_OPTIONS,
-    click.option("--min-area", default=2247.0, show_default=True, type=click.FloatRange(0),
+    click.option("--min-area", default=2247.0, show_default=True, type=_FiniteRange(0),
                  help="Minimum ground-truth person box area in pixels^2."),
     click.option("--filter-mode", default="drop_if_any_below", show_default=True,
                  type=click.Choice([m.value for m in FilterMode])),
@@ -258,9 +269,9 @@ def _with_options(options):
 @cli.command("calibrate")
 @_with_options(_COMMON_INPUT_OPTIONS)
 @click.option("--tau", default=0.5, show_default=True,
-              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+              type=_FiniteRange(0.0, 1.0, min_open=True, max_open=True))
 @click.option("--alpha-grid-step", default=0.05, show_default=True,
-              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+              type=_FiniteRange(0.0, 1.0, min_open=True, max_open=True))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.pass_context
 def cmd_calibrate(ctx, **kwargs):
@@ -313,11 +324,9 @@ def cmd_monitor(ctx, **kwargs):
                 "fn_mon": [_det_record(d) for d in verdict.fn_mon],
             }
 
-    records = [line(s) for s in scenes]
+    lines = [json.dumps(line(s), sort_keys=True) + "\n" for s in scenes]
     out = Path(p["out"])
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_text(out, lines)
     _write_manifest(_manifest("monitor", p, op, out), out)
     click.echo(f"monitored {len(scenes)} scenes -> {out}")
 

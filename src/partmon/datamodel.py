@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -159,10 +159,15 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, payload) -> None:
-    """Write ``payload`` to ``path`` as UTF-8 ``json_text``, with no newline translation."""
+def write_text(path, chunks: Iterable[str]) -> None:
+    """The one output writer: ``chunks`` to ``path`` in order, as UTF-8 with no newline translation."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json_text(payload))
+        fh.writelines(chunks)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as ``json_text``."""
+    write_text(path, [json_text(payload)])
 
 
 def load_category_map(path) -> dict[int, DetectionClass]:
@@ -187,8 +192,9 @@ def load_category_map(path) -> dict[int, DetectionClass]:
 
 
 def _plain(raw):
-    """``raw``, unless int() or float() would read it leniently: a boolean, or a string with "_" or non-ASCII."""
-    if raw.__class__ is bool or (raw.__class__ is str and ("_" in raw or not raw.isascii())):
+    """``raw``, unless int() or float() would read it leniently: a boolean, or a string that is padded
+    or holds "_" or a non-ASCII character."""
+    if raw.__class__ is bool or (raw.__class__ is str and ("_" in raw or not raw.isascii() or raw.strip() != raw)):
         raise ValueError(raw)
     return raw
 
@@ -328,16 +334,7 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
 
 def dump_ground_truth(gt: GroundTruth, category_ids: Mapping[DetectionClass, int]) -> dict:
     """Serialize back to the COCO annotation layout ``load_ground_truth`` reads."""
-    images = []
-    for img in gt.images:
-        entry: dict = {"id": img.id}
-        if img.width is not None:
-            entry["width"] = img.width
-        if img.height is not None:
-            entry["height"] = img.height
-        if img.file_name is not None:
-            entry["file_name"] = img.file_name
-        images.append(entry)
+    images = [{key: value for key, value in asdict(img).items() if value is not None} for img in gt.images]
     annotations = [
         {
             "id": ann.ann_id,

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
-from .datamodel import Scene, json_text
+from .datamodel import Scene, json_text, write_text
 from .errors import ValidationError
 from .monitor import AlertPair, MonitorVerdict, masks
 from .partition import GtPartition
@@ -161,15 +161,6 @@ def balances(c: ObjectConfusion) -> Balances:
 # Report emission
 # ---------------------------------------------------------------------------
 
-PER_IMAGE_CSV_HEADER = ["system", "alert", "tp", "fp", "fn", "tn", "precision", "recall", "mcc"]
-PER_OBJECT_CSV_HEADER = [
-    "system",
-    "tp_gt_tp_mon", "tp_gt_fp_mon", "fp_gt_tp_mon", "fp_gt_fp_mon",
-    "fn_gt_fn_mon", "tn_gt_fn_mon",
-    "fp_balance", "fn_balance",
-]
-
-
 @dataclass(frozen=True)
 class PerImageResult:
     system: str
@@ -194,70 +185,36 @@ def _ratio_str(value: float) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
 
 
-def _alert_block(counts: BinaryCounts) -> dict:
-    precision, recall, mcc = binary_metrics(counts)
-    return {
-        "tp": counts.tp,
-        "fp": counts.fp,
-        "fn": counts.fn,
-        "tn": counts.tn,
-        "precision": round_ratio(precision),
-        "recall": round_ratio(recall),
-        "mcc": round_ratio(mcc),
-    }
+_RATIOS = ("precision", "recall", "mcc")
 
 
-def per_image_report(result: PerImageResult, manifest: dict | None = None) -> dict:
-    report = {
-        "system": result.system,
-        "total_images": result.total_images,
-        "fp_alert": _alert_block(result.fp_alert),
-        "fn_alert": _alert_block(result.fn_alert),
-    }
+def _report(result: PerImageResult | PerObjectResult, manifest: dict | None) -> tuple[dict, list[list]]:
+    """Lay a result out once: its JSON object, and its CSV rows with the header row first."""
+    if isinstance(result, PerImageResult):
+        report = {"system": result.system, "total_images": result.total_images}
+        rows = [["system", "alert", *(f.name for f in fields(BinaryCounts)), *_RATIOS]]
+        for alert, counts in (("fp", result.fp_alert), ("fn", result.fn_alert)):
+            cells, ratios = asdict(counts), [_ratio_str(r) for r in binary_metrics(counts)]
+            report[f"{alert}_alert"] = cells | {name: float(r) for name, r in zip(_RATIOS, ratios)}  # = round_ratio
+            rows.append([result.system, alert, *cells.values(), *ratios])
+    else:
+        report = {"system": result.system, "confusion": asdict(result.confusion),
+                  "balances": asdict(result.balances)}
+        cells = report["confusion"] | report["balances"]
+        rows = [["system", *cells], [result.system, *cells.values()]]
     if manifest is not None:
         report["manifest"] = manifest
-    return report
-
-
-def per_object_report(result: PerObjectResult, manifest: dict | None = None) -> dict:
-    report = {
-        "system": result.system,
-        "confusion": asdict(result.confusion),
-        "balances": asdict(result.balances),
-    }
-    if manifest is not None:
-        report["manifest"] = manifest
-    return report
+    return report, rows
 
 
 def render_report(result: PerImageResult | PerObjectResult, fmt: str, manifest: dict | None = None) -> str:
     """Render a result to deterministic JSON or CSV text."""
+    report, rows = _report(result, manifest)
     if fmt == "json":
-        if isinstance(result, PerImageResult):
-            report = per_image_report(result, manifest)
-        else:
-            report = per_object_report(result, manifest)
         return json_text(report)
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if isinstance(result, PerImageResult):
-            writer.writerow(PER_IMAGE_CSV_HEADER)
-            for name, counts in (("fp", result.fp_alert), ("fn", result.fn_alert)):
-                precision, recall, mcc = binary_metrics(counts)
-                writer.writerow(
-                    [result.system, name, counts.tp, counts.fp, counts.fn, counts.tn,
-                     _ratio_str(precision), _ratio_str(recall), _ratio_str(mcc)]
-                )
-        else:
-            writer.writerow(PER_OBJECT_CSV_HEADER)
-            c, b = result.confusion, result.balances
-            writer.writerow(
-                [result.system,
-                 c.tp_gt_tp_mon, c.tp_gt_fp_mon, c.fp_gt_tp_mon, c.fp_gt_fp_mon,
-                 c.fn_gt_fn_mon, c.tn_gt_fn_mon,
-                 b.fp_balance, b.fn_balance]
-            )
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
     raise ValidationError(f"unknown report format: {fmt!r} (expected 'json' or 'csv')")
 
@@ -271,7 +228,6 @@ def emit_report(
     """Write a report file; identical inputs produce byte-identical output."""
     text = render_report(result, fmt, manifest)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(path, [text])
     except OSError as exc:
         raise ValidationError(f"cannot write report to {path}: {exc}") from exc

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .datamodel import (
@@ -246,17 +246,5 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
     write_json(paths["persons"], dump_detections(corpus.person_dets, CATEGORY_IDS))
     write_json(paths["parts"], dump_detections(corpus.part_dets, CATEGORY_IDS))
     write_json(paths["category_map"], CATEGORY_MAP)
-    write_json(
-        paths["labels"],
-        [
-            {
-                "image_id": lab.image_id,
-                "tp_person_det_ids": list(lab.tp_person_det_ids),
-                "fp_person_det_ids": list(lab.fp_person_det_ids),
-                "fn_person_ann_ids": list(lab.fn_person_ann_ids),
-                "ghost_part_det_ids": list(lab.ghost_part_det_ids),
-            }
-            for lab in corpus.labels
-        ],
-    )
+    write_json(paths["labels"], [asdict(label) for label in corpus.labels])  # tuples write as JSON arrays
     return paths

@@ -1,5 +1,6 @@
 import gc
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import partmon.calibration as calibration
 import partmon.cli as cli_module
+from partmon.calibration import alpha_grid
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass
+from partmon.errors import CalibrationError
 from partmon.oracle import oracle_metrics
 from partmon.synth import SynthConfig, generate
 
@@ -50,6 +54,25 @@ def test_synth_is_deterministic(tmp_path):
         assert result.exit_code == 0, result.output
     for filename in ("gt.json", "persons.json", "parts.json", "labels.json", "category_map.json"):
         assert (tmp_path / "a" / filename).read_bytes() == (tmp_path / "b" / filename).read_bytes()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("synth", "--persons-per-scene", "4:2", "--persons-per-scene expects LO:HI with 0 <= LO <= HI, got '4:2'"),
+    ("synth", "--persons-per-scene", "-1:2", "--persons-per-scene expects LO:HI with 0 <= LO <= HI, got '-1:2'"),
+    ("synth", "--parts-per-person", "-3", "--parts-per-person expects LO:HI with 0 <= LO <= HI, got '-3'"),
+    ("synth", "--jitter", "nan", "Invalid value for '--jitter': 'nan' is not a finite number"),
+    ("synth", "--jitter", "inf", "Invalid value for '--jitter': 'inf' is not a finite number"),
+    ("synth", "--drop-person-prob", "nan", "Invalid value for '--drop-person-prob': 'nan' is not a finite number"),
+    ("calibrate", "--tau", "nan", "Invalid value for '--tau': 'nan' is not a finite number"),
+    ("calibrate", "--min-area", "nan", "Invalid value for '--min-area': 'nan' is not a finite number"),
+    ("calibrate", "--alpha-grid-step", "nan", "Invalid value for '--alpha-grid-step': 'nan' is not a finite number"),
+])
+def test_bad_flag_value_exits_2(tmp_path, corpus_dir, command, flag, value, message):
+    args = ["synth"] if command == "synth" else ["calibrate", *corpus_args(corpus_dir)]
+    result = runner.invoke(cli, [*args, flag, value, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines()[-1] == "Error: " + message
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_zero_scenes_is_valid(tmp_path):
@@ -316,6 +339,14 @@ def assert_input_error(result, fragment):
 @pytest.mark.parametrize("config, option", [
     ({"matching": "foo"}, "--matching"),
     ({"threads": 0}, "--threads"),
+    ({"threads": float("inf")}, "invalid value for 'threads'"),
+    ({"threads": [1]}, "invalid value for 'threads'"),
+    ({"tau": [0.5]}, "invalid value for 'tau'"),
+    ({"min_area": None}, "invalid value for 'min_area'"),
+    ({"filter_mode": {"a": 1}}, "invalid value for 'filter_mode'"),
+    ({"strict_conf": 5}, "invalid value for 'strict_conf'"),
+    ({"tau": float("nan")}, "--tau"),
+    ({"min_area": "inf"}, "--min-area"),
 ])
 def test_config_values_get_the_checks_of_flags(tmp_path, corpus_dir, config, option):
     cfg = write_json(tmp_path / "cfg.json", config)
@@ -383,6 +414,15 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ('[0, 0, "1_0", 10]', "0.9")), "bbox values must be numbers"),
     ("--persons", "[%s]" % (DET % ('[0, 0, 10, "\u0661\u0660"]', "0.9")), "bbox values must be numbers"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", '"\u0660.\u0665"')), "score must be a number"),
+    # int() and float() also strip surrounding whitespace.
+    ("--category-map", '{" 1": "Person"}', "category map key is not an integer id"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": " 7\\n"'),
+     "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": " 3"}], "annotations": []}', "image_id must be an integer"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": "1 "'),
+     "unmapped category id"),
+    ("--persons", "[%s]" % (DET % ('[" 1", "2\\t", 3, 4]', "0.9")), "bbox values must be numbers"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", '" 0.5"')), "score must be a number"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -393,7 +433,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "fractional-category-id", "boolean-category-id", "boolean-gt-category-id", "boolean-bbox",
         "boolean-score", "missing-score", "underscore-category-map-key", "non-ascii-category-map-key",
         "underscore-image-id", "non-ascii-space-gt-image-id", "non-ascii-category-id", "underscore-bbox",
-        "non-ascii-bbox", "non-ascii-score"])
+        "non-ascii-bbox", "non-ascii-score", "padded-category-map-key", "padded-image-id",
+        "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
@@ -613,3 +654,53 @@ def test_validate_arbitrary_json_exits_0_or_2(tmp_path, gt, persons, category_ma
     # validate reports each file as it loads it, then "ok" or a one-line error.
     assert all(line.startswith(("gt: ", "persons: ", "operating point: ")) for line in summary), result.output
     assert last == "ok" if result.exit_code == 0 else last.startswith("Error: "), result.output
+
+
+@pytest.fixture(scope="module")
+def config_inputs(tmp_path_factory):
+    """A small corpus and its operating point, for runs whose config is fuzzed."""
+    root = tmp_path_factory.mktemp("config_inputs")
+    corpus = root / "corpus"
+    for args in (["synth", "--seed", "5", "--n-scenes", "6", "--out", str(corpus)],
+                 ["calibrate", *corpus_args(corpus), "--out", str(root / "op.json")]):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+    return corpus, str(root / "op.json")
+
+
+def _small(config):
+    """``generate`` of at most 3 scenes of at most 3 persons: the corpus size is not under test."""
+    lo, hi = config.persons_per_scene
+    return generate(replace(config, n_scenes=min(config.n_scenes, 3), persons_per_scene=(min(lo, 3), min(hi, 3))))
+
+
+def _coarse_grid(step):
+    """``alpha_grid``, refusing steps below 1e-3: the grid is a list of about 1/step floats, whose size
+    is not under test."""
+    if 0 < step < 1e-3:
+        raise CalibrationError(f"grid step {step} is finer than this test builds")
+    return alpha_grid(step)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_arbitrary_json_exits_0_or_2(tmp_path, config_inputs, monkeypatch, data):
+    monkeypatch.setattr(cli_module, "generate", _small)
+    monkeypatch.setattr(calibration, "alpha_grid", _coarse_grid)
+    corpus, op = config_inputs
+    args = {
+        "synth": ["synth"],
+        "calibrate": ["calibrate", *corpus_args(corpus)],
+        "evaluate": ["evaluate", *corpus_args(corpus), "--operating-point", op],
+        "monitor": ["monitor", *corpus_args(corpus)[2:], "--operating-point", op],  # --gt only from the config
+    }[data.draw(st.sampled_from(["synth", "calibrate", "evaluate", "monitor"]))]
+    names = [param.name for param in cli.commands[args[0]].params if param.name != "config"]
+    config = tmp_path / "config.json"
+    values = _json | st.integers(0, 12) | st.floats(0, 1)  # with values most options accept
+    config.write_text(json.dumps(data.draw(st.dictionaries(st.sampled_from(names), values, min_size=1, max_size=3))),
+                      encoding="utf-8")
+    result = runner.invoke(cli, [*args, "--config", str(config), "--out", str(tmp_path / args[0])])
+    assert result.exit_code in (0, 2), result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert result.output.strip().splitlines()[-1].startswith("Error: "), result.output

@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every file a fixed synth -> calibrate -> evaluate run writes.
+"""Golden bytes: the sha256 of every file a fixed synth -> calibrate -> evaluate/monitor run writes.
 
 The C8 acceptance test compares two runs of the same code, so it cannot see an
 output that changes for every run alike: a random draw that moves in
@@ -56,6 +56,10 @@ GOLDEN = {
     "per-object_existential.json.manifest.json": "d4db1d03f2d0427650ddc1202b4fa55cf0bbe5c62be99254c54eab8864664d21",
     "per-object_existential.csv": "c3c4b180d8743b0ed3e4a70c9645a2bc9e3ca2258e995e85d667ae2b7b76289d",
     "per-object_existential.csv.manifest.json": "744d922f3f156117052d37547a373d2052a918889b5c88c078cd134d05948544",
+    "monitor-image_existential.jsonl": "560e4446ea5995aea7ad6c0e0f9421813f02bd28fb33b22344faeb1d9d25a6f9",
+    "monitor-image_existential.jsonl.manifest.json": "a26ddfcca993d2955a5c69d64f3b8f1e3008cba4bd7daff670289be1191f8fcc",
+    "monitor-object_existential.jsonl": "db6705cb03ccd681be1eb3a2adfa1023abc8d55b4822e63081c90a03e5d52be9",
+    "monitor-object_existential.jsonl.manifest.json": "29208b34ee9ffa19b363fbe6cbe24db40d072283b01fb88f85d067d33e906273",
     "op_greedy.json": "9006401434d2ee66a34703de010a67ed125e51d58acd46b2adfba21938235f13",
     "op_greedy.json.manifest.json": "d74084d7d742c4b17de294a7efd336b539b323b3ecb9d39fd504de5f049a6bcc",
     "per-image_greedy.json": "070d5f6dbd6117ca9c694412174f4dc88fd2f06ba5cdff6d974d9557adbc2d1b",
@@ -66,6 +70,10 @@ GOLDEN = {
     "per-object_greedy.json.manifest.json": "bf4d70f403a3b3ff89a675a31d59cae390a059b20ae2ab8765ce4234ab5a063d",
     "per-object_greedy.csv": "c3c4b180d8743b0ed3e4a70c9645a2bc9e3ca2258e995e85d667ae2b7b76289d",
     "per-object_greedy.csv.manifest.json": "c0b423bddd632638f464324c10eb152b6bfa73d6b32922aab2dc13be8e4d9c38",
+    "monitor-image_greedy.jsonl": "560e4446ea5995aea7ad6c0e0f9421813f02bd28fb33b22344faeb1d9d25a6f9",
+    "monitor-image_greedy.jsonl.manifest.json": "3a71dde5c2bf7b227135698f7a59990d5a6422043b9d160c7b72ba811325090a",
+    "monitor-object_greedy.jsonl": "db6705cb03ccd681be1eb3a2adfa1023abc8d55b4822e63081c90a03e5d52be9",
+    "monitor-object_greedy.jsonl.manifest.json": "f4e3a5c71b85232710367a2a3d53d6e33dc54aa584ae7d9846897821820a345b",
 }
 
 
@@ -92,6 +100,10 @@ def produce() -> dict[str, str]:
                 run("evaluate", *inputs, "--matching", matching, "--operating-point", op,
                     "--protocol", protocol, "--format", fmt, "--out", out)
                 names += [out, out + ".manifest.json"]
+        for mode in ("image", "object"):
+            out = f"monitor-{mode}_{matching}.jsonl"
+            run("monitor", *inputs[2:], "--operating-point", op, "--mode", mode, "--out", out)
+            names += [out, out + ".manifest.json"]
     return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
 
 
