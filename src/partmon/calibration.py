@@ -2,9 +2,10 @@
 
 Per-class confidence thresholds come from an exhaustive sweep over the
 observed score values, keeping the threshold with the best F1. Under either
-matching mode, one matching pass per image fixes which detections and
-ground-truth boxes count at every threshold, so each candidate is scored by
-bisection. The two overlap parameters are swept independently over a regular
+matching mode, one matching pass per image and class fixes which detections
+and ground-truth boxes count at every threshold, so each candidate is scored
+by bisection. ``build_operating_point`` takes those images from one pass over
+its scenes. The two overlap parameters are swept independently over a regular
 grid in (0, 1) and chosen by the Matthews correlation of the per-image alerts
 against the ground-truth image labels; they are separable because the FP
 alert depends only on alpha_fp and the FN alert only on alpha_fn. Each alert
@@ -23,7 +24,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, read_json, write_json
 from .errors import CalibrationError, ValidationError
@@ -71,12 +72,8 @@ class OperatingPoint:
             raise ValidationError("invalid operating point: 'conf' must be an object of class thresholds")
         try:
             conf = {DetectionClass(name): float(v) for name, v in raw["conf"].items()}
-            return cls(
-                conf_thresholds=conf,
-                alpha_fp=float(raw["alpha_fp"]),
-                alpha_fn=float(raw["alpha_fn"]),
-                tau=float(raw["tau"]),
-            )
+            return cls(conf_thresholds=conf, alpha_fp=float(raw["alpha_fp"]), alpha_fn=float(raw["alpha_fn"]),
+                       tau=float(raw["tau"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
@@ -95,24 +92,47 @@ def alpha_grid(step: float) -> list[float]:
     if round(step, 10) == 0.0:  # grid values start at 0.0, no alpha, in a list of ~1/step floats
         raise CalibrationError(f"grid step {step} rounds to 0 at the grid's 10 decimal places")
     grid = []
-    k = 1
-    while True:
-        value = round(k * step, 10)
-        if value >= 1.0 - 1e-9:
-            break
+    while (value := round((len(grid) + 1) * step, 10)) < 1.0 - 1e-9:
         grid.append(value)
-        k += 1
     if not grid:
         raise CalibrationError(f"grid step {step} leaves no grid point in (0, 1)")
     return grid
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _threshold(images: Collection[tuple[Sequence[Detection], Sequence[GtAnnotation]]], tau: float,
+               matching: MatchingMode, strict: bool) -> float:
+    """The best-F1 threshold of one class, from its (detections, ground truth) in each image."""
+    # Whether a detection matches does not depend on the threshold. Under
+    # existential matching that is immediate. Under greedy matching the
+    # detections kept at any threshold are a prefix of the score-descending
+    # visiting order, so the full pass decides them exactly as a pass over
+    # the kept ones would. A ground-truth box is missed at threshold t iff the
+    # best score among the detections matched to it (under greedy matching,
+    # the one that consumed it) is not retained at t. So one matching pass per
+    # image suffices, and each threshold is three bisections.
+    matched_scores, best_scores = [], []
+    for dets, gts in images:
+        best, matched = [-1.0] * len(gts), {}
+        for i, j in matches(dets, gts, tau, matching):
+            matched[i] = score = dets[i].score
+            best[j] = max(best[j], score)
+        matched_scores += matched.values()
+        best_scores += best
+    all_scores = sorted(d.score for dets, _ in images for d in dets)
+    matched_scores.sort()
+    best_scores.sort()
+    cut = bisect_right if strict else bisect_left
+    candidates = sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)})
+    best_t, best_f1 = candidates[0], -1.0
+    for t in candidates:
+        kept = len(all_scores) - cut(all_scores, t)
+        tp = len(matched_scores) - cut(matched_scores, t)
+        fn = cut(best_scores, t)
+        precision, recall = tp / kept if kept else 0.0, tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if f1 >= best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
 
 
 def select_confidence_threshold(
@@ -135,47 +155,12 @@ def select_confidence_threshold(
         raise CalibrationError("F1 undefined: no ground-truth instances for this class")
     if not dets:
         return 1.0
-
-    # Whether a detection matches does not depend on the threshold. Under
-    # existential matching that is immediate. Under greedy matching the
-    # detections kept at any threshold are a prefix of the score-descending
-    # visiting order, so the full pass decides them exactly as a pass over
-    # the kept ones would. A ground-truth box is missed at threshold t iff the
-    # best score among the detections matched to it (under greedy matching,
-    # the one that consumed it) is not retained at t. So one matching pass per
-    # image suffices, and each threshold is three bisections.
-    dets_by_img: dict[int, list[Detection]] = {}
+    by_img: dict[int, tuple[list[Detection], list[GtAnnotation]]] = {}
     for det in dets:
-        dets_by_img.setdefault(det.image_id, []).append(det)
-    gts_by_img: dict[int, list[GtAnnotation]] = {}
+        by_img.setdefault(det.image_id, ([], []))[0].append(det)
     for gt in gts:
-        gts_by_img.setdefault(gt.image_id, []).append(gt)
-
-    matched_scores, best_scores = [], []
-    for img, img_gts in gts_by_img.items():
-        img_dets = dets_by_img.get(img, [])
-        best = [-1.0] * len(img_gts)
-        matched = set()
-        for i, j in matches(img_dets, img_gts, tau, matching):
-            matched.add(i)
-            best[j] = max(best[j], img_dets[i].score)
-        matched_scores += [img_dets[i].score for i in matched]
-        best_scores += best
-    all_scores = sorted(d.score for d in dets)
-    matched_scores.sort()
-    best_scores.sort()
-    cut = bisect_right if strict else bisect_left
-
-    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(all_scores[-1], math.inf)})
-    best_t, best_f1 = candidates[0], -1.0
-    for t in candidates:
-        kept = len(all_scores) - cut(all_scores, t)
-        tp = len(matched_scores) - cut(matched_scores, t)
-        fn = cut(best_scores, t)
-        f1 = _f1(tp, kept - tp, fn)
-        if f1 >= best_f1:
-            best_t, best_f1 = t, f1
-    return best_t
+        by_img.setdefault(gt.image_id, ([], []))[1].append(gt)
+    return _threshold(by_img.values(), tau, matching, strict)
 
 
 def select_alphas(
@@ -265,24 +250,24 @@ def build_operating_point(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    dets_by_class: dict[DetectionClass, list[Detection]] = {}
+    # Per class, the (detections, ground truth) of each scene that has either.
+    by_class: dict[DetectionClass, list[tuple[list[Detection], list[GtAnnotation]]]] = {}
     for scene in scenes:
-        for det in list(scene.persons) + list(scene.parts):
-            dets_by_class.setdefault(det.category, []).append(det)
-    if not dets_by_class:
-        raise CalibrationError("no detections to calibrate on")
-
-    gts_by_class: dict[DetectionClass, list[GtAnnotation]] = {}
-    for scene in scenes:
+        split: dict[DetectionClass, tuple[list[Detection], list[GtAnnotation]]] = {}
+        for det in (*scene.persons, *scene.parts):
+            split.setdefault(det.category, ([], []))[0].append(det)
         for ann in scene.gt:
-            gts_by_class.setdefault(ann.category, []).append(ann)
-
+            split.setdefault(ann.category, ([], []))[1].append(ann)
+        for cls, pair in split.items():
+            by_class.setdefault(cls, []).append(pair)
+    detected = sorted((c for c, images in by_class.items() if any(dets for dets, _ in images)), key=lambda c: c.value)
+    if not detected:
+        raise CalibrationError("no detections to calibrate on")
     conf = {}
-    for cls in sorted(dets_by_class, key=lambda c: c.value):
-        gts = gts_by_class.get(cls, [])
-        if not gts:
+    for cls in detected:
+        if not any(gts for _, gts in by_class[cls]):
             raise CalibrationError(f"F1 undefined for class {cls.value}: no ground-truth instances")
-        conf[cls] = select_confidence_threshold(dets_by_class[cls], gts, tau, matching=matching, strict=strict_conf)
+        conf[cls] = _threshold(by_class[cls], tau, matching, strict_conf)
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]

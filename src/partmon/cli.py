@@ -105,10 +105,16 @@ def _apply_config(ctx: click.Context, config_path) -> None:
         try:
             if value is None or isinstance(value, (list, dict)):  # a flag's value is one string, number or boolean
                 raise TypeError(f"expected a string, number or boolean, got {json.dumps(value)}")
+            kind = params[name].type
+            if isinstance(kind, click.types.BoolParamType) and not isinstance(value, bool):
+                raise TypeError(f"expected a boolean, got {json.dumps(value)}")
+            if isinstance(kind, click.types.IntParamType) and (  # int() would truncate a float and read a boolean
+                    isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+                raise TypeError(f"expected an integer, got {json.dumps(value)}")
             ctx.params[name] = params[name].process_value(ctx, value)
         except click.BadParameter as exc:
             raise InputError(f"config {config_path}: {exc.format_message()}") from exc
-        except (TypeError, ValueError, OverflowError, AttributeError) as exc:  # raised by a type's own cast
+        except (TypeError, ValueError, OverflowError) as exc:  # raised by a type's own cast
             raise InputError(f"config {config_path}: invalid value for {name!r}: {exc}") from exc
 
 

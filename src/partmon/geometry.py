@@ -4,11 +4,17 @@ Boxes use the COCO (x, y, w, h) convention with x/y the top-left corner.
 Coordinates are real-valued; detector outputs are continuous. All comparisons
 are exact (no epsilon slack) so results are deterministic and boundary cases
 land on the side the decision rules prescribe.
+
+``overlap_pairs`` is the one enumerator of overlapping box pairs, for the
+monitor, the alpha sweep and IoU matching alike. ``intersection_area``,
+``iou`` and ``part_overlap_at_least`` are public one-pair helpers that no
+hot path calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 class DegeneratePartBoxError(ValueError):
@@ -32,6 +38,27 @@ class Box:
 def area(b: Box) -> float:
     """Area of the box in pixels^2."""
     return b.w * b.h
+
+
+def overlap_pairs(records: Sequence, boxes: Sequence[tuple]) -> list[tuple[int, int, float, float]]:
+    """``(i, j, intersection, area_b)`` for each records[i].box overlapping box j, given as ``(x1, y1, x2, y2, area_b, j)``.
+
+    Both extents are positive, and the intersection is bit for bit
+    ``intersection_area(records[i].box, box_j)``: the same float operations in the same order.
+    """
+    pairs = []
+    for i, record in enumerate(records):
+        a = record.box
+        ax1, ay1, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
+        # min(ax2, bx2) - max(ax1, bx1), as in intersection_area: min(p, q) keeps p
+        # unless q < p, and max(p, q) keeps p unless q > p.
+        for bx1, by1, bx2, by2, area_b, j in boxes:
+            iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+            if iw > 0:
+                ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+                if ih > 0:
+                    pairs.append((i, j, iw * ih, area_b))
+    return pairs
 
 
 def intersection_area(a: Box, b: Box) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import Detection
-from .geometry import DegeneratePartBoxError
+from .geometry import DegeneratePartBoxError, overlap_pairs
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,11 @@ def check_alphas(alpha_fp: float, alpha_fn: float) -> None:
 def overlaps(persons: Sequence, parts: Sequence, alpha_min: float) -> list[tuple[int, int, float, float]]:
     """``(i, j, intersection, part_area)`` for each pair that can pass the overlap test at alpha >= alpha_min.
 
-    Those are the pairs of persons[i] and parts[j] whose boxes overlap, with
-    the float operations of ``geometry.intersection_area(person.box,
-    part.box)`` in the same order, so bit for bit the same. Where
-    ``alpha_min * part_area`` underflows to 0.0 the test passes with no
-    overlap at all, so such a part is also paired with every person at
-    intersection 0.0. Takes any records with a ``box``; raises
-    DegeneratePartBoxError for a part box of zero area.
+    Those are the overlapping pairs of persons[i] and parts[j] from
+    ``geometry.overlap_pairs``. Where ``alpha_min * part_area`` underflows to
+    0.0 the test passes with no overlap at all, so such a part is also paired
+    with every person at intersection 0.0. Takes any records with a ``box``;
+    raises DegeneratePartBoxError for a part box of zero area.
     """
     boxes, tiny = [], []
     for j, part in enumerate(parts):
@@ -71,19 +69,8 @@ def overlaps(persons: Sequence, parts: Sequence, alpha_min: float) -> list[tuple
         boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, part_area, j))
         if alpha_min * part_area == 0.0:
             tiny.append((j, part_area))
-    pairs = []
-    for i, person in enumerate(persons):
-        a = person.box
-        ax1, ay1, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
-        # min(ax2, bx2) - max(ax1, bx1), as in intersection_area: min(p, q) keeps p
-        # unless q < p, and max(p, q) keeps p unless q > p.
-        for bx1, by1, bx2, by2, part_area, j in boxes:
-            iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
-            if iw > 0:
-                ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
-                if ih > 0:
-                    pairs.append((i, j, iw * ih, part_area))
-    return pairs + [(i, j, 0.0, part_area) for j, part_area in tiny for i in range(len(persons))]
+    pairs = overlap_pairs(persons, boxes)
+    return pairs + [(i, j, 0.0, part_area) for j, part_area in tiny for i in range(len(persons))] if tiny else pairs
 
 
 def masks(persons: Sequence, parts: Sequence, alpha_fp: float, alpha_fn: float) -> tuple[list[bool], list[bool]]:

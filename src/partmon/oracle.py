@@ -116,6 +116,43 @@ def oracle_partition(
     return GtPartition(tp_gt=tuple(tp), fp_gt=tuple(fp), fn_gt=tuple(fn), tau=tau)
 
 
+def oracle_greedy_partition(
+    persons: Sequence[Detection],
+    gt_persons: Sequence[GtAnnotation],
+    tau: float,
+) -> GtPartition:
+    """Greedy matching: the highest-scoring detection not yet visited (the first
+    of equal scores) takes the free ground-truth person of highest IoU above
+    tau (the first of equal IoUs), until every detection has been visited."""
+    visited = [False] * len(persons)
+    validated = [False] * len(persons)
+    taken = [False] * len(gt_persons)
+    for _ in range(len(persons)):
+        pick = -1
+        for i in range(len(persons)):
+            if not visited[i] and (pick == -1 or persons[i].score > persons[pick].score):
+                pick = i
+        visited[pick] = True
+        best, best_iou = -1, 0.0
+        for j in range(len(gt_persons)):
+            value = _iou(persons[pick].box, gt_persons[j].box)
+            if not taken[j] and value > tau and (best == -1 or value > best_iou):
+                best, best_iou = j, value
+        if best != -1:
+            taken[best] = True
+            validated[pick] = True
+    tp, fp, fn = [], [], []
+    for i in range(len(persons)):
+        if validated[i]:
+            tp.append(persons[i])
+        else:
+            fp.append(persons[i])
+    for j in range(len(gt_persons)):
+        if not taken[j]:
+            fn.append(gt_persons[j])
+    return GtPartition(tp_gt=tuple(tp), fp_gt=tuple(fp), fn_gt=tuple(fn), tau=tau)
+
+
 def oracle_metrics(
     scenes: Sequence[Scene],
     tau: float,

@@ -9,6 +9,8 @@ default.
 
 ``matches`` is the one place where the match rule is written; ``partition``
 and the confidence-threshold sweep both derive their counts from its pairs.
+It takes its pairs from ``geometry.overlap_pairs`` and computes IoU only for
+boxes that overlap: a disjoint pair has IoU 0, never above tau > 0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from enum import Enum
 from typing import Sequence
 
 from .datamodel import Detection, GtAnnotation
-from .geometry import iou
+from .geometry import overlap_pairs
 
 
 class MatchingMode(Enum):
@@ -56,25 +58,24 @@ def matches(
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    boxes = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, j) for j, gt in enumerate(gt_persons) for b in (gt.box,)]
+    above, ious = [], []  # the pairs with IoU > tau, by detection and then ground truth, and their IoUs
+    for i, j, inter, gt_area in overlap_pairs(persons, boxes):
+        a = persons[i].box
+        union = a.w * a.h + gt_area - inter  # geometry.iou's operands in its order; it gives 0.0 where union <= 0
+        if union > 0 and (value := inter / union) > tau:
+            above.append((i, j))
+            ious.append(value)
     if matching is MatchingMode.EXISTENTIAL:
-        return [(i, j) for i, det in enumerate(persons)
-                for j, gt in enumerate(gt_persons) if iou(det.box, gt.box) > tau]
-
-    order = sorted(range(len(persons)), key=lambda i: -persons[i].score)
-    consumed = [False] * len(gt_persons)
-    pairs = []
-    for i in order:
-        det = persons[i]
-        best_j, best_iou = -1, tau
-        for j, gt in enumerate(gt_persons):
-            if consumed[j]:
-                continue
-            v = iou(det.box, gt.box)
-            if v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            consumed[best_j] = True
-            pairs.append((i, best_j))
+        return above
+    # Detections by descending score, ties in input order, and each one's pairs by descending
+    # IoU, ties in ground-truth order: a detection takes the first ground-truth box still free.
+    order = sorted(range(len(above)), key=lambda k: (-persons[above[k][0]].score, above[k][0], -ious[k]))
+    done, consumed, pairs = set(), set(), []
+    for i, j in (above[k] for k in order):
+        if i not in done and j not in consumed:
+            done.add(i), consumed.add(j)
+            pairs.append((i, j))
     return pairs
 
 

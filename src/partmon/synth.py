@@ -27,6 +27,7 @@ from .datamodel import (
     GtAnnotation,
     ImageInfo,
     Scene,
+    _parse_bbox,
     dump_detections,
     dump_ground_truth,
     group_into_scenes,
@@ -130,7 +131,8 @@ def _jittered(box: Box, jitter: float, rng: random.Random) -> Box:
     dy = rng.uniform(-jitter, jitter)
     dw = rng.uniform(-jitter / 2, jitter / 2)
     dh = rng.uniform(-jitter / 2, jitter / 2)
-    return Box(box.x + dx, box.y + dy, max(box.w + dw, 1.0), max(box.h + dh, 1.0))
+    # The loaders' own bbox check: a jitter too large for float arithmetic makes boxes they refuse.
+    return _parse_bbox([box.x + dx, box.y + dy, max(box.w + dw, 1.0), max(box.h + dh, 1.0)], f"jitter {jitter}", "")
 
 
 def generate(config: SynthConfig) -> Corpus:

@@ -15,8 +15,8 @@ from partmon.calibration import (
 )
 from partmon.datamodel import DetectionClass, Scene
 from partmon.errors import CalibrationError, ValidationError
-from partmon.geometry import Box, DegeneratePartBoxError, iou
-from partmon.oracle import oracle_mcc, oracle_partition, oracle_per_image
+from partmon.geometry import Box, DegeneratePartBoxError
+from partmon.oracle import oracle_greedy_partition, oracle_mcc, oracle_partition, oracle_per_image
 from partmon.partition import MatchingMode, partition
 from partmon.synth import SynthConfig, generate
 
@@ -137,16 +137,10 @@ def _greedy_f1_by_rescan(dets, gts, tau, threshold, strict):
     tp = fp = fn = 0
     for img in {d.image_id for d in dets} | {g.image_id for g in gts}:
         kept = [d for d in dets if d.image_id == img and (d.score > threshold if strict else d.score >= threshold)]
-        free = [g for g in gts if g.image_id == img]
-        # Highest score first; sorted() is stable, so tied scores keep input order.
-        for d in sorted(kept, key=lambda d: -d.score):
-            ious = [iou(d.box, g.box) for g in free]
-            if ious and max(ious) > tau:
-                del free[ious.index(max(ious))]  # the first of equal IoUs
-                tp += 1
-            else:
-                fp += 1
-        fn += len(free)
+        result = oracle_greedy_partition(kept, [g for g in gts if g.image_id == img], tau)
+        tp += len(result.tp_gt)
+        fp += len(result.fp_gt)
+        fn += len(result.fn_gt)
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     return 2 * p * r / (p + r) if p + r else 0.0

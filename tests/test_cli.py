@@ -356,6 +356,60 @@ def test_config_values_get_the_checks_of_flags(tmp_path, corpus_dir, config, opt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"n_scenes": 2.9}, {"seed": True}, {"n_scenes": False}, {"seed": -1.5}, {"n_scenes": float("inf")},
+])
+def test_integer_config_values_are_neither_truncated_nor_booleans(tmp_path, config):
+    cfg = write_json(tmp_path / "cfg.json", config)
+    result = runner.invoke(cli, ["synth", "--config", cfg, "--out", str(tmp_path / "corpus")])
+    assert_input_error(result, "expected an integer")
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_integral_config_numbers_are_integers(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"n_scenes": 2.0, "seed": 3.0})
+    result = runner.invoke(cli, ["synth", "--config", cfg, "--out", str(tmp_path / "corpus")])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "corpus" / "corpus.manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["config"]["n_scenes"], manifest["config"]["seed"]) == (2, 3)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("calibrate", {"strict_conf": 5}),
+    ("calibrate", {"strict_conf": 0}),
+    ("calibrate", {"strict_conf": "true"}),
+    ("evaluate", {"ghost_all_classes": 1.0}),
+])
+def test_boolean_config_values_must_be_booleans(tmp_path, corpus_dir, command, config):
+    cfg = write_json(tmp_path / "cfg.json", config)
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    extra = ["--operating-point", op] if command == "evaluate" else []
+    out = tmp_path / "out.json"
+    result = runner.invoke(cli, [command, *corpus_args(corpus_dir), *extra, "--config", cfg, "--out", str(out)])
+    assert_input_error(result, "expected a boolean")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jitter", ["1e300", "1e308", "1.7e308"])
+def test_synth_refuses_a_jitter_that_makes_boxes_the_loaders_refuse(tmp_path, jitter):
+    result = runner.invoke(cli, ["synth", "--n-scenes", "2", "--jitter", jitter, "--out", str(tmp_path / "corpus")])
+    assert_input_error(result, "jitter")
+    assert not (tmp_path / "corpus").exists()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(exponent=st.floats(0.0, 308.2))
+def test_synth_writes_only_corpora_that_validate(tmp_path, exponent):
+    out = tmp_path / f"corpus_{exponent!r}"
+    result = runner.invoke(cli, ["synth", "--n-scenes", "2", "--jitter", repr(10.0 ** exponent), "--out", str(out)])
+    if result.exit_code == 2:
+        assert not out.exists()
+        return
+    assert result.exit_code == 0, result.output
+    check = runner.invoke(cli, ["validate", *corpus_args(out)])
+    assert check.exit_code == 0, check.output
+
+
 DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
 
 
