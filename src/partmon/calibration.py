@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Collection, Mapping, Sequence
 
-from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, read_json, write_json
+from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _plain, read_json, write_json
 from .errors import CalibrationError, ValidationError
 from .evaluation import mcc_from_counts
 from .monitor import overlaps
@@ -41,12 +41,15 @@ class OperatingPoint:
 
     A confidence threshold may exceed 1.0 by one float ulp: that is the
     discard-everything threshold selected when no score ever helps.
+    ``strict_conf`` is the rule the thresholds were chosen under, and the
+    one every consumer applies: keep ``score > t`` rather than ``score >= t``.
     """
 
     conf_thresholds: Mapping[DetectionClass, float]
     alpha_fp: float
     alpha_fn: float
     tau: float
+    strict_conf: bool = False
 
     def __post_init__(self):
         for cls, value in self.conf_thresholds.items():
@@ -57,12 +60,15 @@ class OperatingPoint:
                 raise ValidationError(f"{name} must lie in (0, 1), got {value}")
 
     def to_json_dict(self) -> dict:
-        return {
+        raw = {
             "conf": {cls.value: value for cls, value in sorted(self.conf_thresholds.items(), key=lambda kv: kv[0].value)},
             "alpha_fp": self.alpha_fp,
             "alpha_fn": self.alpha_fn,
             "tau": self.tau,
         }
+        if self.strict_conf:  # written only when set, so a non-strict operating point keeps its bytes
+            raw["strict_conf"] = True
+        return raw
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "OperatingPoint":
@@ -70,11 +76,22 @@ class OperatingPoint:
             raise ValidationError(f"invalid operating point: expected a JSON object, got {type(raw).__name__}")
         if not isinstance(raw.get("conf", {}), dict):
             raise ValidationError("invalid operating point: 'conf' must be an object of class thresholds")
+
+        def number(name, value) -> float:  # read the way the loaders read a score
+            try:
+                return float(_plain(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+
         try:
-            conf = {DetectionClass(name): float(v) for name, v in raw["conf"].items()}
-            return cls(conf_thresholds=conf, alpha_fp=float(raw["alpha_fp"]), alpha_fn=float(raw["alpha_fn"]),
-                       tau=float(raw["tau"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            conf = {DetectionClass(name): number(f"conf {name!r}", v) for name, v in raw["conf"].items()}
+            strict_conf = raw.get("strict_conf", False)
+            if strict_conf.__class__ is not bool:
+                raise ValueError(f"'strict_conf' must be a boolean, got {strict_conf!r}")
+            return cls(conf_thresholds=conf, alpha_fp=number("alpha_fp", raw["alpha_fp"]),
+                       alpha_fn=number("alpha_fn", raw["alpha_fn"]), tau=number("tau", raw["tau"]),
+                       strict_conf=strict_conf)
+        except (KeyError, ValueError) as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
     def save(self, path) -> None:
@@ -272,4 +289,4 @@ def build_operating_point(
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]
     alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step)
-    return OperatingPoint(conf_thresholds=conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau)
+    return OperatingPoint(conf_thresholds=conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau, strict_conf=strict_conf)

@@ -108,6 +108,8 @@ def _apply_config(ctx: click.Context, config_path) -> None:
             kind = params[name].type
             if isinstance(kind, click.types.BoolParamType) and not isinstance(value, bool):
                 raise TypeError(f"expected a boolean, got {json.dumps(value)}")
+            if isinstance(kind, click.types.FloatParamType) and isinstance(value, bool):  # float() reads it as 0 or 1
+                raise TypeError(f"expected a number, got {json.dumps(value)}")
             if isinstance(kind, click.types.IntParamType) and (  # int() would truncate a float and read a boolean
                     isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
                 raise TypeError(f"expected an integer, got {json.dumps(value)}")
@@ -245,8 +247,6 @@ _DETECTION_OPTIONS = [
 ]
 
 _RUN_OPTIONS = [
-    click.option("--strict-conf", is_flag=True, default=False,
-                 help="Retain detections with score strictly above the threshold."),
     click.option("--threads", default=1, show_default=True, type=click.IntRange(1),
                  help="Accepted for compatibility; has no effect."),
     click.option("--config", type=_INPUT_PATH, default=None),
@@ -278,6 +278,8 @@ def _with_options(options):
               type=_FiniteRange(0.0, 1.0, min_open=True, max_open=True))
 @click.option("--alpha-grid-step", default=0.05, show_default=True,
               type=_FiniteRange(0.0, 1.0, min_open=True, max_open=True))
+@click.option("--strict-conf", is_flag=True, default=False,
+              help="Calibrate for retaining scores strictly above the threshold; recorded in the operating point.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.pass_context
 def cmd_calibrate(ctx, **kwargs):
@@ -314,7 +316,7 @@ def cmd_monitor(ctx, **kwargs):
     _apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
     op = OperatingPoint.load(p["operating_point"])
-    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=p["strict_conf"])
+    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
 
     if p["mode"] == "image":
         def line(scene: Scene) -> dict:
@@ -358,7 +360,7 @@ def cmd_evaluate(ctx, **kwargs):
     _apply_config(ctx, kwargs.pop("config"))
     p = ctx.params
     op = OperatingPoint.load(p["operating_point"])
-    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=p["strict_conf"])
+    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
     matching = MatchingMode(p["matching"])
     partitions = [partition(s.persons, s.gt_persons(), op.tau, matching) for s in scenes]
     manifest = _manifest("evaluate", p, op, p["out"])

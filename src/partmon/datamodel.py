@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -394,60 +395,38 @@ def group_into_scenes(
     person_dets: Sequence[Detection],
     part_dets: Sequence[Detection],
     image_ids: set[int] | None = None,
-    strict: bool = False,
 ) -> GroupingResult:
     """Group annotations and detections into one Scene per ground-truth image.
 
     ``image_ids`` restricts the scene universe (e.g. after min-area
     filtering); detections on images unknown to the ground truth produce
-    warning records, or a ValidationError in strict mode. Detections on known
-    but unselected images are excluded silently.
+    warning records. Detections on known but unselected images are excluded
+    silently.
 
     With ``gt=None`` (runtime monitoring) every image id is known, scenes
     carry no annotations, and the default universe is the images holding at
     least one kept detection: a person-class entry of the person stream or a
     part-class entry of the part stream.
     """
-    known = None
-    anns_by_img: dict[int, list[GtAnnotation]] = {}
-    if gt is not None:
-        known = set(gt.image_ids)
-        for ann in gt.annotations:
-            anns_by_img.setdefault(ann.image_id, []).append(ann)
-
-    persons_by_img: dict[int, list[Detection]] = {}
-    parts_by_img: dict[int, list[Detection]] = {}
+    known = None if gt is None else set(gt.image_ids)
+    # Per image, its (persons, parts, annotations); a bucket is made only for a new image.
+    buckets: dict[int, tuple[list[Detection], list[Detection], list[GtAnnotation]]] = defaultdict(lambda: ([], [], []))
     warnings = []
-    for det in person_dets:
-        if known is not None and det.image_id not in known:
-            warnings.append(f"person detection det_id={det.det_id} references unknown image id {det.image_id}")
-            continue
-        if det.category is DetectionClass.PERSON:
-            persons_by_img.setdefault(det.image_id, []).append(det)
-    for det in part_dets:
-        if known is not None and det.image_id not in known:
-            warnings.append(f"part detection det_id={det.det_id} references unknown image id {det.image_id}")
-            continue
-        if det.category.is_part:
-            parts_by_img.setdefault(det.image_id, []).append(det)
-
-    if strict and warnings:
-        raise ValidationError("; ".join(warnings))
+    for slot, kind, stream, wants_person in ((0, "person", person_dets, True), (1, "part", part_dets, False)):
+        for det in stream:
+            if known is not None and det.image_id not in known:
+                warnings.append(f"{kind} detection det_id={det.det_id} references unknown image id {det.image_id}")
+            elif (det.category is DetectionClass.PERSON) is wants_person:
+                buckets[det.image_id][slot].append(det)
+    for ann in gt.annotations if gt is not None else ():
+        buckets[ann.image_id][2].append(ann)
 
     if image_ids is not None:
-        universe = set(image_ids)
+        universe = image_ids
     else:
-        universe = known if known is not None else set(persons_by_img) | set(parts_by_img)
-
-    scenes = tuple(
-        Scene(
-            image_id=img_id,
-            persons=tuple(persons_by_img.get(img_id, ())),
-            parts=tuple(parts_by_img.get(img_id, ())),
-            gt=tuple(anns_by_img.get(img_id, ())),
-        )
-        for img_id in sorted(universe)
-    )
+        universe = known if known is not None else buckets.keys()
+    empty = ((), (), ())
+    scenes = tuple(Scene(img_id, *map(tuple, buckets.get(img_id, empty))) for img_id in sorted(universe))
     return GroupingResult(scenes=scenes, warnings=tuple(warnings))
 
 

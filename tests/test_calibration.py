@@ -438,6 +438,26 @@ def test_operating_point_round_trip(tmp_path):
     assert raw["conf"] == {"Head": 0.25, "Person": 0.4}
 
 
+def test_operating_point_records_the_strict_rule_only_when_set():
+    loose = OperatingPoint(conf_thresholds={DetectionClass.PERSON: 0.4}, alpha_fp=0.3, alpha_fn=0.15, tau=0.5)
+    strict = OperatingPoint(loose.conf_thresholds, 0.3, 0.15, 0.5, strict_conf=True)
+    assert "strict_conf" not in loose.to_json_dict()
+    assert strict.to_json_dict() == {**loose.to_json_dict(), "strict_conf": True}
+    assert OperatingPoint.from_json_dict(loose.to_json_dict()) == loose
+    assert OperatingPoint.from_json_dict(strict.to_json_dict()) == strict
+    assert OperatingPoint.from_json_dict({**loose.to_json_dict(), "strict_conf": False}) == loose
+    for value in (1, 0, "true", None):
+        with pytest.raises(ValidationError, match="'strict_conf' must be a boolean"):
+            OperatingPoint.from_json_dict({**loose.to_json_dict(), "strict_conf": value})
+
+
+def test_build_operating_point_records_its_rule():
+    scene = Scene(image_id=1, persons=(det(Box(0, 0, 10, 10), score=0.5),), parts=(),
+                  gt=(ann(Box(0, 0, 10, 10)),))
+    assert build_operating_point([scene]).strict_conf is False
+    assert build_operating_point([scene], strict_conf=True).strict_conf is True
+
+
 def test_operating_point_validation():
     with pytest.raises(ValidationError):
         OperatingPoint(conf_thresholds={}, alpha_fp=0.0, alpha_fn=0.5, tau=0.5)

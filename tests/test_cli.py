@@ -106,6 +106,24 @@ def test_calibrate_deterministic_across_threads(tmp_path, corpus_dir):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_strict_conf_is_recorded_by_calibrate_and_read_by_evaluate_and_monitor(tmp_path, corpus_dir):
+    op = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir), "--strict-conf", "--out", str(op)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(op.read_text())["strict_conf"] is True
+    cfg = write_json(tmp_path / "cfg.json", {"strict_conf": True})
+    for command, args in (("evaluate", corpus_args(corpus_dir)), ("monitor", corpus_args(corpus_dir)[2:])):
+        assert "--strict-conf" not in runner.invoke(cli, [command, "--help"]).output
+        out = tmp_path / f"{command}.out"
+        base = [command, *args, "--operating-point", str(op), "--out", str(out)]
+        result = runner.invoke(cli, [*base, "--strict-conf"])
+        assert result.exit_code == 2 and "No such option" in result.output, result.output  # wording varies by click version
+        assert_input_error(runner.invoke(cli, [*base, "--config", cfg]), "unknown option 'strict_conf'")
+        assert not out.exists()
+        result = runner.invoke(cli, base)
+        assert result.exit_code == 0, result.output
+
+
 def test_evaluate_reports_are_byte_identical_across_runs(tmp_path, corpus_dir):
     op = tmp_path / "op.json"
     assert runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir), "--out", str(op)]).exit_code == 0
@@ -347,6 +365,8 @@ def assert_input_error(result, fragment):
     ({"strict_conf": 5}, "invalid value for 'strict_conf'"),
     ({"tau": float("nan")}, "--tau"),
     ({"min_area": "inf"}, "--min-area"),
+    ({"min_area": False}, "invalid value for 'min_area': expected a number, got false"),
+    ({"tau": True}, "invalid value for 'tau': expected a number, got true"),
 ])
 def test_config_values_get_the_checks_of_flags(tmp_path, corpus_dir, config, option):
     cfg = write_json(tmp_path / "cfg.json", config)
@@ -477,6 +497,17 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
      "unmapped category id"),
     ("--persons", "[%s]" % (DET % ('[" 1", "2\\t", 3, 4]', "0.9")), "bbox values must be numbers"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", '" 0.5"')), "score must be a number"),
+    # float() reads a JSON boolean as 0 or 1.
+    ("--config", '{"jitter": true}', "invalid value for 'jitter': expected a number, got true"),
+    # Operating-point numbers are read the way the loaders read a score.
+    ("--operating-point", '{"conf": {"Person": true}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
+     "invalid operating point: conf 'Person' must be a number, got True"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": " 0.3", "alpha_fn": 0.5, "tau": 0.5}',
+     "invalid operating point: alpha_fp must be a number, got ' 0.3'"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": "0_0.5", "tau": 0.5}',
+     "invalid operating point: alpha_fn must be a number, got '0_0.5'"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5, "strict_conf": 1}',
+     "invalid operating point: 'strict_conf' must be a boolean, got 1"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -488,7 +519,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "boolean-score", "missing-score", "underscore-category-map-key", "non-ascii-category-map-key",
         "underscore-image-id", "non-ascii-space-gt-image-id", "non-ascii-category-id", "underscore-bbox",
         "non-ascii-bbox", "non-ascii-score", "padded-category-map-key", "padded-image-id",
-        "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score"])
+        "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score", "boolean-jitter-config",
+        "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))

@@ -341,8 +341,6 @@ def test_group_into_scenes_warns_on_unknown_image():
     result = group_into_scenes(gt, [orphan], [])
     assert len(result.warnings) == 1
     assert "42" in result.warnings[0]
-    with pytest.raises(ValidationError):
-        group_into_scenes(gt, [orphan], [], strict=True)
 
 
 def test_group_into_scenes_class_split_allows_joint_stream():
@@ -356,6 +354,35 @@ def test_group_into_scenes_class_split_allows_joint_stream():
     scene = result.scenes[0]
     assert [d.det_id for d in scene.persons] == [0]
     assert [d.det_id for d in scene.parts] == [1]
+
+
+def test_group_into_scenes_warns_per_stream_in_stream_order():
+    gt = GroundTruth(annotations=(), images=(ImageInfo(id=1),))
+    persons = [det(Box(0, 0, 10, 10), image_id=42, det_id=3), det(Box(0, 0, 10, 10), image_id=1, det_id=4)]
+    parts = [part_det(Box(0, 0, 2, 2), image_id=7, det_id=5), part_det(Box(0, 0, 2, 2), image_id=8, det_id=6)]
+    result = group_into_scenes(gt, persons, parts)
+    assert result.warnings == (
+        "person detection det_id=3 references unknown image id 42",
+        "part detection det_id=5 references unknown image id 7",
+        "part detection det_id=6 references unknown image id 8",
+    )
+    assert [(s.image_id, [d.det_id for d in s.persons], s.parts) for s in result.scenes] == [(1, [4], ())]
+
+
+def test_group_joint_stream_without_ground_truth():
+    # With no ground truth, the scenes are the images holding a kept detection: a
+    # person entry of the person stream or a part entry of the part stream.
+    stream = [
+        det(Box(0, 0, 10, 10), image_id=4, det_id=0),
+        part_det(Box(1, 1, 2, 2), image_id=2, det_id=1),
+        det(Box(0, 0, 10, 10), image_id=1, det_id=2),
+        part_det(Box(1, 1, 2, 2), image_id=4, det_id=3),
+    ]
+    result = group_into_scenes(None, stream, stream)
+    assert result.warnings == ()
+    assert [(s.image_id, [d.det_id for d in s.persons], [d.det_id for d in s.parts], s.gt)
+            for s in result.scenes] == [(1, [2], [], ()), (2, [], [1], ()), (4, [0], [3], ())]
+    assert group_into_scenes(None, stream[1:2], stream[:1]).scenes == ()
 
 
 def test_group_scene_partition_accounting():

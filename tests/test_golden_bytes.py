@@ -14,11 +14,13 @@ digests too. When an output is meant to change, take the new digests from
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from click.testing import CliRunner
 
 from partmon.cli import cli
+from partmon.datamodel import json_text
 
 runner = CliRunner()
 
@@ -110,3 +112,88 @@ def produce() -> dict[str, str]:
 def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert produce() == GOLDEN
+
+
+# A corpus on which the confidence rule changes what evaluate and monitor keep:
+# applying a strict operating point non-strictly changes every report below.
+STRICT_SYNTH_ARGS = ["--seed", "7", "--n-scenes", "60", "--jitter", "2", "--ghost-person-prob", "0.3"]
+
+# Taken when the rule was not yet recorded in the operating point, with
+# --strict-conf passed to calibrate, evaluate and monitor alike.
+STRICT_GOLDEN = {
+    "strict-op_existential.json": "28b85b1195508b6cca9b644c2241b11b1db0bfccf0bff6ccc25221fd9f4ef6e3",
+    "strict-op_existential.json.manifest.json": "5c1e25447c38b3497ddf628f10dbc38ad85f86e82fecb64d4577e95e775debe6",
+    "strict-per-image_existential.json": "59f84dd4f65bfbc658b7063057d3f39cd3698e656d4bd3e12a7879fc8717a6b5",
+    "strict-per-image_existential.json.manifest.json": "af2c45f749655de61791d19f7c3050a4cabe671ea301252deb5f663cf470dd1e",
+    "strict-per-image_existential.csv": "a444e738c46aaae5bb43a4c6cf90d8f175ea3fdd859adbde679a06598796d016",
+    "strict-per-image_existential.csv.manifest.json": "0af039a415f2a4b311b88007de9ea13cd6d03e7e403a60311d11dc48fe43c0fc",
+    "strict-per-object_existential.json": "924e86b2cc1bc43e28fd574334689fcc5419209fd3a0d35c1d7f4e03e49b5667",
+    "strict-per-object_existential.json.manifest.json": "b2e914ffa48e3f11f7afd928b965e33f0611fcb471b21f8479ff3878442193e6",
+    "strict-per-object_existential.csv": "4e01a44608a24c550adf567eeb27f03eb081c317e9d0bb39b5bb83af14161b7f",
+    "strict-per-object_existential.csv.manifest.json": "5323355651065850a4760d527ab7fe7e8982369988fd7ae132215a883bb6809f",
+    "strict-monitor-image_existential.jsonl": "2572761b5316069382e0a2bde1dffc93d869ebb857c93eb772b34f34ccacf19f",
+    "strict-monitor-image_existential.jsonl.manifest.json": "4a3a6a3d3f4b0b4509508d10494cbcf57d845b787168f35b5e5bdda62d2690de",
+    "strict-monitor-object_existential.jsonl": "c54b1f30c6d1958d8d57f656c03f2e821009dc6a35e8c8792abdedea596baf00",
+    "strict-monitor-object_existential.jsonl.manifest.json": "fe8b734650cff504005d5a97893f214981670509fb38c4dadc152983e610565b",
+    "strict-op_greedy.json": "28b85b1195508b6cca9b644c2241b11b1db0bfccf0bff6ccc25221fd9f4ef6e3",
+    "strict-op_greedy.json.manifest.json": "72d491f1e647b4e7137840a56193ab21401e109b84b0e1e89f54fac16b571281",
+    "strict-per-image_greedy.json": "07470ba8e4389c7e054ac9b3408a392c614ff2f2143038dcd0f68fd1fe7fac28",
+    "strict-per-image_greedy.json.manifest.json": "7019f9485c180ef89c7a597903b10a22875c361a946e014e5fb906976dec4f4c",
+    "strict-per-image_greedy.csv": "a444e738c46aaae5bb43a4c6cf90d8f175ea3fdd859adbde679a06598796d016",
+    "strict-per-image_greedy.csv.manifest.json": "0b1e34437230b93165e5562e695e3672c96fbafc651c7131119a161aaecbb99a",
+    "strict-per-object_greedy.json": "09b503deb40515294cdf9ad7d9ca3c932084db97c9172226150e565ae971d834",
+    "strict-per-object_greedy.json.manifest.json": "bdb90d2a5ba93e95887043b58d2b173ace8bbc19472c936d5fbf1cd84ee21da6",
+    "strict-per-object_greedy.csv": "4e01a44608a24c550adf567eeb27f03eb081c317e9d0bb39b5bb83af14161b7f",
+    "strict-per-object_greedy.csv.manifest.json": "92f982aa90407705282f6d1c20050e4e1e2e653ee66743181862ef5b08f0621b",
+    "strict-monitor-image_greedy.jsonl": "2572761b5316069382e0a2bde1dffc93d869ebb857c93eb772b34f34ccacf19f",
+    "strict-monitor-image_greedy.jsonl.manifest.json": "3724160aac5f8d81cb54a3c313a1824cc183c64943f4ac3c0328c5c54a69cd2c",
+    "strict-monitor-object_greedy.jsonl": "c54b1f30c6d1958d8d57f656c03f2e821009dc6a35e8c8792abdedea596baf00",
+    "strict-monitor-object_greedy.jsonl.manifest.json": "792860a6090b822757d8ce7df891fc74d2639e389f12190351e947ee23e2ef01",
+}
+
+
+def _as_before_strict_conf_was_recorded(name: str) -> bytes:
+    """The bytes of ``name``, less the operating point's ``"strict_conf": true``.
+
+    Dropping the key also restores the operating-point file's hash in a manifest's inputs.
+    """
+    data = Path(name).read_bytes()
+    if not name.endswith(".json"):
+        return data
+    payload = json.loads(data)
+    manifest = payload.get("manifest", payload)  # a JSON report embeds its manifest
+    op = manifest.get("operating_point", payload)  # an operating-point file is one
+    assert op.pop("strict_conf") is True
+    source = manifest.get("inputs", {}).get("operating_point")
+    if source is not None:
+        source["sha256"] = hashlib.sha256(_as_before_strict_conf_was_recorded(source["path"])).hexdigest()
+    return json_text(payload).encode("utf-8")
+
+
+def produce_strict() -> dict[str, str]:
+    """Calibrate with --strict-conf, then evaluate and monitor without it; return the digests of
+    every file as it would read without the recorded rule."""
+    run("synth", *STRICT_SYNTH_ARGS, "--out", "strict")
+    inputs = ["--gt", "strict/gt.json", "--persons", "strict/persons.json",
+              "--parts", "strict/parts.json", "--category-map", "strict/category_map.json"]
+    names = []
+    for matching in ("existential", "greedy"):
+        op = f"strict-op_{matching}.json"
+        run("calibrate", *inputs, "--matching", matching, "--strict-conf", "--out", op)
+        names += [op, op + ".manifest.json"]
+        for protocol in ("per-image", "per-object"):
+            for fmt in ("json", "csv"):
+                out = f"strict-{protocol}_{matching}.{fmt}"
+                run("evaluate", *inputs, "--matching", matching, "--operating-point", op,
+                    "--protocol", protocol, "--format", fmt, "--out", out)
+                names += [out, out + ".manifest.json"]
+        for mode in ("image", "object"):
+            out = f"strict-monitor-{mode}_{matching}.jsonl"
+            run("monitor", *inputs[2:], "--operating-point", op, "--mode", mode, "--out", out)
+            names += [out, out + ".manifest.json"]
+    return {name: hashlib.sha256(_as_before_strict_conf_was_recorded(name)).hexdigest() for name in names}
+
+
+def test_strict_operating_point_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert produce_strict() == STRICT_GOLDEN
