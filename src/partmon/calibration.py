@@ -20,7 +20,6 @@ threshold (fewer retained detections), equal MCC prefers the smaller alpha
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -33,6 +32,7 @@ from .monitor import overlaps
 from .partition import GtPartition, MatchingMode, matches, partition
 
 _ONE_PLUS_ULP = math.nextafter(1.0, math.inf)
+_OPERATING_POINT_KEYS = ("conf", "alpha_fp", "alpha_fn", "tau", "strict_conf")
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,9 @@ class OperatingPoint:
     def from_json_dict(cls, raw: dict) -> "OperatingPoint":
         if not isinstance(raw, dict):
             raise ValidationError(f"invalid operating point: expected a JSON object, got {type(raw).__name__}")
+        unknown = [key for key in raw if key not in _OPERATING_POINT_KEYS]
+        if unknown:  # a misspelt key would otherwise load as its default
+            raise ValidationError(f"invalid operating point: unknown key {unknown[0]!r}")
         if not isinstance(raw.get("conf", {}), dict):
             raise ValidationError("invalid operating point: 'conf' must be an object of class thresholds")
 
@@ -240,13 +243,14 @@ def apply_confidence_thresholds(
     strict: bool = False,
 ) -> list[Scene]:
     """Drop detections below their class threshold; scenes keep their ground truth."""
-    passes = operator.gt if strict else operator.ge
     try:
         return [
             Scene(
                 image_id=s.image_id,
-                persons=tuple(d for d in s.persons if passes(d.score, conf[d.category])),
-                parts=tuple(d for d in s.parts if passes(d.score, conf[d.category])),
+                persons=tuple(d for d in s.persons
+                              if (d.score > conf[d.category] if strict else d.score >= conf[d.category])),
+                parts=tuple(d for d in s.parts
+                            if (d.score > conf[d.category] if strict else d.score >= conf[d.category])),
                 gt=s.gt,
             )
             for s in scenes

@@ -417,7 +417,7 @@ def cmd_validate(gt, persons, parts, category_map, operating_point):
         op = OperatingPoint.load(operating_point)
         click.echo(
             f"operating point: tau={op.tau}, alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn}, "
-            f"{len(op.conf_thresholds)} class thresholds"
+            f"{len(op.conf_thresholds)} class thresholds, keeps score {'>' if op.strict_conf else '>='} t"
         )
     click.echo("ok")
 

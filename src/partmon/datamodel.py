@@ -38,6 +38,8 @@ class DetectionClass(Enum):
     LOWER_ARM = "LowerArm"
     HEAD = "Head"
 
+    __hash__ = object.__hash__  # members are singletons and compare by identity; Enum's hash is Python-level
+
     @property
     def is_part(self) -> bool:
         return self is not DetectionClass.PERSON

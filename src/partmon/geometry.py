@@ -45,6 +45,8 @@ def overlap_pairs(records: Sequence, boxes: Sequence[tuple]) -> list[tuple[int, 
 
     Both extents are positive, and the intersection is bit for bit
     ``intersection_area(records[i].box, box_j)``: the same float operations in the same order.
+    A pair is skipped unless ``bx1 < ax2 and bx2 > ax1``. That is exact: otherwise min(ax2, bx2) <= max(ax1, bx1),
+    so the width is <= 0. The width test stays: a far edge that collapses (x + w == x) gives width 0 past it.
     """
     pairs = []
     for i, record in enumerate(records):
@@ -53,11 +55,12 @@ def overlap_pairs(records: Sequence, boxes: Sequence[tuple]) -> list[tuple[int, 
         # min(ax2, bx2) - max(ax1, bx1), as in intersection_area: min(p, q) keeps p
         # unless q < p, and max(p, q) keeps p unless q > p.
         for bx1, by1, bx2, by2, area_b, j in boxes:
-            iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
-            if iw > 0:
-                ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
-                if ih > 0:
-                    pairs.append((i, j, iw * ih, area_b))
+            if bx1 < ax2 and bx2 > ax1:
+                iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+                if iw > 0:
+                    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+                    if ih > 0:
+                        pairs.append((i, j, iw * ih, area_b))
     return pairs
 
 

@@ -300,6 +300,16 @@ def test_validate_command(tmp_path, corpus_dir):
     assert missing_map.exit_code == 2
 
 
+def test_validate_prints_the_recorded_confidence_rule(tmp_path):
+    lines = []
+    for strict in (False, True):
+        op = write_json(tmp_path / f"op_{strict}.json", {**ZERO_OP, "strict_conf": strict})
+        result = runner.invoke(cli, ["validate", "--operating-point", op])
+        assert result.exit_code == 0, result.output
+        lines.append(result.output.splitlines()[0])
+    assert lines[0].endswith(", keeps score >= t") and lines[1].endswith(", keeps score > t"), lines
+
+
 def test_baseline_wiring_person_stream_as_parts(tmp_path, corpus_dir):
     # The second person detector's output doubles as the "part" stream by
     # mapping its person category onto a part class.
@@ -508,6 +518,9 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
      "invalid operating point: alpha_fn must be a number, got '0_0.5'"),
     ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5, "strict_conf": 1}',
      "invalid operating point: 'strict_conf' must be a boolean, got 1"),
+    # A misspelt key would load as its default: here a strict operating point as a non-strict one.
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5, "strict_cof": true}',
+     "invalid operating point: unknown key 'strict_cof'"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -520,7 +533,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "underscore-image-id", "non-ascii-space-gt-image-id", "non-ascii-category-id", "underscore-bbox",
         "non-ascii-bbox", "non-ascii-score", "padded-category-map-key", "padded-image-id",
         "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score", "boolean-jitter-config",
-        "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf"])
+        "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf", "misspelt-strict-conf"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))

@@ -58,6 +58,11 @@ def test_taxonomy_has_nine_classes_one_person():
     assert all(c.is_part for c in PART_CLASSES)
 
 
+def test_classes_hash_by_identity():
+    # Enum's own __hash__ runs in Python on every class-keyed lookup of the live frame path.
+    assert DetectionClass.__hash__ is object.__hash__
+
+
 def test_detection_validation():
     with pytest.raises(ValidationError):
         det(Box(0, 0, 10, 10), score=1.5)

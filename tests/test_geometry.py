@@ -1,5 +1,7 @@
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from partmon.geometry import (
@@ -8,6 +10,7 @@ from partmon.geometry import (
     area,
     intersection_area,
     iou,
+    overlap_pairs,
     part_overlap_at_least,
 )
 
@@ -123,3 +126,33 @@ def test_edge_touching_boxes_have_zero_intersection():
     assert intersection_area(a, Box(10, 0, 10, 10)) == 0.0
     assert intersection_area(a, Box(0, 10, 10, 10)) == 0.0
     assert intersection_area(a, Box(10, 10, 5, 5)) == 0.0  # corner contact
+
+
+# Edges from a small pool touch often. At 1e16 the float spacing is 2, so a
+# width of 1.0 collapses the far edge onto the near one (x + w == x); the
+# subnormal widths collapse everywhere but at 0.0.
+_kernel_edges = st.sampled_from([-1e16, -2.5, -1.0, 0.0, 1.0, 2.5, 1e16]) | st.floats(-1e3, 1e3)
+_kernel_extents = st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1.5, 3.5]) | st.floats(0.0, 1e3)
+_kernel_boxes = st.lists(st.builds(Box, _kernel_edges, _kernel_edges, _kernel_extents, _kernel_extents), max_size=5)
+
+
+@given(_kernel_boxes, _kernel_boxes)
+@example([Box(1e16 - 4, 0.0, 8.0, 1.0)], [Box(1e16, 0.0, 1.0, 1.0)])  # collapsed far edge inside a box
+@example([Box(1.0, 0.0, 3.5, 1.0)], [Box(2.5, 0.0, 5e-324, 1.0)])  # subnormal width that collapses
+@example([Box(-1.0, -1.0, 2.5, 2.5)], [Box(0.0, 0.0, 5e-324, 1.0)])  # subnormal width that stays
+@example([Box(-2.5, -1.0, 1.5, 1.0)], [Box(-1.0, -1.0, 1.0, 1.0), Box(-2.5, 0.0, 1.5, 1.0)])  # touching edges
+@example([Box(-2.5, 0.0, 3.5, 5e-324)], [Box(0.0, 0.0, 5e-324, 5e-324)])  # positive extents, product 0.0
+def test_overlap_pairs_is_the_brute_force_enumeration(records, others):
+    """The same pairs, in the same (i, j) order, with intersection_area's value.
+
+    A pair is reported when both extents are positive, even where their product rounds to 0.0.
+    So each axis is tested alone: by intersection_area on a strip of height 1, where it is the width.
+    """
+    def axis_overlaps(p, pw, q, qw):
+        return intersection_area(Box(p, 0.0, pw, 1.0), Box(q, 0.0, qw, 1.0)) > 0
+
+    tuples = [(b.x, b.y, b.x + b.w, b.y + b.h, area(b), j) for j, b in enumerate(others)]
+    expected = [(i, j, intersection_area(a, b), area(b))
+                for i, a in enumerate(records) for j, b in enumerate(others)
+                if axis_overlaps(a.x, a.w, b.x, b.w) and axis_overlaps(a.y, a.h, b.y, b.h)]
+    assert overlap_pairs([SimpleNamespace(box=a) for a in records], tuples) == expected
