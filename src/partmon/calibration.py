@@ -1,16 +1,16 @@
 """Operating-point selection.
 
 Per-class confidence thresholds come from an exhaustive sweep over the
-observed score values, keeping the threshold with the best F1. Under either
-matching mode, one matching pass per image and class fixes which detections
-and ground-truth boxes count at every threshold, so each candidate is scored
-by bisection. ``build_operating_point`` takes those images from one pass over
-its scenes. The two overlap parameters are swept independently over a regular
-grid in (0, 1) and chosen by the Matthews correlation of the per-image alerts
-against the ground-truth image labels; they are separable because the FP
-alert depends only on alpha_fp and the FN alert only on alpha_fn. Each alert
-turns on at most once as alpha grows, so one overlap pass per scene locates
-that point for both alerts, with no rule evaluation per grid value.
+observed scores, keeping the best F1. ``build_operating_point`` gathers each
+class's detections and ground truth in one pass over the scenes. Under
+either matching mode, one matching pass per image fixes which of them count
+at every threshold, so each candidate is scored by bisection. The two
+overlap parameters are swept independently over a regular grid in (0, 1) and
+chosen by the Matthews correlation of the per-image alerts against the
+ground-truth image labels; they are separable because the FP alert depends
+only on alpha_fp and the FN alert only on alpha_fn. Each alert turns on at
+most once as alpha grows, so one overlap pass per scene locates that point
+for both alerts, with no rule evaluation per grid value.
 
 Tie-breaking is deterministic and documented: equal F1 prefers the higher
 threshold (fewer retained detections), equal MCC prefers the smaller alpha
@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _plain, read_json, write_json
 from .errors import CalibrationError, ValidationError
@@ -119,42 +119,6 @@ def alpha_grid(step: float) -> list[float]:
     return grid
 
 
-def _threshold(images: Collection[tuple[Sequence[Detection], Sequence[GtAnnotation]]], tau: float,
-               matching: MatchingMode, strict: bool) -> float:
-    """The best-F1 threshold of one class, from its (detections, ground truth) in each image."""
-    # Whether a detection matches does not depend on the threshold. Under
-    # existential matching that is immediate. Under greedy matching the
-    # detections kept at any threshold are a prefix of the score-descending
-    # visiting order, so the full pass decides them exactly as a pass over
-    # the kept ones would. A ground-truth box is missed at threshold t iff the
-    # best score among the detections matched to it (under greedy matching,
-    # the one that consumed it) is not retained at t. So one matching pass per
-    # image suffices, and each threshold is three bisections.
-    matched_scores, best_scores = [], []
-    for dets, gts in images:
-        best, matched = [-1.0] * len(gts), {}
-        for i, j in matches(dets, gts, tau, matching):
-            matched[i] = score = dets[i].score
-            best[j] = max(best[j], score)
-        matched_scores += matched.values()
-        best_scores += best
-    all_scores = sorted(d.score for dets, _ in images for d in dets)
-    matched_scores.sort()
-    best_scores.sort()
-    cut = bisect_right if strict else bisect_left
-    candidates = sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)})
-    best_t, best_f1 = candidates[0], -1.0
-    for t in candidates:
-        kept = len(all_scores) - cut(all_scores, t)
-        tp = len(matched_scores) - cut(matched_scores, t)
-        fn = cut(best_scores, t)
-        precision, recall = tp / kept if kept else 0.0, tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-        if f1 >= best_f1:
-            best_t, best_f1 = t, f1
-    return best_t
-
-
 def select_confidence_threshold(
     dets: Sequence[Detection],
     gts: Sequence[GtAnnotation],
@@ -180,7 +144,36 @@ def select_confidence_threshold(
         by_img.setdefault(det.image_id, ([], []))[0].append(det)
     for gt in gts:
         by_img.setdefault(gt.image_id, ([], []))[1].append(gt)
-    return _threshold(by_img.values(), tau, matching, strict)
+    # Whether a detection matches does not depend on the threshold. Under
+    # existential matching that is immediate. Under greedy matching the
+    # detections kept at any threshold are a prefix of the score-descending
+    # visiting order, so the full pass decides them as a pass over the kept
+    # ones would. A ground-truth box is missed at threshold t iff the best score
+    # among the detections matched to it (under greedy matching, the one that
+    # consumed it) is not retained at t: one matching pass per image suffices.
+    matched_scores, best_scores = [], []
+    for img_dets, img_gts in by_img.values():
+        best, matched = [-1.0] * len(img_gts), {}
+        for i, j in matches(img_dets, img_gts, tau, matching):
+            matched[i] = score = img_dets[i].score
+            best[j] = max(best[j], score)
+        matched_scores += matched.values()
+        best_scores += best
+    all_scores = sorted(d.score for d in dets)
+    matched_scores.sort()
+    best_scores.sort()
+    cut = bisect_right if strict else bisect_left
+    candidates = sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)})
+    best_t, best_f1 = candidates[0], -1.0
+    for t in candidates:
+        kept = len(all_scores) - cut(all_scores, t)
+        tp = len(matched_scores) - cut(matched_scores, t)
+        fn = cut(best_scores, t)
+        precision, recall = tp / kept if kept else 0.0, tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if f1 >= best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
 
 
 def select_alphas(
@@ -271,24 +264,20 @@ def build_operating_point(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    # Per class, the (detections, ground truth) of each scene that has either.
-    by_class: dict[DetectionClass, list[tuple[list[Detection], list[GtAnnotation]]]] = {}
+    dets_by_class: dict[DetectionClass, list[Detection]] = {}
+    gts_by_class: dict[DetectionClass, list[GtAnnotation]] = {}
     for scene in scenes:
-        split: dict[DetectionClass, tuple[list[Detection], list[GtAnnotation]]] = {}
         for det in (*scene.persons, *scene.parts):
-            split.setdefault(det.category, ([], []))[0].append(det)
+            dets_by_class.setdefault(det.category, []).append(det)
         for ann in scene.gt:
-            split.setdefault(ann.category, ([], []))[1].append(ann)
-        for cls, pair in split.items():
-            by_class.setdefault(cls, []).append(pair)
-    detected = sorted((c for c, images in by_class.items() if any(dets for dets, _ in images)), key=lambda c: c.value)
-    if not detected:
+            gts_by_class.setdefault(ann.category, []).append(ann)
+    if not dets_by_class:
         raise CalibrationError("no detections to calibrate on")
     conf = {}
-    for cls in detected:
-        if not any(gts for _, gts in by_class[cls]):
+    for cls in sorted(dets_by_class, key=lambda c: c.value):
+        if cls not in gts_by_class:
             raise CalibrationError(f"F1 undefined for class {cls.value}: no ground-truth instances")
-        conf[cls] = _threshold(by_class[cls], tau, matching, strict_conf)
+        conf[cls] = select_confidence_threshold(dets_by_class[cls], gts_by_class[cls], tau, matching, strict_conf)
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]

@@ -7,8 +7,10 @@ recording the command, the tool version, input file hashes, and the
 operating point used; JSON reports embed it inline and every output
 additionally gets a ``<out>.manifest.json`` sidecar.
 
-Each flag can also be supplied through ``--config FILE`` (a JSON object
-keyed by the flag's underscored name); explicit flags win on conflict.
+Each optional flag can also be supplied through ``--config FILE`` (a JSON
+object keyed by the flag's underscored name); explicit flags win on conflict.
+Required options (the input files, ``--operating-point`` and ``--out``) must
+be given as flags: click checks them before the config is read.
 """
 
 from __future__ import annotations

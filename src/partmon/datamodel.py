@@ -40,13 +40,6 @@ class DetectionClass(Enum):
 
     __hash__ = object.__hash__  # members are singletons and compare by identity; Enum's hash is Python-level
 
-    @property
-    def is_part(self) -> bool:
-        return self is not DetectionClass.PERSON
-
-
-PART_CLASSES = frozenset(c for c in DetectionClass if c.is_part)
-
 _CLASS_BY_NAME = {c.value: c for c in DetectionClass}
 
 

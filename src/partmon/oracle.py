@@ -5,6 +5,10 @@ inline box arithmetic, on purpose: these functions share no computation with
 the production modules, so agreement between the two on randomized corpora
 is meaningful evidence. Do not "optimize" or fold them into the production
 code; slowness is the point.
+
+``oracle_threshold`` and ``oracle_alphas`` are the brute-force references of
+the two calibration choices: an F1 rescan over every candidate threshold, and
+an MCC argmax over every point of the alpha grid.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene
 from .evaluation import Balances, BinaryCounts, ObjectConfusion
 from .monitor import AlertPair, MonitorVerdict
-from .partition import GtPartition
+from .partition import GtPartition, MatchingMode
 
 
 def _inter(a, b) -> float:
@@ -242,3 +246,80 @@ def oracle_mcc(tp: int, fp: int, fn: int, tn: int) -> float:
     if d1 == 0 or d2 == 0 or d3 == 0 or d4 == 0:
         return 0.0
     return (tp * tn - fp * fn) / math.sqrt(d1 * d2 * d3 * d4)
+
+
+def oracle_threshold(
+    dets: Sequence[Detection],
+    gts: Sequence[GtAnnotation],
+    tau: float,
+    matching: MatchingMode = MatchingMode.EXISTENTIAL,
+    strict: bool = False,
+) -> float:
+    """Best-F1 confidence threshold of one class with at least one detection.
+
+    Every candidate (each distinct score, 0.0, and the next float above the
+    top score) re-partitions each image's kept detections (score >= t, or
+    score > t with ``strict``) from scratch. On equal F1 the higher threshold
+    wins.
+    """
+    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max(d.score for d in dets), math.inf)})
+    best_t, best_f1 = None, -1.0
+    for t in candidates:
+        tp = fp = fn = 0
+        for image_id in {r.image_id for r in [*dets, *gts]}:
+            kept = [d for d in dets if d.image_id == image_id and (d.score > t if strict else d.score >= t)]
+            image_gts = [g for g in gts if g.image_id == image_id]
+            if matching is MatchingMode.GREEDY:
+                part = oracle_greedy_partition(kept, image_gts, tau)
+            else:
+                part = oracle_partition(kept, image_gts, tau)
+            tp += len(part.tp_gt)
+            fp += len(part.fp_gt)
+            fn += len(part.fn_gt)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if f1 >= best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
+
+
+def oracle_alphas(scenes: Sequence[Scene], tau: float, matching: MatchingMode, step: float) -> tuple[float, float]:
+    """(alpha_fp, alpha_fn) of maximal MCC over the grid {step, 2*step, ...} in (0, 1).
+
+    Each scene is labelled by its oracle partition and alerted by
+    ``oracle_per_image`` at every grid point; each alert's MCC is maximised
+    on its own, and on equal MCC the smaller alpha wins.
+    """
+    grid = []
+    k = 1
+    while round(k * step, 10) < 1.0 - 1e-9:
+        grid.append(round(k * step, 10))
+        k += 1
+    labels = []
+    for scene in scenes:
+        gt_persons = [a for a in scene.gt if a.category is DetectionClass.PERSON]
+        if matching is MatchingMode.GREEDY:
+            part = oracle_greedy_partition(scene.persons, gt_persons, tau)
+        else:
+            part = oracle_partition(scene.persons, gt_persons, tau)
+        labels.append((len(part.fp_gt) >= 1, len(part.fn_gt) >= 1))
+    best, best_mcc = [None, None], [-2.0, -2.0]  # every MCC is at least -1
+    for alpha in grid:
+        cells = [[0, 0, 0, 0], [0, 0, 0, 0]]  # per alert: tp, fp, fn, tn
+        for scene, label in zip(scenes, labels):
+            alert = oracle_per_image(scene.persons, scene.parts, alpha, alpha)
+            for kind, predicted in enumerate((alert.alert_fp, alert.alert_fn)):
+                if predicted and label[kind]:
+                    cells[kind][0] += 1
+                elif predicted:
+                    cells[kind][1] += 1
+                elif label[kind]:
+                    cells[kind][2] += 1
+                else:
+                    cells[kind][3] += 1
+        for kind in range(2):
+            mcc = oracle_mcc(*cells[kind])
+            if mcc > best_mcc[kind]:
+                best[kind], best_mcc[kind] = alpha, mcc
+    return best[0], best[1]

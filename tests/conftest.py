@@ -4,11 +4,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from partmon.calibration import alpha_grid
 from partmon.datamodel import Detection, DetectionClass, GtAnnotation
-from partmon.evaluation import binary_metrics, per_image_counts
 from partmon.geometry import Box
-from partmon.monitor import per_image_rule
 
 # Integer-valued coordinates keep all box arithmetic exact in floats, so
 # equality-based invariants can be asserted without tolerances.
@@ -38,17 +35,3 @@ def ann(box: Box, image_id: int = 1, category: DetectionClass = DetectionClass.P
         ann_id: int | None = None) -> GtAnnotation:
     return GtAnnotation(image_id=image_id, category=category, box=box, ann_id=ann_id)
 
-
-def rule_argmax_alphas(scenes, partitions, step):
-    """Literal grid argmax: ``per_image_rule`` on every scene at every grid point.
-
-    Each alert's MCC is maximised on its own; ties keep the smaller alpha.
-    """
-    best = {}
-    for alpha in alpha_grid(step):
-        alerts = [per_image_rule(s.persons, s.parts, alpha, alpha) for s in scenes]
-        for kind, counts in zip(("fp", "fn"), per_image_counts(scenes, partitions, alerts)):
-            mcc = binary_metrics(counts)[2]
-            if kind not in best or mcc > best[kind][1]:
-                best[kind] = (alpha, mcc)
-    return best["fp"][0], best["fn"][0]

@@ -16,11 +16,11 @@ from partmon.calibration import (
 from partmon.datamodel import DetectionClass, Scene
 from partmon.errors import CalibrationError, ValidationError
 from partmon.geometry import Box, DegeneratePartBoxError
-from partmon.oracle import oracle_greedy_partition, oracle_mcc, oracle_partition, oracle_per_image
+from partmon.oracle import oracle_alphas, oracle_threshold
 from partmon.partition import MatchingMode, partition
 from partmon.synth import SynthConfig, generate
 
-from conftest import ann, det, part_det, pos_boxes, rule_argmax_alphas
+from conftest import ann, det, part_det, pos_boxes
 
 
 def test_alpha_grid_default_step():
@@ -95,25 +95,6 @@ def test_threshold_sweep_strict_mode_uses_exclusive_comparison():
     assert select_confidence_threshold(dets, gts, tau=0.5, strict=True) == 0.0
 
 
-def _f1_by_rescan(dets, gts, tau, threshold, strict=False):
-    kept = [d for d in dets if (d.score > threshold if strict else d.score >= threshold)]
-    by_img = {}
-    for d in kept:
-        by_img.setdefault(d.image_id, []).append(d)
-    gt_by_img = {}
-    for g in gts:
-        gt_by_img.setdefault(g.image_id, []).append(g)
-    tp = fp = fn = 0
-    for img in set(by_img) | set(gt_by_img):
-        result = oracle_partition(by_img.get(img, []), gt_by_img.get(img, []), tau)
-        tp += len(result.tp_gt)
-        fp += len(result.fp_gt)
-        fn += len(result.fn_gt)
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_threshold_is_argmax_under_independent_resweeep(seed):
     corpus = generate(SynthConfig(seed=seed, n_scenes=10, drop_person_prob=0.3,
@@ -122,38 +103,7 @@ def test_threshold_is_argmax_under_independent_resweeep(seed):
     gts = [a for a in corpus.gt.annotations if a.category is DetectionClass.PERSON]
     if not dets:
         pytest.skip("corpus has no person detections")
-    chosen = select_confidence_threshold(dets, gts, tau=0.5)
-    best = _f1_by_rescan(dets, gts, 0.5, chosen)
-    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max(d.score for d in dets), math.inf)})
-    for t in candidates:
-        f1 = _f1_by_rescan(dets, gts, 0.5, t)
-        assert best >= f1 or best == pytest.approx(f1)
-        if f1 == best:
-            assert chosen >= t  # ties must resolve toward the higher threshold
-
-
-def _greedy_f1_by_rescan(dets, gts, tau, threshold, strict):
-    """F1 of a literal greedy re-partition of every image at one threshold."""
-    tp = fp = fn = 0
-    for img in {d.image_id for d in dets} | {g.image_id for g in gts}:
-        kept = [d for d in dets if d.image_id == img and (d.score > threshold if strict else d.score >= threshold)]
-        result = oracle_greedy_partition(kept, [g for g in gts if g.image_id == img], tau)
-        tp += len(result.tp_gt)
-        fp += len(result.fp_gt)
-        fn += len(result.fn_gt)
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
-
-
-def _greedy_argmax_threshold(dets, gts, tau, strict):
-    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max(d.score for d in dets), math.inf)})
-    best_t, best_f1 = None, -1.0
-    for t in candidates:
-        f1 = _greedy_f1_by_rescan(dets, gts, tau, t, strict)
-        if f1 >= best_f1:  # ties go to the higher threshold
-            best_t, best_f1 = t, f1
-    return best_t
+    assert select_confidence_threshold(dets, gts, tau=0.5) == oracle_threshold(dets, gts, 0.5)
 
 
 # Two ground-truth persons four pixels apart. A detection at x = 1 overlaps
@@ -177,7 +127,7 @@ def _greedy_case(*dets):
 ], ids=["missed-until-its-consumer", "tied-scores"])
 def test_greedy_threshold_on_overlapping_persons(dets, strict):
     chosen = select_confidence_threshold(dets, [_LEFT, _RIGHT], 0.5, matching=MatchingMode.GREEDY, strict=strict)
-    assert chosen == _greedy_argmax_threshold(dets, [_LEFT, _RIGHT], 0.5, strict)
+    assert chosen == oracle_threshold(dets, [_LEFT, _RIGHT], 0.5, MatchingMode.GREEDY, strict)
 
 
 @st.composite
@@ -196,14 +146,16 @@ def _greedy_corpus(draw):
     return draw(st.permutations(dets)), gts
 
 
+@pytest.mark.parametrize("matching", list(MatchingMode), ids=lambda mode: mode.value)
 @settings(max_examples=200, deadline=None)
 @given(_greedy_corpus(), st.sampled_from([0.3, 0.5]), st.booleans())
-def test_greedy_threshold_is_argmax_of_rescan(corpus, tau, strict):
+def test_threshold_is_argmax_of_rescan_on_clustered_persons(matching, corpus, tau, strict):
+    # Matching is many-to-many here: a detection can overlap several persons, a person several detections.
     dets, gts = corpus
     if not dets:
         return
-    chosen = select_confidence_threshold(dets, gts, tau, matching=MatchingMode.GREEDY, strict=strict)
-    assert chosen == _greedy_argmax_threshold(dets, gts, tau, strict)
+    chosen = select_confidence_threshold(dets, gts, tau, matching=matching, strict=strict)
+    assert chosen == oracle_threshold(dets, gts, tau, matching, strict)
 
 
 def _alpha_test_scenes():
@@ -272,31 +224,8 @@ def test_selected_alphas_are_argmax_under_independent_resweeep(seed):
                                   ghost_person_prob=0.3, ghost_part_prob=0.3, jitter=2.0))
     scenes = list(corpus.scenes())
     partitions = [partition(s.persons, s.gt_persons(), 0.5) for s in scenes]
-    alpha_fp, alpha_fn = select_alphas(scenes, partitions, grid_step=0.05)
-
-    def sweep(which):
-        best_alpha, best = None, -2.0
-        for alpha in [round(k * 0.05, 10) for k in range(1, 20)]:
-            tp = fp = fn = tn = 0
-            for scene, part in zip(scenes, partitions):
-                alert = oracle_per_image(scene.persons, scene.parts, alpha, alpha)
-                fired = alert.alert_fp if which == "fp" else alert.alert_fn
-                label = (len(part.fp_gt) >= 1) if which == "fp" else (len(part.fn_gt) >= 1)
-                if fired and label:
-                    tp += 1
-                elif fired:
-                    fp += 1
-                elif label:
-                    fn += 1
-                else:
-                    tn += 1
-            mcc = oracle_mcc(tp, fp, fn, tn)
-            if mcc > best:
-                best_alpha, best = alpha, mcc
-        return best_alpha
-
-    assert alpha_fp == sweep("fp")
-    assert alpha_fn == sweep("fn")
+    want = oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, 0.05)
+    assert select_alphas(scenes, partitions, grid_step=0.05) == want
 
 
 def test_select_alphas_deterministic_across_thread_counts():
@@ -343,7 +272,7 @@ def _grid_edge_scenes():
 def test_select_alphas_flip_on_exact_grid_coverage(step, expected):
     scenes, partitions = _grid_edge_scenes()
     assert select_alphas(scenes, partitions, grid_step=step) == expected
-    assert rule_argmax_alphas(scenes, partitions, step) == expected
+    assert oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step) == expected
 
 
 def _sparse_scenes():
@@ -375,7 +304,8 @@ def _sparse_scenes():
 @pytest.mark.parametrize("step", [0.25, 0.05, 0.01])
 def test_select_alphas_on_scenes_without_persons_or_parts(step):
     scenes, partitions = _sparse_scenes()
-    assert select_alphas(scenes, partitions, grid_step=step) == rule_argmax_alphas(scenes, partitions, step)
+    want = oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step)
+    assert select_alphas(scenes, partitions, grid_step=step) == want
 
 
 @pytest.mark.parametrize("step", [0.25, 0.05, 0.01])
@@ -397,7 +327,7 @@ def test_select_alphas_with_one_label_only_returns_smallest(step, positive):
     assert labels == {(positive, positive)}
     smallest = alpha_grid(step)[0]
     assert select_alphas(scenes, partitions, grid_step=step) == (smallest, smallest)
-    assert rule_argmax_alphas(scenes, partitions, step) == (smallest, smallest)
+    assert oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step) == (smallest, smallest)
 
 
 def test_select_alphas_rejects_part_box_whose_area_underflows():

@@ -356,6 +356,15 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert result.exit_code == 2
 
 
+def test_required_options_must_be_flags(tmp_path, corpus_dir):
+    # Click checks required options before the config is read, so a config cannot supply them.
+    cfg = write_json(tmp_path / "cfg.json", {"gt": str(corpus_dir / "gt.json"), "out": str(tmp_path / "op.json")})
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir)[2:], "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines()[-1] == "Error: Missing option '--gt'."
+    assert not (tmp_path / "op.json").exists()
+
+
 def assert_input_error(result, fragment):
     """Exit 2 with a one-line message naming the problem, never a traceback."""
     assert result.exit_code == 2, result.output

@@ -12,7 +12,6 @@ from partmon.datamodel import (
     GroundTruth,
     GtAnnotation,
     ImageInfo,
-    PART_CLASSES,
     Scene,
     dump_detections,
     dump_ground_truth,
@@ -53,9 +52,6 @@ def gt_file(tmp_path):
 
 def test_taxonomy_has_nine_classes_one_person():
     assert len(DetectionClass) == 9
-    assert len(PART_CLASSES) == 8
-    assert not DetectionClass.PERSON.is_part
-    assert all(c.is_part for c in PART_CLASSES)
 
 
 def test_classes_hash_by_identity():

@@ -19,12 +19,10 @@ from partmon.datamodel import DetectionClass, Scene
 from partmon.evaluation import object_confusion, per_image_counts
 from partmon.geometry import Box
 from partmon.monitor import overlaps, per_image_rule, per_object_rule
-from partmon.oracle import oracle_metrics, oracle_per_image, oracle_per_object
-from partmon.partition import partition
+from partmon.oracle import oracle_alphas, oracle_metrics, oracle_per_image, oracle_per_object
+from partmon.partition import MatchingMode, partition
 
 from conftest import ann, det, part_det, real_boxes, real_sizes
-
-from test_overlap_oracle import brute_force_alphas
 
 offsets = st.floats(-30.0, 30.0, allow_nan=False)
 fractions = st.floats(0.0, 1.0, allow_nan=False)
@@ -112,7 +110,7 @@ def test_rules_and_confusion_match_oracle_on_real_valued_scenes(scenes, tau, alp
 @given(scenes=corpora, tau=taus, step=st.sampled_from([0.05, 0.01]))
 def test_select_alphas_matches_brute_force_on_real_valued_scenes(scenes, tau, step):
     partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
-    assert select_alphas(scenes, partitions, step) == brute_force_alphas(scenes, tau, step)
+    assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, tau, MatchingMode.EXISTENTIAL, step)
 
 
 def test_overlaps_lists_each_overlapping_pair_once():
@@ -172,7 +170,7 @@ def test_select_alphas_on_a_part_whose_threshold_underflows(step, expected):
     ]
     partitions = [partition(s.persons, s.gt_persons(), 0.5) for s in scenes]
     assert select_alphas(scenes, partitions, step)[0] == expected
-    assert select_alphas(scenes, partitions, step) == brute_force_alphas(scenes, 0.5, step)
+    assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step)
 
 
 @pytest.mark.parametrize("ghost, real, step, expected", [
@@ -194,4 +192,4 @@ def test_select_alphas_counts_with_the_product_test_not_the_ratio(ghost, real, s
     ]
     partitions = [partition(s.persons, s.gt_persons(), 0.5) for s in scenes]
     assert select_alphas(scenes, partitions, step)[0] == expected
-    assert select_alphas(scenes, partitions, step) == brute_force_alphas(scenes, 0.5, step)
+    assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step)

@@ -18,10 +18,10 @@ from partmon.datamodel import DetectionClass, Scene
 from partmon.evaluation import balances, object_confusion, per_image_counts
 from partmon.geometry import Box
 from partmon.monitor import per_image_rule, per_object_rule
-from partmon.oracle import oracle_mcc, oracle_metrics, oracle_partition, oracle_per_image
-from partmon.partition import partition
+from partmon.oracle import oracle_alphas, oracle_metrics
+from partmon.partition import MatchingMode, partition
 
-from conftest import ann, det, part_det, pos_boxes, pos_sizes, rule_argmax_alphas
+from conftest import ann, det, part_det, pos_boxes, pos_sizes
 
 offsets = st.integers(-30, 30).map(float)
 part_sizes = st.integers(1, 40).map(float)
@@ -89,36 +89,12 @@ def test_metrics_match_oracle_on_overlapping_scenes(scenes, tau, alpha_fp, alpha
     assert balances(confusion) == want_balances
 
 
-def brute_force_alphas(scenes, tau, step):
-    """Grid argmax of each alert's MCC from the oracle rules; ties keep the smaller alpha."""
-    labels = [oracle_partition(s.persons, s.gt_persons(), tau) for s in scenes]
-    best = {}
-    for alpha in alpha_grid(step):
-        alerts = [oracle_per_image(s.persons, s.parts, alpha, alpha) for s in scenes]
-        for kind in ("fp", "fn"):
-            cells = [0, 0, 0, 0]  # tp, fp, fn, tn
-            for part, alert in zip(labels, alerts):
-                label = len(getattr(part, f"{kind}_gt")) >= 1
-                predicted = getattr(alert, f"alert_{kind}")
-                if predicted and label:
-                    cells[0] += 1
-                elif predicted:
-                    cells[1] += 1
-                elif label:
-                    cells[2] += 1
-                else:
-                    cells[3] += 1
-            mcc = oracle_mcc(*cells)
-            if kind not in best or mcc > best[kind][1]:
-                best[kind] = (alpha, mcc)
-    return best["fp"][0], best["fn"][0]
-
-
 @settings(max_examples=100, deadline=None)
 @given(scenes=corpora, tau=taus, step=st.sampled_from([0.05, 0.1, 0.25]))
 def test_select_alphas_matches_brute_force_on_overlapping_scenes(scenes, tau, step):
-    partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
-    assert select_alphas(scenes, partitions, step) == brute_force_alphas(scenes, tau, step)
+    for matching in MatchingMode:
+        partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in scenes]
+        assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, tau, matching, step)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,4 +102,4 @@ def test_select_alphas_matches_brute_force_on_overlapping_scenes(scenes, tau, st
 def test_select_alphas_matches_rule_at_every_grid_point(scenes, tau, step):
     # Integer boxes: coverage often lands exactly on a grid value, the edge of the >= test.
     partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
-    assert select_alphas(scenes, partitions, step) == rule_argmax_alphas(scenes, partitions, step)
+    assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, tau, MatchingMode.EXISTENTIAL, step)
