@@ -5,12 +5,10 @@ observed scores, keeping the best F1. ``build_operating_point`` gathers each
 class's detections and ground truth in one pass over the scenes. Under
 either matching mode, one matching pass per image fixes which of them count
 at every threshold, so each candidate is scored by bisection. The two
-overlap parameters are swept independently over a regular grid in (0, 1) and
-chosen by the Matthews correlation of the per-image alerts against the
-ground-truth image labels; they are separable because the FP alert depends
-only on alpha_fp and the FN alert only on alpha_fn. Each alert turns on at
-most once as alpha grows, so one overlap pass per scene locates that point
-for both alerts, with no rule evaluation per grid value.
+overlap parameters are chosen independently over a regular grid in (0, 1) by
+the Matthews correlation of the per-image alerts against the ground-truth
+image labels: the FP alert depends only on alpha_fp, the FN alert only on
+alpha_fn, and each turns on at most once as alpha grows.
 
 Tie-breaking is deterministic and documented: equal F1 prefers the higher
 threshold (fewer retained detections), equal MCC prefers the smaller alpha
@@ -19,10 +17,11 @@ threshold (fewer retained detections), equal MCC prefers the smaller alpha
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _plain, read_json, write_json
@@ -60,15 +59,10 @@ class OperatingPoint:
                 raise ValidationError(f"{name} must lie in (0, 1), got {value}")
 
     def to_json_dict(self) -> dict:
-        raw = {
-            "conf": {cls.value: value for cls, value in sorted(self.conf_thresholds.items(), key=lambda kv: kv[0].value)},
-            "alpha_fp": self.alpha_fp,
-            "alpha_fn": self.alpha_fn,
-            "tau": self.tau,
-        }
-        if self.strict_conf:  # written only when set, so a non-strict operating point keeps its bytes
-            raw["strict_conf"] = True
-        return raw
+        conf = {cls.value: value for cls, value in sorted(self.conf_thresholds.items(), key=lambda kv: kv[0].value)}
+        raw = {"conf": conf, "alpha_fp": self.alpha_fp, "alpha_fn": self.alpha_fn, "tau": self.tau}
+        # strict_conf is written only when set, so a non-strict operating point keeps its bytes.
+        return {**raw, "strict_conf": True} if self.strict_conf else raw
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "OperatingPoint":
@@ -105,18 +99,25 @@ class OperatingPoint:
         return cls.from_json_dict(read_json(path))
 
 
-def alpha_grid(step: float) -> list[float]:
-    """The candidate overlap values {step, 2*step, ...} inside (0, 1)."""
+def _grid_length(step: float) -> int:
+    """The number of points of ``alpha_grid(step)``, counted without building them."""
     if not 0.0 < step < 1.0:
         raise CalibrationError(f"grid step must lie in (0, 1), got {step}")
-    if round(step, 10) == 0.0:  # grid values start at 0.0, no alpha, in a list of ~1/step floats
+    if round(step, 10) == 0.0:  # grid values would start at 0.0, no alpha
         raise CalibrationError(f"grid step {step} rounds to 0 at the grid's 10 decimal places")
-    grid = []
-    while (value := round((len(grid) + 1) * step, 10)) < 1.0 - 1e-9:
-        grid.append(value)
-    if not grid:
+    n = int((1 - 1e-9) / step)  # within a few points of the count; the value test settles it
+    while n and round(n * step, 10) >= 1.0 - 1e-9:
+        n -= 1
+    while round((n + 1) * step, 10) < 1.0 - 1e-9:
+        n += 1
+    if not n:
         raise CalibrationError(f"grid step {step} leaves no grid point in (0, 1)")
-    return grid
+    return n
+
+
+def alpha_grid(step: float) -> list[float]:
+    """The candidate overlap values {step, 2*step, ...} inside (0, 1), rounded to 10 decimal places."""
+    return [round((k + 1) * step, 10) for k in range(_grid_length(step))]
 
 
 def select_confidence_threshold(
@@ -187,16 +188,12 @@ def select_alphas(
     Each alert type is scored independently against its own image labels
     (|fp_gt| >= 1 or |fn_gt| >= 1 per scene). Ties prefer the smaller alpha.
 
-    Each person x part pair passes the overlap test on a prefix of the grid,
-    since alpha * part_area never decreases as alpha grows. One
-    ``monitor.overlaps`` pass per scene gives each pair's prefix length:
-    ``bisect_right(grid, inter / part_area)``, moved by the exact test
-    ``inter >= grid[k] * part_area`` until that test decides it. The FP alert
-    turns on at grid index min over persons of (max over their parts), the FN
-    alert at min over parts of (max over persons), the grid's length meaning
-    never: exactly where the rules would flip, with no rule evaluated. Scenes
-    are counted by (label, flip index); running sums give the MCC at every
-    grid point.
+    Grid point k is ``round((k + 1) * grid_step, 10)``, computed on demand. A
+    pair passes the overlap test on a grid prefix of length ``int(inter /
+    part_area / grid_step)``, settled by ``inter >= grid[k] * part_area``. The
+    FP alert turns on at index min over persons of (max over their parts), the
+    FN alert at min over parts of (max over persons), the length meaning never.
+    Only index 0 and these flip indices, where the MCC changes, are scored.
 
     ``threads`` is accepted for compatibility and has no effect.
     """
@@ -204,28 +201,32 @@ def select_alphas(
         raise CalibrationError("cannot select alphas from an empty scene list")
     if len(partitions) != len(scenes):
         raise ValidationError(f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions")
-    grid = alpha_grid(grid_step)
-    n = len(grid)
-    # flips[kind][label][k]: scenes whose alert of that kind first turns on at grid[k]; k = n: never.
-    flips = [[[0] * (n + 1) for _ in range(2)] for _ in range(2)]
+    n = _grid_length(grid_step)
+    point = functools.cache(lambda k: round((k + 1) * grid_step, 10))  # alpha_grid(grid_step)[k]
+    # flips[kind][label][k]: scenes whose alert of that kind first turns on at point(k); k = n: never.
+    flips = [[Counter(), Counter()], [Counter(), Counter()]]
     for scene, part in zip(scenes, partitions):
         # best_fp[i]: grid points at which person i is supported; best_fn[j]: at which part j is covered.
         best_fp, best_fn = [0] * len(scene.persons), [0] * len(scene.parts)
-        for i, j, inter, part_area in overlaps(scene.persons, scene.parts, grid[0]):
-            k = bisect_right(grid, inter / part_area)
-            while k < n and inter >= grid[k] * part_area:
+        for i, j, inter, part_area in overlaps(scene.persons, scene.parts, point(0)):
+            if (k := int(inter / part_area / grid_step)) > n:  # coverage near 1: past the last point
+                k = n
+            while k < n and inter >= point(k) * part_area:
                 k += 1
-            while k and not inter >= grid[k - 1] * part_area:
+            while k and not inter >= point(k - 1) * part_area:
                 k -= 1
             best_fp[i], best_fn[j] = max(best_fp[i], k), max(best_fn[j], k)
         flips[0][len(part.fp_gt) >= 1][min(best_fp, default=n)] += 1
         flips[1][len(part.fn_gt) >= 1][min(best_fn, default=n)] += 1
 
     def best_alpha(neg, pos):
-        positives, negatives = sum(pos), sum(neg)
-        mccs = [mcc_from_counts(tp, fp, positives - tp, negatives - fp)
-                for _, tp, fp in zip(grid, accumulate(pos), accumulate(neg))]
-        return grid[mccs.index(max(mccs))]  # the first maximum: ties go to the smaller alpha
+        positives, negatives = sum(pos.values()), sum(neg.values())
+        best_k, best_mcc, tp, fp = 0, -2.0, 0, 0  # every MCC is at least -1
+        for k in sorted({0, *pos, *neg} - {n}):  # ascending, so ties go to the smaller alpha
+            tp, fp = tp + pos[k], fp + neg[k]
+            if (mcc := mcc_from_counts(tp, fp, positives - tp, negatives - fp)) > best_mcc:
+                best_k, best_mcc = k, mcc
+        return point(best_k)
 
     return best_alpha(*flips[0]), best_alpha(*flips[1])
 
@@ -281,5 +282,4 @@ def build_operating_point(
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]
-    alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step)
-    return OperatingPoint(conf_thresholds=conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau, strict_conf=strict_conf)
+    return OperatingPoint(conf, *select_alphas(filtered, partitions, grid_step), tau=tau, strict_conf=strict_conf)

@@ -1,10 +1,13 @@
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partmon.calibration as calibration
 from partmon.calibration import (
     OperatingPoint,
     alpha_grid,
@@ -38,6 +41,23 @@ def test_alpha_grid_without_interior_point_is_rejected():
     # k * step rounds to 1.0 already at k = 1, which leaves the grid empty.
     with pytest.raises(CalibrationError, match="no grid point"):
         alpha_grid(0.99999999999)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1, 0.07, 1 / 3, 0.25, 1e-3, 1e-5])
+def test_grid_length_is_counted_without_building_the_grid(step):
+    listed = []
+    while (value := round((len(listed) + 1) * step, 10)) < 1.0 - 1e-9:
+        listed.append(value)
+    assert calibration._grid_length(step) == len(alpha_grid(step)) == len(listed)
+    assert alpha_grid(step) == listed
+
+
+@pytest.fixture
+def unlisted_grid(monkeypatch):
+    """``alpha_grid`` made to fail, so that a sweep which lists the grid fails too."""
+    def refuse(step):
+        raise AssertionError(f"the sweep listed the grid of step {step}")
+    monkeypatch.setattr(calibration, "alpha_grid", refuse)
 
 
 @pytest.mark.parametrize("step", [4e-11, 1e-11, 5e-324])
@@ -273,6 +293,73 @@ def test_select_alphas_flip_on_exact_grid_coverage(step, expected):
     scenes, partitions = _grid_edge_scenes()
     assert select_alphas(scenes, partitions, grid_step=step) == expected
     assert oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step) == expected
+
+
+def test_select_alphas_when_the_quotient_overshoots_the_exact_test():
+    # A clean scene's part is covered 55 / 100, and 0.55 / 0.05 = 11.000000000000002,
+    # but 55 >= 0.55 * 100 is false in floats: its FP alert fires from 0.55 on, with
+    # the ghost's (covered 50 / 100). No alpha separates them, so the smallest wins.
+    def scene(image_id, covered_rows, gt):
+        person = Box(100 * image_id, 0, 10, 40)
+        part = Box(person.x, 40 - covered_rows, 5, 20)
+        return Scene(image_id=image_id, persons=(det(person, image_id=image_id),),
+                     parts=(part_det(part, image_id=image_id),),
+                     gt=tuple(ann(person, image_id=image_id) for _ in range(gt)))
+
+    scenes, partitions = _scenes_and_partitions([scene(1, 11, gt=1), scene(2, 10, gt=0)])
+    assert select_alphas(scenes, partitions, grid_step=0.05) == (0.05, 0.05)
+    assert oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, 0.05) == (0.05, 0.05)
+
+
+def test_select_alphas_memory_does_not_grow_with_the_grid():
+    # The grid of step 1e-5 has 99,999 points; listing it alone would take megabytes.
+    scenes, partitions = _grid_edge_scenes()
+    tracemalloc.start()
+    try:
+        chosen = select_alphas(scenes, partitions, grid_step=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chosen == (0.20001, 0.20001)
+    assert peak < 1_000_000
+
+
+def test_select_alphas_between_duplicate_grid_values(unlisted_grid):
+    # Below 1e-10 neighbouring grid points round to the same 10-decimal value,
+    # and the grid of step 6e-11 has about 1.7e10 of them.
+    scenes, partitions = _grid_edge_scenes()
+    k = 3333333334  # point k - 1 rounds to 0.2 exactly; point k is the first value above it
+    assert round(k * 6e-11, 10) == 0.2 < round((k + 1) * 6e-11, 10)
+    assert round((k + 2) * 6e-11, 10) == round((k + 3) * 6e-11, 10)  # points k + 1 and k + 2
+    assert select_alphas(scenes, partitions, grid_step=6e-11) == (round((k + 1) * 6e-11, 10),) * 2
+
+
+def _crowd_scenes(seed=2, n_scenes=6):
+    """Rows of overlapping persons, some missed, with heads partly outside their box,
+    ghost persons above the row cutting into the heads and ghost parts straddling two persons."""
+    rng = random.Random(seed)
+    scenes = []
+    for image_id in range(1, n_scenes + 1):
+        gt = [Box(30 * i, 0, 40, 100) for i in range(rng.randint(2, 4))]
+        persons = [Box(b.x + rng.randint(-2, 2), b.y, b.w, b.h) for b in gt if rng.random() > 0.25]
+        parts = [Box(b.x + 12 + rng.randint(-15, 15), rng.randint(-12, 4), 16, 20) for b in gt]
+        if rng.random() < 0.5:
+            persons.append(Box(rng.randint(0, 60), rng.randint(-95, -85), 40, 100))
+        if rng.random() < 0.5:
+            parts.append(Box(rng.randint(20, 50), rng.randint(-10, 0), 20, 16))
+        scenes.append(Scene(image_id=image_id,
+                            persons=tuple(det(b, image_id=image_id, det_id=i) for i, b in enumerate(persons)),
+                            parts=tuple(part_det(b, image_id=image_id, det_id=i) for i, b in enumerate(parts)),
+                            gt=tuple(ann(b, image_id=image_id, ann_id=i) for i, b in enumerate(gt))))
+    return _scenes_and_partitions(scenes)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+def test_select_alphas_matches_oracle_at_fine_steps(step, unlisted_grid):
+    scenes, partitions = _crowd_scenes()
+    want = oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step)
+    assert all(step < alpha < 1 - 2 * step for alpha in want)  # an interior optimum, off the grid's ends
+    assert select_alphas(scenes, partitions, grid_step=step) == want
 
 
 def _sparse_scenes():

@@ -8,12 +8,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import partmon.calibration as calibration
 import partmon.cli as cli_module
-from partmon.calibration import alpha_grid
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass
-from partmon.errors import CalibrationError
 from partmon.oracle import oracle_metrics
 from partmon.synth import SynthConfig, generate
 
@@ -665,6 +662,19 @@ def test_alpha_grid_step_that_rounds_to_zero_exits_2(tmp_path, corpus_dir):
     assert not out.exists()
 
 
+def test_calibrate_at_the_finest_grid_step(tmp_path):
+    # 1e-9 gives a grid of about 10^9 points; the sweep scores only the points where an alert flips.
+    corpus, out = tmp_path / "corpus", tmp_path / "op.json"
+    result = runner.invoke(cli, ["synth", "--seed", "7", "--n-scenes", "50", "--drop-person-prob", "0.2",
+                                 "--ghost-person-prob", "0.2", "--jitter", "2", "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus), "--alpha-grid-step", "1e-9", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    op = json.loads(out.read_text())
+    for alpha in (op["alpha_fp"], op["alpha_fn"]):
+        assert 0 < alpha < 1 and alpha == round(round(alpha / 1e-9) * 1e-9, 10)
+
+
 @pytest.mark.parametrize("command", ["calibrate", "evaluate", "monitor"])
 def test_unwritable_out_exits_2(tmp_path, corpus_dir, command):
     op = write_json(tmp_path / "op.json", ZERO_OP)
@@ -782,19 +792,10 @@ def _small(config):
     return generate(replace(config, n_scenes=min(config.n_scenes, 3), persons_per_scene=(min(lo, 3), min(hi, 3))))
 
 
-def _coarse_grid(step):
-    """``alpha_grid``, refusing steps below 1e-3: the grid is a list of about 1/step floats, whose size
-    is not under test."""
-    if 0 < step < 1e-3:
-        raise CalibrationError(f"grid step {step} is finer than this test builds")
-    return alpha_grid(step)
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_config_arbitrary_json_exits_0_or_2(tmp_path, config_inputs, monkeypatch, data):
     monkeypatch.setattr(cli_module, "generate", _small)
-    monkeypatch.setattr(calibration, "alpha_grid", _coarse_grid)
     corpus, op = config_inputs
     args = {
         "synth": ["synth"],
