@@ -1,9 +1,11 @@
 """Command-line entry point: synth -> calibrate -> monitor/evaluate -> reports.
 
 Exit codes: 0 success, 2 for input or validation problems (missing files,
-malformed JSON, unmapped categories, bad flag or config values, unwritable
-outputs), 1 for anything unexpected. Every produced report has a manifest
-recording the command, the tool version, input file hashes, and the
+malformed JSON, unmapped categories, bad flag or config values, an ``--out``
+that names an input, unwritable outputs), 1 for anything unexpected.
+``_PartmonCommand``, the class of every command, is the single boundary that
+turns those problems into exit 2 with one line. Every produced report has a
+manifest recording the command, the tool version, input file hashes, and the
 operating point used; JSON reports embed it inline and every output
 additionally gets a ``<out>.manifest.json`` sidecar.
 
@@ -19,6 +21,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -66,13 +69,15 @@ class _FiniteRange(click.FloatRange):
         return number
 
 
-class _PartmonGroup(click.Group):
-    """The single error boundary: input problems under any command exit 2."""
+class _PartmonCommand(click.Command):
+    """Pauses the collector, applies ``--config``, refuses an output that is an input; input problems exit 2."""
 
     def invoke(self, ctx):
         collecting = gc.isenabled()
         gc.disable()  # a command's records form no cycles: reference counting frees them
         try:
+            _apply_config(ctx, ctx.params.get("config"))
+            _refuse_overwriting_inputs(ctx)
             return super().invoke(ctx)
         except (ValidationError, OSError) as exc:
             raise InputError(str(exc)) from exc
@@ -81,10 +86,13 @@ class _PartmonGroup(click.Group):
                 gc.enable()
 
 
-@click.group(cls=_PartmonGroup)
+@click.group()
 @click.version_option(version=__version__, prog_name="partmon")
 def cli():
     """Plausibility monitoring for person detection via body-part cross-checks."""
+
+
+cli.command_class = _PartmonCommand
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +100,16 @@ def cli():
 # ---------------------------------------------------------------------------
 
 def _apply_config(ctx: click.Context, config_path) -> None:
-    """Fill parameters from a JSON config for flags the user did not pass."""
+    """Fill parameters from a JSON config for flags the user did not pass (so never ``config`` itself)."""
     if config_path is None:
         return
     raw = read_json(config_path)
     if not isinstance(raw, dict):
-        raise InputError(f"config must be a JSON object: {config_path}")
+        raise ValidationError(f"config must be a JSON object: {config_path}")
     params = {param.name: param for param in ctx.command.params}
     for name, value in raw.items():
         if name not in ctx.params:
-            raise InputError(f"config {config_path}: unknown option {name!r}")
+            raise ValidationError(f"config {config_path}: unknown option {name!r}")
         if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
             continue
         try:
@@ -117,9 +125,9 @@ def _apply_config(ctx: click.Context, config_path) -> None:
                 raise TypeError(f"expected an integer, got {json.dumps(value)}")
             ctx.params[name] = params[name].process_value(ctx, value)
         except click.BadParameter as exc:
-            raise InputError(f"config {config_path}: {exc.format_message()}") from exc
+            raise ValidationError(f"config {config_path}: {exc.format_message()}") from exc
         except (TypeError, ValueError, OverflowError) as exc:  # raised by a type's own cast
-            raise InputError(f"config {config_path}: invalid value for {name!r}: {exc}") from exc
+            raise ValidationError(f"config {config_path}: invalid value for {name!r}: {exc}") from exc
 
 
 def _sha256(path) -> str:
@@ -132,6 +140,17 @@ def _sha256(path) -> str:
 
 _INPUT_FILES = ("gt", "persons", "parts", "category_map", "persons_category_map",
                 "parts_category_map", "operating_point")
+
+
+def _refuse_overwriting_inputs(ctx: click.Context) -> None:
+    """Refuse an ``--out`` file or its manifest sidecar that is a file the command reads (synth's is a directory)."""
+    if not any(param.name == "out" and param.type.file_okay for param in ctx.command.params):
+        return
+    p = ctx.params
+    for written in (p["out"], f"{p['out']}.manifest.json"):
+        for name in (*_INPUT_FILES, "config"):
+            if p.get(name) is not None and os.path.exists(written) and os.path.samefile(written, p[name]):
+                raise ValidationError(f"cannot write {written}: it is the --{name.replace('_', '-')} input")
 
 
 def _manifest(command: str, params: dict, operating_point: OperatingPoint, out) -> dict:
@@ -191,9 +210,9 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
         lo, _, hi = text.partition(":")
         lo, hi = int(lo), int(hi if hi else lo)
     except ValueError:
-        raise InputError(f"{flag} expects LO:HI, got {text!r}") from None
+        raise ValidationError(f"{flag} expects LO:HI, got {text!r}") from None
     if not 0 <= lo <= hi:
-        raise InputError(f"{flag} expects LO:HI with 0 <= LO <= HI, got {text!r}")
+        raise ValidationError(f"{flag} expects LO:HI with 0 <= LO <= HI, got {text!r}")
     return lo, hi
 
 
@@ -209,11 +228,8 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 @click.option("--jitter", default=0.0, show_default=True, type=_FiniteRange(0))
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.pass_context
-def cmd_synth(ctx, **kwargs):
+def cmd_synth(**p):
     """Generate a seeded synthetic corpus with known error labels."""
-    _apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
     ranges = {name: _parse_range(str(p[name]), "--" + name.replace("_", "-"))
               for name in ("persons_per_scene", "parts_per_person")}
     config = SynthConfig(**{f.name: p[f.name] for f in fields(SynthConfig)} | ranges)  # each field has its option
@@ -283,11 +299,8 @@ def _with_options(options):
 @click.option("--strict-conf", is_flag=True, default=False,
               help="Calibrate for retaining scores strictly above the threshold; recorded in the operating point.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def cmd_calibrate(ctx, **kwargs):
+def cmd_calibrate(**p):
     """Select per-class confidence thresholds (max F1) and alphas (max MCC)."""
-    _apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
     op = build_operating_point(
         _scenes_from(p),
         tau=p["tau"],
@@ -312,11 +325,8 @@ def cmd_calibrate(ctx, **kwargs):
 @click.option("--mode", type=click.Choice(["image", "object"]), default="image", show_default=True)
 @_with_options(_RUN_OPTIONS)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def cmd_monitor(ctx, **kwargs):
+def cmd_monitor(**p):
     """Run the monitor and stream one JSON line per scene."""
-    _apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
     op = OperatingPoint.load(p["operating_point"])
     scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
 
@@ -356,11 +366,12 @@ def cmd_monitor(ctx, **kwargs):
 @click.option("--ghost-all-classes", is_flag=True, default=False,
               help="Anchor the ghost-part test on all ground-truth classes, not only persons.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def cmd_evaluate(ctx, **kwargs):
+def cmd_evaluate(**p):
     """Score the monitor against ground truth and write a report."""
-    _apply_config(ctx, kwargs.pop("config"))
-    p = ctx.params
+    try:  # up front: an unencodable label would fail the CSV writer halfway through the file
+        p["system"].encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"--system label is not valid UTF-8: {p['system']!r}") from None
     op = OperatingPoint.load(p["operating_point"])
     scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
     matching = MatchingMode(p["matching"])
@@ -405,16 +416,13 @@ def cmd_validate(gt, persons, parts, category_map, operating_point):
     """Parse the given inputs and report what they contain."""
     cat_map = load_category_map(category_map) if category_map else None
     if (gt or persons or parts) and cat_map is None:
-        raise InputError("--category-map is required to validate annotation or detection files")
+        raise ValidationError("--category-map is required to validate annotation or detection files")
     if gt:
         loaded = load_ground_truth(gt, cat_map)
         click.echo(f"gt: {len(loaded.images)} images, {len(loaded.annotations)} annotations")
-    if persons:
-        dets = load_detections(persons, cat_map)
-        click.echo(f"persons: {len(dets)} detections")
-    if parts:
-        dets = load_detections(parts, cat_map)
-        click.echo(f"parts: {len(dets)} detections")
+    for name, path in (("persons", persons), ("parts", parts)):
+        if path:
+            click.echo(f"{name}: {len(load_detections(path, cat_map))} detections")
     if operating_point:
         op = OperatingPoint.load(operating_point)
         click.echo(

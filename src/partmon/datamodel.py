@@ -157,8 +157,11 @@ def json_text(payload) -> str:
 
 def write_text(path, chunks: Iterable[str]) -> None:
     """The one output writer: ``chunks`` to ``path`` in order, as UTF-8 with no newline translation."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_json(path, payload) -> None:
@@ -212,20 +215,6 @@ def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> De
 # The trusted build path: a frozen record's generated __init__ without the __post_init__ checks
 # the loader has just made. Fields set in order, not via __dict__, keep the record's compact layout.
 _new, _set = object.__new__, object.__setattr__
-
-
-def _annotation(image_id: int, category: DetectionClass, box: Box, ann_id) -> GtAnnotation:
-    ann = _new(GtAnnotation)
-    _set(ann, "image_id", image_id), _set(ann, "category", category)
-    _set(ann, "box", box), _set(ann, "ann_id", ann_id)
-    return ann
-
-
-def _detection(image_id: int, category: DetectionClass, box: Box, score: float, det_id: int) -> Detection:
-    det = _new(Detection)
-    _set(det, "image_id", image_id), _set(det, "category", category), _set(det, "box", box)
-    _set(det, "score", score), _set(det, "det_id", det_id)
-    return det
 
 
 # The largest accepted box area: the union of two boxes in an IoU then stays finite.
@@ -296,7 +285,10 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
         image_id = _parse_image_id(entry.get("image_id"), "annotation id ", ann_id)
         if box.w <= 0 or box.h <= 0:  # the public constructor raises its message
             GtAnnotation(image_id, cls, box, ann_id)
-        annotations.append(_annotation(image_id, cls, box, ann_id))
+        ann = _new(GtAnnotation)
+        _set(ann, "image_id", image_id), _set(ann, "category", cls)
+        _set(ann, "box", box), _set(ann, "ann_id", ann_id)
+        annotations.append(ann)
     return GroundTruth(annotations=tuple(annotations), images=images)
 
 
@@ -324,7 +316,10 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         image_id = _parse_image_id(entry.get("image_id"), "detection #", index)
         if box.w <= 0 or box.h <= 0:  # the public constructor raises its message
             Detection(image_id, cls, box, score, index)
-        detections.append(_detection(image_id, cls, box, score, index))
+        det = _new(Detection)
+        _set(det, "image_id", image_id), _set(det, "category", cls), _set(det, "box", box)
+        _set(det, "score", score), _set(det, "det_id", index)
+        detections.append(det)
     return tuple(detections)
 
 

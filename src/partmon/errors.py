@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-Everything rooted at ValidationError is an input problem (bad files, bad
-values, unusable configurations) and maps to CLI exit code 2; anything else
-escaping a command is treated as an internal error (exit code 1).
+Everything rooted at ValidationError is an input or output problem (bad files,
+bad values, unusable configurations, unwritable outputs) and maps to CLI exit
+code 2; anything else escaping a command is an internal error (exit code 1).
 """
 
 

@@ -226,8 +226,4 @@ def emit_report(
     manifest: dict | None = None,
 ) -> None:
     """Write a report file; identical inputs produce byte-identical output."""
-    text = render_report(result, fmt, manifest)
-    try:
-        write_text(path, [text])
-    except OSError as exc:
-        raise ValidationError(f"cannot write report to {path}: {exc}") from exc
+    write_text(path, [render_report(result, fmt, manifest)])

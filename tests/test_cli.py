@@ -684,6 +684,90 @@ def test_unwritable_out_exits_2(tmp_path, corpus_dir, command):
     assert_input_error(result, "no_such_dir")
 
 
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "monitor"])
+def test_unwritable_out_is_named_once(tmp_path, corpus_dir, command):
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    op_args = [] if command == "calibrate" else ["--operating-point", op]
+    out = tmp_path / "no_such_dir" / "out.json"
+    result = runner.invoke(cli, [command, *corpus_args(corpus_dir), *op_args, "--out", str(out)])
+    assert_input_error(result, f"Error: cannot write {out}: ")
+    assert result.output.count(str(out)) == 1, result.output
+
+
+def test_every_command_is_the_boundary_class():
+    assert cli.commands and all(type(command) is cli_module._PartmonCommand for command in cli.commands.values())
+
+
+def _command_args(command, corpus_dir, op, config):
+    """A run of ``command`` on the corpus that reads ``op`` and ``config``, without its ``--out``."""
+    detections = corpus_args(corpus_dir) if command != "monitor" else corpus_args(corpus_dir)[2:]
+    op_args = [] if command == "calibrate" else ["--operating-point", op]
+    return [command, *detections, *op_args, "--config", config]
+
+
+@pytest.mark.parametrize("command, flag, written", [
+    ("calibrate", "--gt", "out"),
+    ("calibrate", "--config", "sidecar"),
+    ("calibrate", "--category-map", "link"),
+    ("evaluate", "--gt", "out"),
+    ("evaluate", "--operating-point", "sidecar"),
+    ("evaluate", "--config", "link"),
+    ("monitor", "--operating-point", "out"),
+    ("monitor", "--persons", "sidecar"),
+    ("monitor", "--parts", "link"),
+])
+def test_out_that_names_an_input_is_refused(tmp_path, corpus_dir, command, flag, written):
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    args = _command_args(command, corpus_dir, op, write_json(tmp_path / "cfg.json", {"threads": 1}))
+    index = args.index(flag) + 1
+    out = tmp_path / "out.json"
+    source = {"out": out, "sidecar": Path(f"{out}.manifest.json"), "link": tmp_path / "in.json"}[written]
+    source.write_bytes(Path(args[index]).read_bytes())
+    if written == "link":  # another name for the same file
+        out.symlink_to(source)
+    args[index] = str(source)
+    before, files = source.read_bytes(), sorted(tmp_path.iterdir())
+    result = runner.invoke(cli, [*args, "--out", str(out)])
+    shown = source if written == "sidecar" else out
+    assert_input_error(result, f"Error: cannot write {shown}: it is the {flag} input")
+    assert source.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == files
+
+
+def test_out_that_names_an_input_from_the_config_is_refused(tmp_path, corpus_dir):
+    # The check runs after --config is applied: monitor takes --gt from it here.
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    out = tmp_path / "gt.json"
+    out.write_bytes((corpus_dir / "gt.json").read_bytes())
+    before = out.read_bytes()
+    args = _command_args("monitor", corpus_dir, op, write_json(tmp_path / "cfg.json", {"gt": str(out)}))
+    result = runner.invoke(cli, [*args, "--out", str(out)])
+    assert_input_error(result, f"Error: cannot write {out}: it is the --gt input")
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_utf8_system_label_exits_2_and_writes_nothing(tmp_path, corpus_dir, fmt, source):
+    # A non-UTF-8 argument such as $'\xff' reaches Python as a lone surrogate.
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    config = write_json(tmp_path / "cfg.json", {"system": "\udcff"})
+    label = ["--system", "\udcff"] if source == "flag" else ["--config", config]
+    out = tmp_path / f"report.{fmt}"
+    result = runner.invoke(cli, ["evaluate", *corpus_args(corpus_dir), "--operating-point", op, "--format", fmt,
+                                 *label, "--out", str(out)])
+    assert_input_error(result, "Error: --system label is not valid UTF-8: '\\udcff'")
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_a_config_key_in_the_config_is_ignored(tmp_path):
+    # --config is always a flag, and flags win over the config, so its own key never applies.
+    config = write_json(tmp_path / "cfg.json", {"config": str(tmp_path / "missing.json"), "n_scenes": 2})
+    result = runner.invoke(cli, ["synth", "--config", config, "--out", str(tmp_path / "corpus")])
+    assert result.exit_code == 0, result.output
+    assert "2 scenes" in result.output
+
+
 def test_monitor_output_identical_across_thread_counts(tmp_path, corpus_dir):
     op = write_json(tmp_path / "op.json", ZERO_OP)
     blobs = set()
