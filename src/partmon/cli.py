@@ -1,13 +1,16 @@
 """Command-line entry point: synth -> calibrate -> monitor/evaluate -> reports.
 
 Exit codes: 0 success, 2 for input or validation problems (missing files,
-malformed JSON, unmapped categories, bad flag or config values, an ``--out``
-that names an input, unwritable outputs), 1 for anything unexpected.
+malformed JSON, unmapped categories, bad flag or config values, an output
+that is an input, unwritable outputs), 1 for anything unexpected.
 ``_PartmonCommand``, the class of every command, is the single boundary that
-turns those problems into exit 2 with one line. Every produced report has a
+turns those problems into exit 2 with one line. Before a command runs, it
+checks every file the command writes (``--out``, or synth's corpus files, and
+the manifest) against every file it reads. Every produced report has a
 manifest recording the command, the tool version, input file hashes, and the
 operating point used; JSON reports embed it inline and every output
-additionally gets a ``<out>.manifest.json`` sidecar.
+additionally gets a ``<out>.manifest.json`` sidecar (synth: one
+``corpus.manifest.json`` for the corpus).
 
 Each optional flag can also be supplied through ``--config FILE`` (a JSON
 object keyed by the flag's underscored name); explicit flags win on conflict.
@@ -46,13 +49,13 @@ from .evaluation import (
     PerImageResult,
     PerObjectResult,
     balances,
-    emit_report,
     object_confusion,
     per_image_counts,
+    render_report,
 )
 from .monitor import per_image_rule, per_object_rule
 from .partition import MatchingMode, partition
-from .synth import SynthConfig, generate, write_corpus
+from .synth import CORPUS_FILES, SynthConfig, generate, write_corpus
 
 
 class InputError(click.ClickException):
@@ -142,12 +145,18 @@ _INPUT_FILES = ("gt", "persons", "parts", "category_map", "persons_category_map"
                 "parts_category_map", "operating_point")
 
 
+def _manifest_path(command: str, out) -> str:
+    """Where a command records its run: beside ``out``, or for synth's corpus as a whole, inside it."""
+    return f"{Path(out) / 'corpus' if command == 'synth' else out}.manifest.json"
+
+
 def _refuse_overwriting_inputs(ctx: click.Context) -> None:
-    """Refuse an ``--out`` file or its manifest sidecar that is a file the command reads (synth's is a directory)."""
-    if not any(param.name == "out" and param.type.file_okay for param in ctx.command.params):
+    """Refuse every written file (``--out`` or synth's corpus files, and the manifest) that the command reads."""
+    p, command = ctx.params, ctx.command.name
+    if "out" not in p:
         return
-    p = ctx.params
-    for written in (p["out"], f"{p['out']}.manifest.json"):
+    outputs = [Path(p["out"]) / name for name in CORPUS_FILES.values()] if command == "synth" else [p["out"]]
+    for written in (*outputs, _manifest_path(command, p["out"])):
         for name in (*_INPUT_FILES, "config"):
             if p.get(name) is not None and os.path.exists(written) and os.path.samefile(written, p[name]):
                 raise ValidationError(f"cannot write {written}: it is the --{name.replace('_', '-')} input")
@@ -166,10 +175,6 @@ def _manifest(command: str, params: dict, operating_point: OperatingPoint, out) 
         "operating_point": operating_point.to_json_dict(),
         "report": Path(out).name,
     }
-
-
-def _write_manifest(manifest: dict, out) -> None:
-    write_json(str(out) + ".manifest.json", manifest)
 
 
 def _scenes_from(p: dict) -> list[Scene]:
@@ -241,7 +246,7 @@ def cmd_synth(**p):
         "config": asdict(config),
         "outputs": {name: {"path": str(path), "sha256": _sha256(path)} for name, path in paths.items()},
     }
-    _write_manifest(manifest, Path(p["out"]) / "corpus")
+    write_json(_manifest_path("synth", p["out"]), manifest)
     click.echo(
         f"wrote corpus: {config.n_scenes} scenes, {len(corpus.person_dets)} person dets, "
         f"{len(corpus.part_dets)} part dets -> {p['out']}"
@@ -309,7 +314,7 @@ def cmd_calibrate(**p):
         strict_conf=p["strict_conf"],
     )
     op.save(p["out"])
-    _write_manifest(_manifest("calibrate", p, op, p["out"]), p["out"])
+    write_json(_manifest_path("calibrate", p["out"]), _manifest("calibrate", p, op, p["out"]))
     click.echo(f"operating point -> {p['out']} (alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn})")
 
 
@@ -347,7 +352,7 @@ def cmd_monitor(**p):
     lines = [json.dumps(line(s), sort_keys=True) + "\n" for s in scenes]
     out = Path(p["out"])
     write_text(out, lines)
-    _write_manifest(_manifest("monitor", p, op, out), out)
+    write_json(_manifest_path("monitor", out), _manifest("monitor", p, op, out))
     click.echo(f"monitored {len(scenes)} scenes -> {out}")
 
 
@@ -394,11 +399,8 @@ def cmd_evaluate(**p):
         result = PerObjectResult(
             system=p["system"], confusion=confusion, balances=balances(confusion),
         )
-    emit_report(
-        result, p["fmt"], p["out"],
-        manifest=manifest if p["fmt"] == "json" else None,
-    )
-    _write_manifest(manifest, p["out"])
+    write_text(p["out"], [render_report(result, p["fmt"], manifest if p["fmt"] == "json" else None)])
+    write_json(_manifest_path("evaluate", p["out"]), manifest)
     click.echo(f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}")
 
 

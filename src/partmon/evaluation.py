@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
-from .datamodel import Scene, json_text, write_text
+from .datamodel import Scene, json_text
 from .errors import ValidationError
 from .monitor import AlertPair, MonitorVerdict, masks
 from .partition import GtPartition
@@ -32,10 +32,6 @@ class BinaryCounts:
     fp: int
     fn: int
     tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
 
 @dataclass(frozen=True)
@@ -176,12 +172,8 @@ class PerObjectResult:
     balances: Balances
 
 
-def round_ratio(value: float) -> float:
-    """Round to 4 decimal places, half-even (report formatting convention)."""
-    return float(_ratio_str(value))
-
-
 def _ratio_str(value: float) -> str:
+    """Round to 4 decimal places, half-even (report formatting convention)."""
     return str(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
 
 
@@ -195,7 +187,7 @@ def _report(result: PerImageResult | PerObjectResult, manifest: dict | None) -> 
         rows = [["system", "alert", *(f.name for f in fields(BinaryCounts)), *_RATIOS]]
         for alert, counts in (("fp", result.fp_alert), ("fn", result.fn_alert)):
             cells, ratios = asdict(counts), [_ratio_str(r) for r in binary_metrics(counts)]
-            report[f"{alert}_alert"] = cells | {name: float(r) for name, r in zip(_RATIOS, ratios)}  # = round_ratio
+            report[f"{alert}_alert"] = cells | {name: float(r) for name, r in zip(_RATIOS, ratios)}
             rows.append([result.system, alert, *cells.values(), *ratios])
     else:
         report = {"system": result.system, "confusion": asdict(result.confusion),
@@ -218,12 +210,3 @@ def render_report(result: PerImageResult | PerObjectResult, fmt: str, manifest: 
         return buf.getvalue()
     raise ValidationError(f"unknown report format: {fmt!r} (expected 'json' or 'csv')")
 
-
-def emit_report(
-    result: PerImageResult | PerObjectResult,
-    fmt: str,
-    path,
-    manifest: dict | None = None,
-) -> None:
-    """Write a report file; identical inputs produce byte-identical output."""
-    write_text(path, [render_report(result, fmt, manifest)])

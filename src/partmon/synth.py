@@ -33,6 +33,7 @@ from .datamodel import (
     group_into_scenes,
     write_json,
 )
+from .errors import ValidationError
 from .geometry import Box
 
 # Canonical category ids for serialized corpora.
@@ -48,6 +49,10 @@ CATEGORY_IDS = {
     DetectionClass.HEAD: 9,
 }
 CATEGORY_MAP = {str(cat_id): cls.value for cls, cat_id in CATEGORY_IDS.items()}
+
+# The files of a corpus directory, each named after its role: write_corpus writes them, and the CLI
+# refuses a synth --config that is one of them.
+CORPUS_FILES = {role: f"{role}.json" for role in ("gt", "persons", "parts", "category_map", "labels")}
 
 # (x, y, w, h) as fractions of the person box; every slot stays inside it.
 _PART_LAYOUT = [
@@ -234,16 +239,13 @@ def generate(config: SynthConfig) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
-    """Serialize a corpus to the COCO-style files the loaders ingest."""
+    """Serialize a corpus to the COCO-style files the loaders ingest, named by ``CORPUS_FILES``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "gt": out_dir / "gt.json",
-        "persons": out_dir / "persons.json",
-        "parts": out_dir / "parts.json",
-        "category_map": out_dir / "category_map.json",
-        "labels": out_dir / "labels.json",
-    }
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the message of every other failed write
+        raise ValidationError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
+    paths = {role: out_dir / name for role, name in CORPUS_FILES.items()}
     write_json(paths["gt"], dump_ground_truth(corpus.gt, CATEGORY_IDS))
     write_json(paths["persons"], dump_detections(corpus.person_dets, CATEGORY_IDS))
     write_json(paths["parts"], dump_detections(corpus.part_dets, CATEGORY_IDS))

@@ -126,6 +126,19 @@ def test_threshold_is_argmax_under_independent_resweeep(seed):
     assert select_confidence_threshold(dets, gts, tau=0.5) == oracle_threshold(dets, gts, 0.5)
 
 
+@pytest.mark.parametrize("matching", list(MatchingMode))
+@pytest.mark.parametrize("seed", range(8))
+def test_threshold_is_argmax_when_f1_is_zero_at_every_candidate(seed, matching):
+    # Every person is missed and every detection is a ghost, so F1 is 0 at every candidate:
+    # the tie rule alone decides, and it picks the highest candidate.
+    corpus = generate(SynthConfig(seed=seed, n_scenes=10, drop_person_prob=1.0, ghost_person_prob=0.5))
+    dets = list(corpus.person_dets)
+    gts = [a for a in corpus.gt.annotations if a.category is DetectionClass.PERSON]
+    assert dets, "every seed places ghosts"
+    chosen = select_confidence_threshold(dets, gts, tau=0.5, matching=matching)
+    assert chosen == oracle_threshold(dets, gts, 0.5, matching) > max(d.score for d in dets)
+
+
 # Two ground-truth persons four pixels apart. A detection at x = 1 overlaps
 # both above tau 0.5 but prefers the left one; x = -2 covers only the left
 # one and x = 5 only the right one.

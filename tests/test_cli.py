@@ -746,6 +746,42 @@ def test_out_that_names_an_input_from_the_config_is_refused(tmp_path, corpus_dir
     assert out.read_bytes() == before
 
 
+# synth's --out is a directory, so its outputs are the corpus files and the manifest inside it.
+@pytest.mark.parametrize("written", ["same", "link"])
+@pytest.mark.parametrize("name", ["gt.json", "persons.json", "parts.json", "category_map.json", "labels.json",
+                                  "corpus.manifest.json"])
+def test_synth_output_that_is_its_config_is_refused(tmp_path, name, written):
+    out = tmp_path / "corpus"
+    out.mkdir()
+    config = write_json(out / name if written == "same" else tmp_path / "cfg.json", {"n_scenes": 2})
+    if written == "link":  # another name for the same file
+        (out / name).symlink_to(config)
+    before, files = Path(config).read_bytes(), sorted(tmp_path.rglob("*"))
+    result = runner.invoke(cli, ["synth", "--config", config, "--out", str(out)])
+    assert_input_error(result, f"Error: cannot write {out / name}: it is the --config input")
+    assert Path(config).read_bytes() == before
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("where", ["beside", "inside"])
+def test_synth_config_that_it_does_not_write_is_read(tmp_path, where):
+    out = tmp_path / "corpus"
+    out.mkdir()
+    config = write_json((tmp_path if where == "beside" else out) / "cfg.json", {"n_scenes": 2})
+    before = Path(config).read_bytes()
+    result = runner.invoke(cli, ["synth", "--config", config, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "2 scenes" in result.output
+    assert Path(config).read_bytes() == before
+
+
+def test_synth_out_below_a_file_is_named_once(tmp_path):
+    (tmp_path / "afile").write_text("not a directory")
+    out = tmp_path / "afile" / "sub"
+    result = runner.invoke(cli, ["synth", "--n-scenes", "2", "--out", str(out)])
+    assert_input_error(result, f"Error: cannot write {out}: Not a directory")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_utf8_system_label_exits_2_and_writes_nothing(tmp_path, corpus_dir, fmt, source):

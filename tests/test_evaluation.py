@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from partmon.datamodel import DetectionClass, Scene
+from partmon.datamodel import DetectionClass, Scene, write_text
 from partmon.errors import ValidationError
 from partmon.evaluation import (
     Balances,
@@ -12,12 +12,10 @@ from partmon.evaluation import (
     PerObjectResult,
     balances,
     binary_metrics,
-    emit_report,
     mcc_from_counts,
     object_confusion,
     per_image_counts,
     render_report,
-    round_ratio,
 )
 from partmon.geometry import Box
 from partmon.monitor import AlertPair, per_image_rule, per_object_rule
@@ -169,9 +167,15 @@ def test_corpus_accounting_matches_oracle(seed):
 
 
 def test_round_ratio_half_even():
-    assert round_ratio(0.12345) == 0.1234
-    assert round_ratio(0.12355) == 0.1236
-    assert round_ratio(1 / 3) == 0.3333
+    # Precisions 2469/20000 = 0.12345 and 2471/20000 = 0.12355, recall 2469/7407 = 1/3.
+    result = PerImageResult(
+        system="x", total_images=0,
+        fp_alert=BinaryCounts(2469, 17531, 4938, 0), fn_alert=BinaryCounts(2471, 17529, 0, 0),
+    )
+    report = json.loads(render_report(result, "json"))
+    assert report["fp_alert"]["precision"] == 0.1234
+    assert report["fn_alert"]["precision"] == 0.1236
+    assert report["fp_alert"]["recall"] == 0.3333
 
 
 def test_per_image_report_csv_shape():
@@ -208,8 +212,8 @@ def test_emit_report_is_byte_stable(tmp_path):
         fp_alert=BinaryCounts(1, 0, 1, 1), fn_alert=BinaryCounts(0, 1, 0, 2),
     )
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(result, "json", a, manifest={"command": "test"})
-    emit_report(result, "json", b, manifest={"command": "test"})
+    write_text(a, [render_report(result, "json", manifest={"command": "test"})])
+    write_text(b, [render_report(result, "json", manifest={"command": "test"})])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -218,4 +222,4 @@ def test_emit_report_rejects_unknown_format_and_unwritable_path(tmp_path):
     with pytest.raises(ValidationError):
         render_report(result, "xml")
     with pytest.raises(ValidationError):
-        emit_report(result, "json", tmp_path / "no_such_dir" / "r.json")
+        write_text(tmp_path / "no_such_dir" / "r.json", [render_report(result, "json")])

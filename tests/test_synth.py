@@ -6,6 +6,7 @@ from partmon.datamodel import (
     load_detections,
     load_ground_truth,
 )
+from partmon.evaluation import BinaryCounts
 from partmon.geometry import Box, intersection_area
 from partmon.monitor import per_object_rule
 from partmon.oracle import oracle_metrics, oracle_per_object
@@ -107,7 +108,7 @@ def test_oracle_empty_scene():
     verdict = oracle_per_object([], [], 0.5, 0.5)
     assert verdict.tp_mon == verdict.fp_mon == verdict.fn_mon == ()
     fp_counts, fn_counts, confusion, bal = oracle_metrics([], 0.5, 0.5, 0.5)
-    assert fp_counts.total == 0 and fn_counts.total == 0
+    assert fp_counts == fn_counts == BinaryCounts(0, 0, 0, 0)
     assert bal.fp_balance == 0 and bal.fn_balance == 0
 
 
