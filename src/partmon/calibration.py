@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _plain, read_json, write_json
 from .errors import CalibrationError, ValidationError
-from .evaluation import mcc_from_counts
 from .monitor import overlaps
 from .partition import GtPartition, MatchingMode, matches, partition
 
@@ -97,6 +96,14 @@ class OperatingPoint:
     @classmethod
     def load(cls, path) -> "OperatingPoint":
         return cls.from_json_dict(read_json(path))
+
+
+def mcc_from_counts(tp: int, fp: int, fn: int, tn: int) -> float:
+    """Matthews correlation coefficient; 0 when any denominator factor is 0."""
+    den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    if den == 0:
+        return 0.0
+    return (tp * tn - fp * fn) / math.sqrt(den)
 
 
 def _grid_length(step: float) -> int:

@@ -16,22 +16,23 @@ Each optional flag can also be supplied through ``--config FILE`` (a JSON
 object keyed by the flag's underscored name); explicit flags win on conflict.
 Required options (the input files, ``--operating-point`` and ``--out``) must
 be given as flags: click checks them before the config is read.
+
+Each command, a process of its own, imports only the layers it runs, inside the code that runs them.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .calibration import OperatingPoint, apply_confidence_thresholds, build_operating_point
 from .datamodel import (
     FilterMode,
     Scene,
@@ -45,17 +46,11 @@ from .datamodel import (
     write_text,
 )
 from .errors import ValidationError
-from .evaluation import (
-    PerImageResult,
-    PerObjectResult,
-    balances,
-    object_confusion,
-    per_image_counts,
-    render_report,
-)
 from .monitor import per_image_rule, per_object_rule
 from .partition import MatchingMode, partition
-from .synth import CORPUS_FILES, SynthConfig, generate, write_corpus
+
+if TYPE_CHECKING:
+    from .calibration import OperatingPoint
 
 
 class InputError(click.ClickException):
@@ -134,6 +129,7 @@ def _apply_config(ctx: click.Context, config_path) -> None:
 
 
 def _sha256(path) -> str:
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -155,7 +151,10 @@ def _refuse_overwriting_inputs(ctx: click.Context) -> None:
     p, command = ctx.params, ctx.command.name
     if "out" not in p:
         return
-    outputs = [Path(p["out"]) / name for name in CORPUS_FILES.values()] if command == "synth" else [p["out"]]
+    outputs = [p["out"]]
+    if command == "synth":
+        from .synth import CORPUS_FILES
+        outputs = [Path(p["out"]) / name for name in CORPUS_FILES.values()]
     for written in (*outputs, _manifest_path(command, p["out"])):
         for name in (*_INPUT_FILES, "config"):
             if p.get(name) is not None and os.path.exists(written) and os.path.samefile(written, p[name]):
@@ -235,6 +234,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def cmd_synth(**p):
     """Generate a seeded synthetic corpus with known error labels."""
+    from .synth import SynthConfig, generate, write_corpus
     ranges = {name: _parse_range(str(p[name]), "--" + name.replace("_", "-"))
               for name in ("persons_per_scene", "parts_per_person")}
     config = SynthConfig(**{f.name: p[f.name] for f in fields(SynthConfig)} | ranges)  # each field has its option
@@ -306,6 +306,7 @@ def _with_options(options):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_calibrate(**p):
     """Select per-class confidence thresholds (max F1) and alphas (max MCC)."""
+    from .calibration import build_operating_point
     op = build_operating_point(
         _scenes_from(p),
         tau=p["tau"],
@@ -332,6 +333,7 @@ def cmd_calibrate(**p):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_monitor(**p):
     """Run the monitor and stream one JSON line per scene."""
+    from .calibration import OperatingPoint, apply_confidence_thresholds
     op = OperatingPoint.load(p["operating_point"])
     scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
 
@@ -373,6 +375,8 @@ def cmd_monitor(**p):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_evaluate(**p):
     """Score the monitor against ground truth and write a report."""
+    from .calibration import OperatingPoint, apply_confidence_thresholds
+    from .evaluation import PerImageResult, PerObjectResult, balances, object_confusion, per_image_counts, render_report
     try:  # up front: an unencodable label would fail the CSV writer halfway through the file
         p["system"].encode("utf-8")
     except UnicodeEncodeError:
@@ -426,6 +430,7 @@ def cmd_validate(gt, persons, parts, category_map, operating_point):
         if path:
             click.echo(f"{name}: {len(load_detections(path, cat_map))} detections")
     if operating_point:
+        from .calibration import OperatingPoint
         op = OperatingPoint.load(operating_point)
         click.echo(
             f"operating point: tau={op.tau}, alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn}, "

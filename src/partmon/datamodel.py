@@ -247,11 +247,11 @@ def _parse_bbox(raw, what: str, key) -> Box:
     return box
 
 
-def _parse_image_id(raw, what: str, key="") -> int:
+def _parse_image_id(raw, what: str, key, name="image_id") -> int:
     try:
         return _integer(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what}{key}: image_id must be an integer, got {raw!r}") from None
+        raise ValidationError(f"{what}{key}: {name} must be an integer, got {raw!r}") from None
 
 
 def _objects(entries: list, what: str):
@@ -274,8 +274,12 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
             and isinstance(raw.get("annotations"), list)):
         raise ValidationError(f"ground truth must contain 'images' and 'annotations' arrays: {path}")
 
-    images = tuple(ImageInfo(_parse_image_id(img.get("id"), "image entry"), img.get("width"), img.get("height"),
-                             img.get("file_name")) for _, img in _objects(raw["images"], "image entry"))
+    images = {}
+    for index, img in _objects(raw["images"], "image entry"):
+        image_id = _parse_image_id(img.get("id"), "image entry #", index, "id")
+        if image_id in images:
+            raise ValidationError(f"image entry #{index}: duplicate id {image_id}")
+        images[image_id] = ImageInfo(image_id, img.get("width"), img.get("height"), img.get("file_name"))
 
     annotations = []
     for _, entry in _objects(raw["annotations"], "annotation"):
@@ -289,7 +293,7 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
         _set(ann, "image_id", image_id), _set(ann, "category", cls)
         _set(ann, "box", box), _set(ann, "ann_id", ann_id)
         annotations.append(ann)
-    return GroundTruth(annotations=tuple(annotations), images=images)
+    return GroundTruth(annotations=tuple(annotations), images=tuple(images.values()))
 
 
 def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[Detection, ...]:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
+from .calibration import mcc_from_counts
 from .datamodel import Scene, json_text
 from .errors import ValidationError
 from .monitor import AlertPair, MonitorVerdict, masks
@@ -57,14 +57,6 @@ class Balances:
 
     fp_balance: int
     fn_balance: int
-
-
-def mcc_from_counts(tp: int, fp: int, fn: int, tn: int) -> float:
-    """Matthews correlation coefficient; 0 when any denominator factor is 0."""
-    den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    if den == 0:
-        return 0.0
-    return (tp * tn - fp * fn) / math.sqrt(den)
 
 
 def binary_metrics(c: BinaryCounts) -> tuple[float, float, float]:

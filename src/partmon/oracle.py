@@ -163,6 +163,7 @@ def oracle_metrics(
     alpha_fp: float,
     alpha_fn: float,
     ghost_all_classes: bool = False,
+    matching: MatchingMode = MatchingMode.EXISTENTIAL,
 ) -> tuple[BinaryCounts, BinaryCounts, ObjectConfusion, Balances]:
     """Recount every table-style output of a corpus from scratch."""
     fp_tp = fp_fp = fp_fn = fp_tn = 0
@@ -171,7 +172,10 @@ def oracle_metrics(
 
     for scene in scenes:
         gt_persons = [a for a in scene.gt if a.category is DetectionClass.PERSON]
-        part = oracle_partition(scene.persons, gt_persons, tau)
+        if matching is MatchingMode.GREEDY:
+            part = oracle_greedy_partition(scene.persons, gt_persons, tau)
+        else:
+            part = oracle_partition(scene.persons, gt_persons, tau)
         alert = oracle_per_image(scene.persons, scene.parts, alpha_fp, alpha_fn)
         verdict = oracle_per_object(scene.persons, scene.parts, alpha_fp, alpha_fn)
 

@@ -1,6 +1,6 @@
 import gc
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -8,10 +8,13 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import partmon.calibration
 import partmon.cli as cli_module
+import partmon.synth
 from partmon.cli import cli
-from partmon.datamodel import DetectionClass
+from partmon.datamodel import DetectionClass, group_into_scenes, load_category_map, load_detections, load_ground_truth
 from partmon.oracle import oracle_metrics
+from partmon.partition import MatchingMode
 from partmon.synth import SynthConfig, generate
 
 runner = CliRunner()
@@ -179,6 +182,82 @@ def test_evaluate_matches_oracle_on_unfiltered_corpus(tmp_path, corpus_dir):
     assert report["manifest"]["command"] == "evaluate"
 
 
+def test_evaluate_greedy_matches_greedy_oracle(tmp_path):
+    corpus = tmp_path / "corpus"
+    result = runner.invoke(cli, ["synth", "--seed", "8", "--n-scenes", "12", "--persons-per-scene", "3:3",
+                                 "--jitter", "2", "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    # A second, lower-scored detection of every third person: greedy matching validates one of the two.
+    persons = json.loads((corpus / "persons.json").read_text())
+    write_json(corpus / "persons.json", persons + [dict(d, score=d["score"] / 2) for d in persons[::3]])
+    cat_map = load_category_map(corpus / "category_map.json")
+    grouping = group_into_scenes(load_ground_truth(corpus / "gt.json", cat_map),
+                                 load_detections(corpus / "persons.json", cat_map),
+                                 load_detections(corpus / "parts.json", cat_map))
+    want_fp, want_fn, want_confusion, want_balances = oracle_metrics(grouping.scenes, 0.5, 0.5, 0.5,
+                                                                     matching=MatchingMode.GREEDY)
+    assert (want_fp, want_fn) != oracle_metrics(grouping.scenes, 0.5, 0.5, 0.5)[:2]  # the two matchings differ here
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    reports = {}
+    for protocol in ("per-image", "per-object"):
+        out = tmp_path / f"{protocol}.json"
+        result = runner.invoke(cli, ["evaluate", *corpus_args(corpus), "--operating-point", op, "--matching", "greedy",
+                                     "--min-area", "0", "--protocol", protocol, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports[protocol] = json.loads(out.read_text())
+    for alert, want in (("fp_alert", want_fp), ("fn_alert", want_fn)):
+        assert {k: reports["per-image"][alert][k] for k in ("tp", "fp", "fn", "tn")} == asdict(want)
+    assert reports["per-image"]["total_images"] == len(grouping.scenes)
+    assert reports["per-object"]["confusion"] == asdict(want_confusion)
+    assert reports["per-object"]["balances"] == asdict(want_balances)
+
+
+def test_require_all_above_filter_mode_drops_person_free_images(tmp_path):
+    corpus = tmp_path / "corpus"
+    result = runner.invoke(cli, ["synth", "--seed", "4", "--n-scenes", "12", "--persons-per-scene", "0:2",
+                                 "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    gt = json.loads((corpus / "gt.json").read_text())
+    with_person = {a["image_id"] for a in gt["annotations"] if a["category_id"] == 1}
+    assert 0 < len(with_person) < len(gt["images"])  # synth persons are all above the default --min-area
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    totals = {}
+    for mode in ("drop_if_any_below", "require_all_above"):
+        out = tmp_path / f"{mode}.json"
+        result = runner.invoke(cli, ["evaluate", *corpus_args(corpus), "--operating-point", op,
+                                     "--filter-mode", mode, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        totals[mode] = json.loads(out.read_text())["total_images"]
+    assert totals == {"drop_if_any_below": len(gt["images"]), "require_all_above": len(with_person)}
+
+
+def test_split_persons_category_map_gives_the_unsplit_outputs(tmp_path, corpus_dir):
+    # The person stream calls the person class 42, and its own category map says so.
+    persons = json.loads((corpus_dir / "persons.json").read_text())
+    assert persons and all(d["category_id"] == 1 for d in persons)
+    split = ["--persons", write_json(tmp_path / "persons42.json", [dict(d, category_id=42) for d in persons]),
+             "--persons-category-map", write_json(tmp_path / "persons_map.json", {"42": "Person"})]
+    outputs = {}
+    for wiring, extra in (("unsplit", []), ("split", split)):
+        args = [*corpus_args(corpus_dir), *extra]  # a repeated --persons takes the last value
+        op = str(tmp_path / f"op_{wiring}.json")
+        runs = [["calibrate", *args, "--out", op]]
+        runs += [["evaluate", *args, "--operating-point", op, "--protocol", protocol,
+                  "--out", str(tmp_path / f"{wiring}_{protocol}.json")] for protocol in ("per-image", "per-object")]
+        runs += [["monitor", *args[2:], "--operating-point", op, "--mode", mode,
+                  "--out", str(tmp_path / f"{wiring}_{mode}.jsonl")] for mode in ("image", "object")]
+        for run in runs:
+            result = runner.invoke(cli, run)
+            assert result.exit_code == 0, result.output
+        reports = [json.loads((tmp_path / f"{wiring}_{protocol}.json").read_text())
+                   for protocol in ("per-image", "per-object")]
+        for report in reports:
+            del report["manifest"]  # names the input files, which differ
+        outputs[wiring] = (Path(op).read_bytes(), reports,
+                           [(tmp_path / f"{wiring}_{mode}.jsonl").read_bytes() for mode in ("image", "object")])
+    assert outputs["split"] == outputs["unsplit"]
+
+
 def test_monitor_image_mode_on_derived_scene(tmp_path):
     # One person covering part A; part B stranded far away.
     persons = write_json(tmp_path / "p.json", [
@@ -269,12 +348,10 @@ def test_out_of_range_score_exits_2(tmp_path, corpus_dir):
 
 
 def test_internal_error_exits_1(tmp_path, corpus_dir, monkeypatch):
-    import partmon.cli as cli_module
-
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(cli_module, "build_operating_point", boom)
+    monkeypatch.setattr(partmon.calibration, "build_operating_point", boom)  # calibrate imports it when it runs
     result = runner.invoke(
         cli, ["calibrate", *corpus_args(corpus_dir), "--out", str(tmp_path / "op.json")]
     )
@@ -467,7 +544,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": 1e999'),
      "image_id must be an integer"),
-    ("--gt", '{"images": [{"id": 1e999}], "annotations": []}', "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": 1e999}], "annotations": []}', "image entry #0: id must be an integer"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": 1e999'),
      "unmapped category id"),
     ("--category-map", '{"1": ["Person"]}', "category map value"),
@@ -483,7 +560,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
      "image_id must be an integer"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": true'),
      "image_id must be an integer"),
-    ("--gt", '{"images": [{"id": 1.5}], "annotations": []}', "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": 1.5}], "annotations": []}', "image entry #0: id must be an integer"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": 1.9'),
      "unmapped category id"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": true'),
@@ -498,7 +575,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--category-map", '{"\u0661": "Person"}', "category map key is not an integer id"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": "0_7"'),
      "image_id must be an integer"),
-    ("--gt", '{"images": [{"id": "1\u2003"}], "annotations": []}', "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": "1\u2003"}], "annotations": []}', "image entry #0: id must be an integer"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": "\u0661"'),
      "unmapped category id"),
     ("--persons", "[%s]" % (DET % ('[0, 0, "1_0", 10]', "0.9")), "bbox values must be numbers"),
@@ -508,7 +585,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--category-map", '{" 1": "Person"}', "category map key is not an integer id"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"image_id": 1', '"image_id": " 7\\n"'),
      "image_id must be an integer"),
-    ("--gt", '{"images": [{"id": " 3"}], "annotations": []}', "image_id must be an integer"),
+    ("--gt", '{"images": [{"id": " 3"}], "annotations": []}', "image entry #0: id must be an integer"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": "1 "'),
      "unmapped category id"),
     ("--persons", "[%s]" % (DET % ('[" 1", "2\\t", 3, 4]', "0.9")), "bbox values must be numbers"),
@@ -527,6 +604,14 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     # A misspelt key would load as its default: here a strict operating point as a non-strict one.
     ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5, "strict_cof": true}',
      "invalid operating point: unknown key 'strict_cof'"),
+    ("--gt", '{"images": [{}], "annotations": []}', "image entry #0: id must be an integer, got None"),
+    # Every command reads one scene per image id: a second entry would be counted twice.
+    ("--gt", '{"images": [{"id": 3}, {"id": 4}, {"id": 3}], "annotations": []}', "image entry #2: duplicate id 3"),
+    # The loader refuses a negative extent itself, before the record's constructor sees the box.
+    ("--gt", '{"images": [{"id": 1}], "annotations": [{"id": 5, "image_id": 1, "category_id": 1, '
+             '"bbox": [3, 4, 10, -2]}]}', "annotation id 5: negative bbox width/height [3, 4, 10, -2]"),
+    ("--persons", "[%s]" % (DET % ("[3, 4, 10, -2]", "0.9")),
+     "detection #0: negative bbox width/height [3, 4, 10, -2]"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -539,7 +624,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "underscore-image-id", "non-ascii-space-gt-image-id", "non-ascii-category-id", "underscore-bbox",
         "non-ascii-bbox", "non-ascii-score", "padded-category-map-key", "padded-image-id",
         "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score", "boolean-jitter-config",
-        "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf", "misspelt-strict-conf"])
+        "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf", "misspelt-strict-conf",
+        "missing-gt-image-id", "duplicate-gt-image-id", "negative-height-gt-bbox", "negative-height-bbox"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
@@ -915,7 +1001,7 @@ def _small(config):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_config_arbitrary_json_exits_0_or_2(tmp_path, config_inputs, monkeypatch, data):
-    monkeypatch.setattr(cli_module, "generate", _small)
+    monkeypatch.setattr(partmon.synth, "generate", _small)  # synth imports it when it runs
     corpus, op = config_inputs
     args = {
         "synth": ["synth"],
@@ -933,3 +1019,5 @@ def test_config_arbitrary_json_exits_0_or_2(tmp_path, config_inputs, monkeypatch
     assert "Traceback" not in result.output
     if result.exit_code == 2:
         assert result.output.strip().splitlines()[-1].startswith("Error: "), result.output
+    elif args[0] == "synth":
+        assert len(json.loads((tmp_path / "synth" / "gt.json").read_text())["images"]) <= 3

@@ -299,10 +299,13 @@ def test_filter_ignores_part_annotations():
         annotations=(
             ann(Box(0, 0, 100, 100), image_id=1, ann_id=1),
             ann(Box(0, 0, 2, 2), image_id=1, category=DetectionClass.HAND, ann_id=2),
+            ann(Box(0, 0, 100, 100), image_id=2, category=DetectionClass.HEAD, ann_id=3),
         ),
-        images=(ImageInfo(id=1),),
+        images=(ImageInfo(id=1), ImageInfo(id=2)),
     )
-    assert filter_images_by_min_person_area(gt, 2247, FilterMode.DROP_IF_ANY_BELOW) == {1}
+    assert filter_images_by_min_person_area(gt, 2247, FilterMode.DROP_IF_ANY_BELOW) == {1, 2}
+    # A part annotation is not a person: an image of parts alone has none.
+    assert filter_images_by_min_person_area(gt, 2247, FilterMode.REQUIRE_ALL_ABOVE) == {1}
 
 
 @given(

@@ -1,0 +1,68 @@
+"""Each command imports only the layers it runs: every command is a process of its own, so an
+import it never uses is start-up time paid on every run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from partmon.cli import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the command given as arguments, if any, then prints the modules it has loaded.
+PROBE = """
+import sys
+from partmon.cli import cli
+if sys.argv[1:]:
+    cli.main(args=sys.argv[1:], standalone_mode=False)
+print(" ".join(sys.modules))
+"""
+
+# The offline layers, and hashlib, which only a command that writes a manifest needs.
+OFFLINE = ("partmon.calibration", "partmon.evaluation", "partmon.synth", "partmon.oracle", "hashlib")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("startup")
+    corpus = root / "corpus"
+    runner = CliRunner()
+    data = [f"--{name}={corpus / name.replace('-', '_')}.json" for name in ("gt", "persons", "parts", "category-map")]
+    for args in (["synth", "--seed", "3", "--n-scenes", "8", "--out", str(corpus)],
+                 ["calibrate", *data, "--out", str(root / "op.json")]):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+    return root, data
+
+
+def loaded_modules(cwd, args) -> set[str]:
+    result = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=cwd, capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("command, needed, unused", [
+    ([], (), OFFLINE),
+    (["validate", "{data}"], (), OFFLINE),
+    (["validate", "{op}"], ("partmon.calibration",),
+     ("partmon.evaluation", "partmon.synth", "partmon.oracle", "hashlib")),
+    (["calibrate", "{data}", "--out", "op2.json"], ("partmon.calibration",), ("partmon.evaluation", "partmon.synth")),
+    (["monitor", "{data}", "{op}", "--out", "verdicts.jsonl"], ("partmon.calibration",),
+     ("partmon.evaluation", "partmon.synth")),
+    (["evaluate", "{data}", "{op}", "--out", "report.json"], ("partmon.calibration", "partmon.evaluation"),
+     ("partmon.synth",)),
+    (["synth", "--n-scenes", "2", "--out", "small"], ("partmon.synth",), ("partmon.calibration", "partmon.evaluation")),
+], ids=["import", "validate", "validate-operating-point", "calibrate", "monitor", "evaluate", "synth"])
+def test_command_imports_only_its_layers(inputs, command, needed, unused):
+    root, data = inputs
+    fill = {"{data}": data, "{op}": ["--operating-point", str(root / "op.json")]}
+    args = [arg for item in command for arg in fill.get(item, [item])]
+    modules = loaded_modules(root, args)
+    assert "partmon.cli" in modules
+    assert set(needed) <= modules
+    assert not modules & set(unused), sorted(modules & set(unused))
