@@ -13,7 +13,7 @@ import partmon.cli as cli_module
 import partmon.synth
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass, group_into_scenes, load_category_map, load_detections, load_ground_truth
-from partmon.oracle import oracle_metrics
+from partmon.oracle import oracle_alphas, oracle_metrics, oracle_threshold
 from partmon.partition import MatchingMode
 from partmon.synth import SynthConfig, generate
 
@@ -182,21 +182,105 @@ def test_evaluate_matches_oracle_on_unfiltered_corpus(tmp_path, corpus_dir):
     assert report["manifest"]["command"] == "evaluate"
 
 
-def test_evaluate_greedy_matches_greedy_oracle(tmp_path):
+def corpus_scenes(corpus):
+    """The corpus's scenes, loaded and grouped with no min-area filter."""
+    cat_map = load_category_map(corpus / "category_map.json")
+    return group_into_scenes(load_ground_truth(corpus / "gt.json", cat_map),
+                             load_detections(corpus / "persons.json", cat_map),
+                             load_detections(corpus / "parts.json", cat_map)).scenes
+
+
+def duplicated_persons_corpus(tmp_path, n_scenes, factor):
+    """Synth seed 8, three persons a scene, and a second detection, at ``factor`` times the score, of every
+    third person: greedy matching validates one of the two, existential matching both."""
     corpus = tmp_path / "corpus"
-    result = runner.invoke(cli, ["synth", "--seed", "8", "--n-scenes", "12", "--persons-per-scene", "3:3",
+    result = runner.invoke(cli, ["synth", "--seed", "8", "--n-scenes", str(n_scenes), "--persons-per-scene", "3:3",
                                  "--jitter", "2", "--out", str(corpus)])
     assert result.exit_code == 0, result.output
-    # A second, lower-scored detection of every third person: greedy matching validates one of the two.
     persons = json.loads((corpus / "persons.json").read_text())
-    write_json(corpus / "persons.json", persons + [dict(d, score=d["score"] / 2) for d in persons[::3]])
-    cat_map = load_category_map(corpus / "category_map.json")
-    grouping = group_into_scenes(load_ground_truth(corpus / "gt.json", cat_map),
-                                 load_detections(corpus / "persons.json", cat_map),
-                                 load_detections(corpus / "parts.json", cat_map))
-    want_fp, want_fn, want_confusion, want_balances = oracle_metrics(grouping.scenes, 0.5, 0.5, 0.5,
+    write_json(corpus / "persons.json", persons + [dict(d, score=d["score"] * factor) for d in persons[::3]])
+    return corpus
+
+
+def oracle_operating_point(scenes, tau, matching=MatchingMode.EXISTENTIAL):
+    """Thresholds by class name, then (alpha_fp, alpha_fn), as the brute-force references choose them."""
+    dets, gts = {}, {}
+    for scene in scenes:
+        for d in (*scene.persons, *scene.parts):
+            dets.setdefault(d.category, []).append(d)
+        for a in scene.gt:
+            gts.setdefault(a.category, []).append(a)
+    conf = {cls: oracle_threshold(dets[cls], gts[cls], tau, matching) for cls in dets}
+    kept = [replace(s, persons=tuple(d for d in s.persons if d.score >= conf[d.category]),
+                    parts=tuple(d for d in s.parts if d.score >= conf[d.category])) for s in scenes]
+    return {cls.value: t for cls, t in conf.items()}, oracle_alphas(kept, tau, matching, 0.05)
+
+
+def calibrated(tmp_path, corpus, *flags):
+    """The operating point ``calibrate`` writes for the corpus with no min-area filter, as parsed JSON."""
+    out = tmp_path / "calibrated.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus), "--min-area", "0", *flags, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return json.loads(out.read_text())
+
+
+def test_calibrate_greedy_matches_greedy_oracle(tmp_path):
+    # On 12 scenes with half-score duplicates, the greedy thresholds drop every duplicate, so the alpha
+    # labels agree under both matchings; here 0.9-score duplicates survive and move alpha_fp.
+    scenes = corpus_scenes(corpus := duplicated_persons_corpus(tmp_path, 24, 0.9))
+    conf, alphas = oracle_operating_point(scenes, 0.5, MatchingMode.GREEDY)
+    assert conf != oracle_operating_point(scenes, 0.5)[0]  # greedy thresholds differ from existential ones
+    kept = [replace(s, persons=tuple(d for d in s.persons if d.score >= conf["Person"])) for s in scenes]
+    assert alphas != oracle_alphas(kept, 0.5, MatchingMode.EXISTENTIAL, 0.05)  # so do the labels of the kept scenes
+    op = calibrated(tmp_path, corpus, "--matching", "greedy")
+    assert (op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (conf, alphas)
+
+
+def test_calibrate_honours_tau(tmp_path):
+    corpus = tmp_path / "corpus"
+    result = runner.invoke(cli, ["synth", "--seed", "6", "--n-scenes", "10", "--jitter", "6", "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    scenes = corpus_scenes(corpus)
+    conf, alphas = oracle_operating_point(scenes, 0.9)
+    default_conf, default_alphas = oracle_operating_point(scenes, 0.5)
+    assert all(conf[name] != default_conf[name] for name in conf) and alphas[1] != default_alphas[1]
+    op = calibrated(tmp_path, corpus, "--tau", "0.9")
+    assert (op["tau"], op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (0.9, conf, alphas)
+
+
+def test_evaluate_honours_ghost_all_classes(tmp_path):
+    # The part detection at (300, 300) has no person around it; it overlaps a Torso annotation but no person one.
+    write_json(tmp_path / "gt.json", {"images": [{"id": 1}], "annotations": [
+        {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 100, 200]},
+        {"id": 2, "image_id": 1, "category_id": 2, "bbox": [300, 300, 30, 30]},
+    ]})
+    write_json(tmp_path / "persons.json", [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 100, 200], "score": 0.9}])
+    write_json(tmp_path / "parts.json", [
+        {"image_id": 1, "category_id": 2, "bbox": [10, 10, 30, 30], "score": 0.9},
+        {"image_id": 1, "category_id": 2, "bbox": [305, 305, 30, 30], "score": 0.9},
+    ])
+    write_json(tmp_path / "category_map.json", {"1": "Person", "2": "Torso"})
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    reports = []
+    for flag in ([], ["--ghost-all-classes"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        result = runner.invoke(cli, ["evaluate", *corpus_args(tmp_path), "--operating-point", op,
+                                     "--protocol", "per-object", *flag, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(json.loads(out.read_text()))
+    scenes = corpus_scenes(tmp_path)
+    for report, ghost_all_classes in zip(reports, (False, True)):
+        _, _, confusion, bal = oracle_metrics(scenes, 0.5, 0.5, 0.5, ghost_all_classes=ghost_all_classes)
+        assert (report["confusion"], report["balances"]) == (asdict(confusion), asdict(bal))
+    assert reports[0]["confusion"] != reports[1]["confusion"]
+
+
+def test_evaluate_greedy_matches_greedy_oracle(tmp_path):
+    corpus = duplicated_persons_corpus(tmp_path, 12, 0.5)
+    scenes = corpus_scenes(corpus)
+    want_fp, want_fn, want_confusion, want_balances = oracle_metrics(scenes, 0.5, 0.5, 0.5,
                                                                      matching=MatchingMode.GREEDY)
-    assert (want_fp, want_fn) != oracle_metrics(grouping.scenes, 0.5, 0.5, 0.5)[:2]  # the two matchings differ here
+    assert (want_fp, want_fn) != oracle_metrics(scenes, 0.5, 0.5, 0.5)[:2]  # the two matchings differ here
     op = write_json(tmp_path / "op.json", ZERO_OP)
     reports = {}
     for protocol in ("per-image", "per-object"):
@@ -207,7 +291,7 @@ def test_evaluate_greedy_matches_greedy_oracle(tmp_path):
         reports[protocol] = json.loads(out.read_text())
     for alert, want in (("fp_alert", want_fp), ("fn_alert", want_fn)):
         assert {k: reports["per-image"][alert][k] for k in ("tp", "fp", "fn", "tn")} == asdict(want)
-    assert reports["per-image"]["total_images"] == len(grouping.scenes)
+    assert reports["per-image"]["total_images"] == len(scenes)
     assert reports["per-object"]["confusion"] == asdict(want_confusion)
     assert reports["per-object"]["balances"] == asdict(want_balances)
 
