@@ -10,9 +10,10 @@ the Matthews correlation of the per-image alerts against the ground-truth
 image labels: the FP alert depends only on alpha_fp, the FN alert only on
 alpha_fn, and each turns on at most once as alpha grows.
 
-Tie-breaking is deterministic and documented: equal F1 prefers the higher
-threshold (fewer retained detections), equal MCC prefers the smaller alpha
-(more sensitive monitor).
+Each choice is the first maximum of its score along a walk in tie-break
+order. Thresholds are walked from the top down, so equal F1 keeps the higher
+threshold (fewer retained detections); alphas from the bottom up, so equal
+MCC keeps the smaller alpha (more sensitive monitor).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _plain, read_json, write_json
@@ -139,9 +141,9 @@ def select_confidence_threshold(
     Candidates are the distinct observed scores, zero, and one value just
     above the maximum score (the discard-everything option). Detections are
     retained when score >= threshold, or score > threshold with ``strict``.
-    Ties go to the higher threshold. Raises CalibrationError when the class
-    has no ground-truth instances (F1 undefined); with no detections at all
-    the threshold is 1.0, since there is nothing to retain.
+    Raises CalibrationError when the class has no ground-truth instances (F1
+    undefined); with no detections at all the threshold is 1.0, since there
+    is nothing to retain.
     """
     if not gts:
         raise CalibrationError("F1 undefined: no ground-truth instances for this class")
@@ -171,17 +173,16 @@ def select_confidence_threshold(
     matched_scores.sort()
     best_scores.sort()
     cut = bisect_right if strict else bisect_left
-    candidates = sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)})
-    best_t, best_f1 = candidates[0], -1.0
-    for t in candidates:
+
+    def f1(t: float) -> float:
         kept = len(all_scores) - cut(all_scores, t)
         tp = len(matched_scores) - cut(matched_scores, t)
         fn = cut(best_scores, t)
         precision, recall = tp / kept if kept else 0.0, tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-        if f1 >= best_f1:
-            best_t, best_f1 = t, f1
-    return best_t
+        return 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+    # The walk goes from the top down; see the module docstring.
+    return max(sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)}, reverse=True), key=f1)
 
 
 def select_alphas(
@@ -193,7 +194,7 @@ def select_alphas(
     """Sweep the overlap grid and return (alpha_fp, alpha_fn) with maximal MCC.
 
     Each alert type is scored independently against its own image labels
-    (|fp_gt| >= 1 or |fn_gt| >= 1 per scene). Ties prefer the smaller alpha.
+    (|fp_gt| >= 1 or |fn_gt| >= 1 per scene).
 
     Grid point k is ``round((k + 1) * grid_step, 10)``, computed on demand. A
     pair passes the overlap test on a grid prefix of length ``int(inter /
@@ -228,12 +229,11 @@ def select_alphas(
 
     def best_alpha(neg, pos):
         positives, negatives = sum(pos.values()), sum(neg.values())
-        best_k, best_mcc, tp, fp = 0, -2.0, 0, 0  # every MCC is at least -1
-        for k in sorted({0, *pos, *neg} - {n}):  # ascending, so ties go to the smaller alpha
-            tp, fp = tp + pos[k], fp + neg[k]
-            if (mcc := mcc_from_counts(tp, fp, positives - tp, negatives - fp)) > best_mcc:
-                best_k, best_mcc = k, mcc
-        return point(best_k)
+        ks = sorted({0, *pos, *neg} - {n})  # the walk goes from the bottom up; see the module docstring
+        # (k, tp, fp): at point(k) the alert is on in the scenes whose flip index is at most k.
+        walk = zip(ks, accumulate(pos[k] for k in ks), accumulate(neg[k] for k in ks))
+        k, _, _ = max(walk, key=lambda w: mcc_from_counts(w[1], w[2], positives - w[1], negatives - w[2]))
+        return point(k)
 
     return best_alpha(*flips[0]), best_alpha(*flips[1])
 
@@ -244,18 +244,11 @@ def apply_confidence_thresholds(
     strict: bool = False,
 ) -> list[Scene]:
     """Drop detections below their class threshold; scenes keep their ground truth."""
+    def kept(dets):  # a list, not a generator, for tuple(): faster on the one-scene calls of the frame path
+        return tuple([d for d in dets if (d.score > conf[d.category] if strict else d.score >= conf[d.category])])
+
     try:
-        return [
-            Scene(
-                image_id=s.image_id,
-                persons=tuple(d for d in s.persons
-                              if (d.score > conf[d.category] if strict else d.score >= conf[d.category])),
-                parts=tuple(d for d in s.parts
-                            if (d.score > conf[d.category] if strict else d.score >= conf[d.category])),
-                gt=s.gt,
-            )
-            for s in scenes
-        ]
+        return [Scene(image_id=s.image_id, persons=kept(s.persons), parts=kept(s.parts), gt=s.gt) for s in scenes]
     except KeyError as exc:  # only conf[...] can raise it
         raise ValidationError(f"no confidence threshold for class {exc.args[0].value}") from None
 

@@ -196,6 +196,14 @@ def _scenes_from(p: dict) -> list[Scene]:
     return list(grouping.scenes)
 
 
+def _apply_operating_point(p: dict, rule) -> tuple[OperatingPoint, list[Scene], list]:
+    """Load --operating-point, keep detections under its recorded rule, run ``rule``: (op, scenes, results)."""
+    from .calibration import OperatingPoint, apply_confidence_thresholds
+    op = OperatingPoint.load(p["operating_point"])
+    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
+    return op, scenes, [rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn) for s in scenes]
+
+
 def _det_record(det) -> dict:
     return {
         "det_id": det.det_id,
@@ -333,25 +341,20 @@ def cmd_calibrate(**p):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_monitor(**p):
     """Run the monitor and stream one JSON line per scene."""
-    from .calibration import OperatingPoint, apply_confidence_thresholds
-    op = OperatingPoint.load(p["operating_point"])
-    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
+    image = p["mode"] == "image"
+    op, scenes, results = _apply_operating_point(p, per_image_rule if image else per_object_rule)
 
-    if p["mode"] == "image":
-        def line(scene: Scene) -> dict:
-            alert = per_image_rule(scene.persons, scene.parts, op.alpha_fp, op.alpha_fn)
-            return {"image_id": scene.image_id, "alert_fp": alert.alert_fp, "alert_fn": alert.alert_fn}
-    else:
-        def line(scene: Scene) -> dict:
-            verdict = per_object_rule(scene.persons, scene.parts, op.alpha_fp, op.alpha_fn)
-            return {
-                "image_id": scene.image_id,
-                "tp_mon": [_det_record(d) for d in verdict.tp_mon],
-                "fp_mon": [_det_record(d) for d in verdict.fp_mon],
-                "fn_mon": [_det_record(d) for d in verdict.fn_mon],
-            }
+    def line(scene: Scene, result) -> dict:
+        if image:
+            return {"image_id": scene.image_id, "alert_fp": result.alert_fp, "alert_fn": result.alert_fn}
+        return {
+            "image_id": scene.image_id,
+            "tp_mon": [_det_record(d) for d in result.tp_mon],
+            "fp_mon": [_det_record(d) for d in result.fp_mon],
+            "fn_mon": [_det_record(d) for d in result.fn_mon],
+        }
 
-    lines = [json.dumps(line(s), sort_keys=True) + "\n" for s in scenes]
+    lines = [json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)]
     out = Path(p["out"])
     write_text(out, lines)
     write_json(_manifest_path("monitor", out), _manifest("monitor", p, op, out))
@@ -375,29 +378,26 @@ def cmd_monitor(**p):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_evaluate(**p):
     """Score the monitor against ground truth and write a report."""
-    from .calibration import OperatingPoint, apply_confidence_thresholds
     from .evaluation import PerImageResult, PerObjectResult, balances, object_confusion, per_image_counts, render_report
     try:  # up front: an unencodable label would fail the CSV writer halfway through the file
         p["system"].encode("utf-8")
     except UnicodeEncodeError:
         raise ValidationError(f"--system label is not valid UTF-8: {p['system']!r}") from None
-    op = OperatingPoint.load(p["operating_point"])
-    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
+    per_image = p["protocol"] == "per-image"
+    op, scenes, results = _apply_operating_point(p, per_image_rule if per_image else per_object_rule)
     matching = MatchingMode(p["matching"])
     partitions = [partition(s.persons, s.gt_persons(), op.tau, matching) for s in scenes]
     manifest = _manifest("evaluate", p, op, p["out"])
 
-    if p["protocol"] == "per-image":
-        alerts = [per_image_rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn) for s in scenes]
-        fp_counts, fn_counts = per_image_counts(scenes, partitions, alerts)
+    if per_image:
+        fp_counts, fn_counts = per_image_counts(scenes, partitions, results)
         result = PerImageResult(
             system=p["system"], total_images=len(scenes),
             fp_alert=fp_counts, fn_alert=fn_counts,
         )
     else:
-        verdicts = [per_object_rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn) for s in scenes]
         confusion = object_confusion(
-            scenes, partitions, verdicts, op.alpha_fn,
+            scenes, partitions, results, op.alpha_fn,
             ghost_all_classes=p["ghost_all_classes"],
         )
         result = PerObjectResult(

@@ -290,8 +290,8 @@ def test_c7_calibration_optimality_and_determinism(tmp_path, capsys):
         blobs.add(out.read_bytes())
     assert len(blobs) == 1
     with capsys.disabled():
-        print("[acceptance] C7 PASS - thresholds and alphas are grid argmax under "
-              "independent re-sweeps on 50 corpora; identical results for --threads 1..8")
+        print("[acceptance] C7 PASS - thresholds and alphas equal oracle_threshold and oracle_alphas, "
+              "ties included, on 50 corpora; identical results for --threads 1..8")
 
 
 def test_c8_end_to_end_determinism_and_exit_codes(tmp_path, monkeypatch, capsys):

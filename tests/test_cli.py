@@ -202,18 +202,22 @@ def duplicated_persons_corpus(tmp_path, n_scenes, factor):
     return corpus
 
 
+def kept_under(scenes, conf):
+    """The scenes with only the detections whose score reaches their class's threshold (keyed by class name)."""
+    return [replace(s, persons=tuple(d for d in s.persons if d.score >= conf[d.category.value]),
+                    parts=tuple(d for d in s.parts if d.score >= conf[d.category.value])) for s in scenes]
+
+
 def oracle_operating_point(scenes, tau, matching=MatchingMode.EXISTENTIAL):
     """Thresholds by class name, then (alpha_fp, alpha_fn), as the brute-force references choose them."""
     dets, gts = {}, {}
     for scene in scenes:
         for d in (*scene.persons, *scene.parts):
-            dets.setdefault(d.category, []).append(d)
+            dets.setdefault(d.category.value, []).append(d)
         for a in scene.gt:
-            gts.setdefault(a.category, []).append(a)
-    conf = {cls: oracle_threshold(dets[cls], gts[cls], tau, matching) for cls in dets}
-    kept = [replace(s, persons=tuple(d for d in s.persons if d.score >= conf[d.category]),
-                    parts=tuple(d for d in s.parts if d.score >= conf[d.category])) for s in scenes]
-    return {cls.value: t for cls, t in conf.items()}, oracle_alphas(kept, tau, matching, 0.05)
+            gts.setdefault(a.category.value, []).append(a)
+    conf = {name: oracle_threshold(dets[name], gts[name], tau, matching) for name in dets}
+    return conf, oracle_alphas(kept_under(scenes, conf), tau, matching, 0.05)
 
 
 def calibrated(tmp_path, corpus, *flags):
@@ -230,7 +234,7 @@ def test_calibrate_greedy_matches_greedy_oracle(tmp_path):
     scenes = corpus_scenes(corpus := duplicated_persons_corpus(tmp_path, 24, 0.9))
     conf, alphas = oracle_operating_point(scenes, 0.5, MatchingMode.GREEDY)
     assert conf != oracle_operating_point(scenes, 0.5)[0]  # greedy thresholds differ from existential ones
-    kept = [replace(s, persons=tuple(d for d in s.persons if d.score >= conf["Person"])) for s in scenes]
+    kept = kept_under(scenes, conf)
     assert alphas != oracle_alphas(kept, 0.5, MatchingMode.EXISTENTIAL, 0.05)  # so do the labels of the kept scenes
     op = calibrated(tmp_path, corpus, "--matching", "greedy")
     assert (op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (conf, alphas)
