@@ -354,9 +354,8 @@ def cmd_monitor(**p):
             "fn_mon": [_det_record(d) for d in result.fn_mon],
         }
 
-    lines = [json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)]
     out = Path(p["out"])
-    write_text(out, lines)
+    write_text(out, (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)))
     write_json(_manifest_path("monitor", out), _manifest("monitor", p, op, out))
     click.echo(f"monitored {len(scenes)} scenes -> {out}")
 

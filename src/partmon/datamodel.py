@@ -43,7 +43,7 @@ class DetectionClass(Enum):
 _CLASS_BY_NAME = {c.value: c for c in DetectionClass}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A scored, class-labeled box tied to an image.
 
@@ -64,7 +64,7 @@ class Detection:
             raise ValidationError(f"detection box must have positive width and height, got {self.box}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GtAnnotation:
     """A ground-truth box for one image."""
 
@@ -81,7 +81,7 @@ class GtAnnotation:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageInfo:
     id: int
     width: int | None = None
@@ -101,7 +101,7 @@ class GroundTruth:
         return tuple(img.id for img in self.images)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
     """Everything the toolkit knows about one image.
 
@@ -213,7 +213,7 @@ def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> De
 
 
 # The trusted build path: a frozen record's generated __init__ without the __post_init__ checks
-# the loader has just made. Fields set in order, not via __dict__, keep the record's compact layout.
+# the loader has just made. object.__setattr__ fills each slot past the frozen __setattr__.
 _new, _set = object.__new__, object.__setattr__
 
 
@@ -255,10 +255,11 @@ def _parse_image_id(raw, what: str, key, name="image_id") -> int:
 
 
 def _objects(entries: list, what: str):
-    """Yield (index, entry) for each entry, rejecting any that is not a JSON object."""
+    """Yield (index, entry), rejecting non-objects; each leaves ``entries``, so it is freed once the caller moves on."""
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"{what} #{index}: expected a JSON object, got {entry!r}")
+        entries[index] = None
         yield index, entry
 
 

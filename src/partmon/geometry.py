@@ -21,7 +21,7 @@ class DegeneratePartBoxError(ValueError):
     """A body-part box with zero area cannot anchor an overlap test."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle in pixel coordinates (left, top, width, height)."""
 

@@ -747,6 +747,35 @@ def test_zero_extent_bbox_message(tmp_path, flag, payload, message, bbox, shown)
     assert result.output.splitlines() == ["Error: " + message % shown]
 
 
+_OK_DET = DET % ("[0, 0, 10, 10]", "0.9")
+_OK_ANN = '{"id": 10, "image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]}'
+
+
+@pytest.mark.parametrize("flag, payload, message", [
+    ("--persons", "[%s, 5, %s]" % (_OK_DET, _OK_DET), "detection #1: expected a JSON object, got 5"),
+    ("--persons", "[%s, %s, %s]" % (_OK_DET, DET % ("[0, 0, 10]", "0.9"), _OK_DET),
+     "detection #1: bbox must be [x, y, w, h], got [0, 0, 10]"),
+    ("--persons", "[%s, %s, %s]" % (_OK_DET, DET % ("[0, 0, 10, 10]", '"high"'), _OK_DET),
+     "detection #1: score must be a number, got 'high'"),
+    ("--gt", '{"images": [{"id": 1}, "x", {"id": 3}], "annotations": []}',
+     "image entry #1: expected a JSON object, got 'x'"),
+    ("--gt", '{"images": [{"id": 1}], "annotations": [%s, [1], %s]}' % (_OK_ANN, _OK_ANN),
+     "annotation #1: expected a JSON object, got [1]"),
+    ("--gt", '{"images": [{"id": 1}], "annotations": [%s, %s, %s]}'
+     % (_OK_ANN, '{"id": 11, "image_id": 1, "category_id": 1, "bbox": [0, 0, 10, -1]}', _OK_ANN),
+     "annotation id 11: negative bbox width/height [0, 0, 10, -1]"),
+], ids=["non-object-detection", "short-bbox", "string-score", "non-object-image", "non-object-annotation",
+        "negative-height-annotation"])
+def test_malformed_entry_mid_file_is_named(tmp_path, flag, payload, message):
+    # The loaders release each decoded entry as they go; the message still shows the one at fault.
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
+    category_map = write_json(tmp_path / "map.json", {"1": "Person"})
+    result = runner.invoke(cli, ["validate", "--category-map", category_map, flag, str(bad)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["Error: " + message]
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_commands_pause_and_restore_the_collector(tmp_path, corpus_dir, monkeypatch, enabled):
     seen = []  # the collector's state while each command loads its inputs

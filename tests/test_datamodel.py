@@ -1,10 +1,13 @@
+import gc
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partmon.datamodel
 from partmon.datamodel import (
     Detection,
     DetectionClass,
@@ -25,6 +28,7 @@ from partmon.datamodel import (
 )
 from partmon.errors import ParseError, TaxonomyError, ValidationError
 from partmon.geometry import Box, area, iou
+from partmon.synth import SynthConfig, generate, write_corpus
 
 from conftest import ann, det, part_det
 
@@ -220,6 +224,64 @@ def test_loaded_records_are_frozen(tmp_path, gt_file):
                          (annotation, "image_id"), (annotation.box, "x")):
         with pytest.raises(FrozenInstanceError):
             setattr(record, name, 0)
+
+
+def test_records_are_slotted(tmp_path, gt_file):
+    # A per-instance __dict__ costs about 80 B of every loaded detection.
+    (loaded_det,) = load_detections(write_json(
+        tmp_path / "dets.json", [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}]), CATEGORY_MAP)
+    gt = load_ground_truth(gt_file, CATEGORY_MAP)
+    (loaded_scene,) = group_into_scenes(gt, [loaded_det], []).scenes
+    box = Box(0, 0, 5, 5)
+    built = (box, det(box), ann(box), ImageInfo(id=1), Scene(1, (det(box),)))
+    loaded = (loaded_det.box, loaded_det, gt.annotations[0], gt.images[0], loaded_scene)
+    for record in built + loaded:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        for name in record.__dataclass_fields__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, 0)
+        # A name that is no field: a slotted frozen dataclass's __setattr__ raises TypeError (CPython 3.10-3.13).
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 0
+
+
+def test_loaded_detection_retains_few_bytes(tmp_path):
+    # Retained per detection: 288 B slotted on CPython 3.10-3.13; 352-456 B with a __dict__ per record.
+    paths = write_corpus(generate(SynthConfig(seed=1, n_scenes=300)), tmp_path)
+    entries = json.loads(paths["parts"].read_text(encoding="utf-8"))[:2000]
+    assert len(entries) == 2000
+    dets_file = write_json(tmp_path / "dets.json", entries)
+    category_map = load_category_map(paths["category_map"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dets = load_detections(dets_file, category_map)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained / len(dets) < 330
+
+
+def test_loaders_release_each_decoded_entry(monkeypatch, tmp_path):
+    # Each decoded dict is freed once its record is built, not with the whole file after the last one.
+    paths = write_corpus(generate(SynthConfig(seed=2, n_scenes=5)), tmp_path)
+    category_map = load_category_map(paths["category_map"])
+    decoded = []
+
+    def keeping_read_json(path):
+        decoded.append(read_json(path))
+        return decoded[-1]
+
+    monkeypatch.setattr(partmon.datamodel, "read_json", keeping_read_json)
+    gt = load_ground_truth(paths["gt"], category_map)
+    dets = load_detections(paths["parts"], category_map)
+    raw_gt, raw_dets = decoded
+    for entries, records in ((raw_gt["images"], gt.images), (raw_gt["annotations"], gt.annotations),
+                             (raw_dets, dets)):
+        assert len(entries) == len(records) > 0
+        assert entries == [None] * len(records)
 
 
 def test_load_detections_empty_and_bad_score(tmp_path):
