@@ -114,11 +114,8 @@ def _grid_length(step: float) -> int:
         raise CalibrationError(f"grid step must lie in (0, 1), got {step}")
     if round(step, 10) == 0.0:  # grid values would start at 0.0, no alpha
         raise CalibrationError(f"grid step {step} rounds to 0 at the grid's 10 decimal places")
-    n = int((1 - 1e-9) / step)  # within a few points of the count; the value test settles it
-    while n and round(n * step, 10) >= 1.0 - 1e-9:
-        n -= 1
-    while round((n + 1) * step, 10) < 1.0 - 1e-9:
-        n += 1
+    # Point k grows with k, and point int(1 / step) is past 1: the count is the first k reaching 1 - 1e-9.
+    n = bisect_left(range(int(1 / step)), 1.0 - 1e-9, key=lambda k: round((k + 1) * step, 10))
     if not n:
         raise CalibrationError(f"grid step {step} leaves no grid point in (0, 1)")
     return n

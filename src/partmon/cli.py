@@ -402,7 +402,7 @@ def cmd_evaluate(**p):
         result = PerObjectResult(
             system=p["system"], confusion=confusion, balances=balances(confusion),
         )
-    write_text(p["out"], [render_report(result, p["fmt"], manifest if p["fmt"] == "json" else None)])
+    write_text(p["out"], [render_report(result, p["fmt"], manifest)])
     write_json(_manifest_path("evaluate", p["out"]), manifest)
     click.echo(f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}")
 
@@ -438,9 +438,5 @@ def cmd_validate(gt, persons, parts, category_map, operating_point):
     click.echo("ok")
 
 
-def main(argv=None):
-    return cli.main(args=argv, standalone_mode=True)
-
-
 if __name__ == "__main__":
-    main()
+    cli()

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, TaxonomyError, ValidationError
-from .geometry import Box, area
+from .geometry import Box, _record, area
 
 
 class DetectionClass(Enum):
@@ -43,7 +43,7 @@ class DetectionClass(Enum):
 _CLASS_BY_NAME = {c.value: c for c in DetectionClass}
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Detection:
     """A scored, class-labeled box tied to an image.
 
@@ -64,7 +64,7 @@ class Detection:
             raise ValidationError(f"detection box must have positive width and height, got {self.box}")
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GtAnnotation:
     """A ground-truth box for one image."""
 
@@ -81,7 +81,7 @@ class GtAnnotation:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ImageInfo:
     id: int
     width: int | None = None
@@ -101,7 +101,7 @@ class GroundTruth:
         return tuple(img.id for img in self.images)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Scene:
     """Everything the toolkit knows about one image.
 

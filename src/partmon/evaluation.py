@@ -120,14 +120,14 @@ def object_confusion(
                 f"image {scene.image_id}: partition covers {n_gt} person detections "
                 f"but verdict covers {n_mon}; inputs must share the same detections"
             )
-        tp_gt = {id(d) for d in part.tp_gt}
-        fp_gt = {id(d) for d in part.fp_gt}
-        tp_mon = {id(d) for d in verdict.tp_mon}
-        fp_mon = {id(d) for d in verdict.fp_mon}
-        cells["tp_gt_tp_mon"] += len(tp_gt & tp_mon)
-        cells["tp_gt_fp_mon"] += len(tp_gt & fp_mon)
-        cells["fp_gt_tp_mon"] += len(fp_gt & tp_mon)
-        cells["fp_gt_fp_mon"] += len(fp_gt & fp_mon)
+        # Both pairs split the same detections (the guard above): what tp_mon keeps of each gt set decides all four.
+        tp_mon = set(map(id, verdict.tp_mon))
+        kept_tp = len(tp_mon.intersection(map(id, part.tp_gt)))
+        kept_fp = len(tp_mon.intersection(map(id, part.fp_gt)))
+        cells["tp_gt_tp_mon"] += kept_tp
+        cells["tp_gt_fp_mon"] += len(part.tp_gt) - kept_tp
+        cells["fp_gt_tp_mon"] += kept_fp
+        cells["fp_gt_fp_mon"] += len(part.fp_gt) - kept_fp
 
         found, _ = masks(part.fn_gt, verdict.fn_mon, alpha_fn, alpha_fn)
         cells["fn_gt_fn_mon"] += found.count(True)

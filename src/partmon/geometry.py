@@ -13,7 +13,7 @@ hot path calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 
@@ -21,7 +21,23 @@ class DegeneratePartBoxError(ValueError):
     """A body-part box with zero area cannot anchor an overlap test."""
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """A frozen, slotted dataclass that refuses every assignment and deletion with FrozenInstanceError. On CPython
+    3.10-3.13 the generated methods name the class that ``slots=True`` replaced: a non-field name raised TypeError."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    return cls
+
+
+@_record
 class Box:
     """Axis-aligned rectangle in pixel coordinates (left, top, width, height)."""
 

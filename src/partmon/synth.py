@@ -36,18 +36,8 @@ from .datamodel import (
 from .errors import ValidationError
 from .geometry import Box
 
-# Canonical category ids for serialized corpora.
-CATEGORY_IDS = {
-    DetectionClass.PERSON: 1,
-    DetectionClass.TORSO: 2,
-    DetectionClass.HAND: 3,
-    DetectionClass.FOOT: 4,
-    DetectionClass.UPPER_LEG: 5,
-    DetectionClass.LOWER_LEG: 6,
-    DetectionClass.UPPER_ARM: 7,
-    DetectionClass.LOWER_ARM: 8,
-    DetectionClass.HEAD: 9,
-}
+# Canonical category ids for serialized corpora: 1-9 in the taxonomy's declaration order.
+CATEGORY_IDS = {cls: cat_id for cat_id, cls in enumerate(DetectionClass, 1)}
 CATEGORY_MAP = {str(cat_id): cls.value for cls, cat_id in CATEGORY_IDS.items()}
 
 # The files of a corpus directory, each named after its role: write_corpus writes them, and the CLI

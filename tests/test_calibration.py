@@ -43,13 +43,22 @@ def test_alpha_grid_without_interior_point_is_rejected():
         alpha_grid(0.99999999999)
 
 
-@pytest.mark.parametrize("step", [0.05, 0.1, 0.07, 1 / 3, 0.25, 1e-3, 1e-5])
+# 0.333333333: the third point rounds to exactly 1 - 1e-9, which is no grid point, so the grid holds two.
+@pytest.mark.parametrize("step", [0.05, 0.1, 0.07, 1 / 3, 0.25, 1e-3, 1e-5,
+                                  1 / 7, 0.3, 0.49999999999, 0.9, 0.9999999, 0.333333333])
 def test_grid_length_is_counted_without_building_the_grid(step):
     listed = []
     while (value := round((len(listed) + 1) * step, 10)) < 1.0 - 1e-9:
         listed.append(value)
     assert calibration._grid_length(step) == len(alpha_grid(step)) == len(listed)
     assert alpha_grid(step) == listed
+
+
+@pytest.mark.parametrize("step, count", [(1e-9, 999_999_998), (3e-10, 3_333_333_329), (1e-10, 9_999_999_989)])
+def test_grid_length_of_a_grid_too_long_to_list(step, count):
+    # Counted by stepping a point at a time from an estimate of 1 / step, as the grid was counted before.
+    assert calibration._grid_length(step) == count
+    assert round(count * step, 10) < 1.0 - 1e-9 <= round((count + 1) * step, 10)
 
 
 @pytest.fixture

@@ -66,3 +66,22 @@ def test_command_imports_only_its_layers(inputs, command, needed, unused):
     assert "partmon.cli" in modules
     assert set(needed) <= modules
     assert not modules & set(unused), sorted(modules & set(unused))
+
+
+def run_module(cwd, *args) -> subprocess.CompletedProcess:
+    """``python -m partmon.cli``, the entry point that the benchmark runs every command through."""
+    return subprocess.run([sys.executable, "-m", "partmon.cli", *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_module_entry_prints_version(tmp_path):
+    result = run_module(tmp_path, "--version")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "partmon, version 0.1.0\n", "")
+
+
+def test_module_entry_exits_2_on_malformed_json(tmp_path):
+    (tmp_path / "category_map.json").write_text('{"1": "Person"', encoding="utf-8")
+    result = run_module(tmp_path, "validate", "--category-map", "category_map.json")
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("Error: "), result.stderr
