@@ -8,6 +8,7 @@ category-map JSON so DensePose/COCO/VOC id spaces all work unchanged.
 
 The loaders check each field once and build records through one trusted path,
 without the public constructors' re-checks. Loaded records are still frozen.
+Both ways of building a record refuse the same boxes: ``_parse_bbox`` is the rule.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValidationError(f"detection score must lie in [0, 1], got {self.score}")
-        if self.box.w <= 0 or self.box.h <= 0:
-            raise ValidationError(f"detection box must have positive width and height, got {self.box}")
+        _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "detection #", self.det_id)
 
 
 @_record
@@ -74,11 +74,7 @@ class GtAnnotation:
     ann_id: int | None = None
 
     def __post_init__(self):
-        if self.box.w <= 0 or self.box.h <= 0:
-            raise ValidationError(
-                f"annotation box must have positive width and height "
-                f"(annotation id {self.ann_id}): {self.box}"
-            )
+        _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "annotation id ", self.ann_id)
 
 
 @_record
@@ -205,11 +201,11 @@ def _integer(raw) -> int:
     return raw if raw.__class__ is int else int(_plain(raw))
 
 
-def _map_category(category_id, category_map: Mapping[int, DetectionClass]) -> DetectionClass:
+def _map_category(category_id, category_map: Mapping[int, DetectionClass], what: str, key) -> DetectionClass:
     try:
         return category_map[_integer(category_id)]
     except (KeyError, TypeError, ValueError, OverflowError):
-        raise TaxonomyError(f"unmapped category id: {category_id!r}") from None
+        raise TaxonomyError(f"{what}{key}: unmapped category id: {category_id!r}") from None
 
 
 # The trusted build path: a frozen record's generated __init__ without the __post_init__ checks
@@ -235,10 +231,10 @@ def _parse_bbox(raw, what: str, key) -> Box:
     # x + w and y + h are finite iff all four values are and no far edge overflows.
     if not (math.isfinite(x + w) and math.isfinite(y + h)):
         raise ValidationError(f"{what}{key}: bbox values and far edges must be finite, got {raw!r}")
-    if w < 0 or h < 0:
-        raise ValidationError(f"{what}{key}: negative bbox width/height {raw!r}")
+    if not (w > 0 and h > 0):
+        raise ValidationError(f"{what}{key}: bbox width and height must be positive, got {raw!r}")
     box_area = w * h
-    if box_area == 0.0 and w > 0 and h > 0:
+    if box_area == 0.0:
         raise ValidationError(f"{what}{key}: bbox area underflows to 0, got {raw!r}")
     if box_area > _MAX_AREA:
         raise ValidationError(f"{what}{key}: bbox area overflows, got {raw!r}")
@@ -285,11 +281,9 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
     annotations = []
     for _, entry in _objects(raw["annotations"], "annotation"):
         ann_id = entry.get("id")
-        cls = _map_category(entry.get("category_id"), category_map)
+        cls = _map_category(entry.get("category_id"), category_map, "annotation id ", ann_id)
         box = _parse_bbox(entry.get("bbox"), "annotation id ", ann_id)
         image_id = _parse_image_id(entry.get("image_id"), "annotation id ", ann_id)
-        if box.w <= 0 or box.h <= 0:  # the public constructor raises its message
-            GtAnnotation(image_id, cls, box, ann_id)
         ann = _new(GtAnnotation)
         _set(ann, "image_id", image_id), _set(ann, "category", cls)
         _set(ann, "box", box), _set(ann, "ann_id", ann_id)
@@ -308,7 +302,7 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         raise ValidationError(f"detection results must be a JSON array: {path}")
     detections = []
     for index, entry in _objects(raw, "detection"):
-        cls = _map_category(entry.get("category_id"), category_map)
+        cls = _map_category(entry.get("category_id"), category_map, "detection #", index)
         box = _parse_bbox(entry.get("bbox"), "detection #", index)
         try:
             score = float(_plain(entry["score"]))
@@ -319,8 +313,6 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"detection #{index}: score {score} outside [0, 1]")
         image_id = _parse_image_id(entry.get("image_id"), "detection #", index)
-        if box.w <= 0 or box.h <= 0:  # the public constructor raises its message
-            Detection(image_id, cls, box, score, index)
         det = _new(Detection)
         _set(det, "image_id", image_id), _set(det, "category", cls), _set(det, "box", box)
         _set(det, "score", score), _set(det, "det_id", index)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -439,9 +440,39 @@ def test_select_alphas_with_one_label_only_returns_smallest(step, positive):
     assert oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step) == (smallest, smallest)
 
 
+def _covered_scene(image_id, person, part, gt):
+    """A scene with or without a person at (0, 0, 10, 10) and a part at (7, 0, 10, 10), which the person covers
+    0.3, and ground-truth persons at ``gt``."""
+    return Scene(image_id=image_id, persons=(det(Box(0, 0, 10, 10), image_id=image_id),) if person else (),
+                 parts=(part_det(Box(7, 0, 10, 10), image_id=image_id),) if part else (),
+                 gt=tuple(ann(box, image_id=image_id) for box in gt))
+
+
+_MATCHED, _MISSED = (Box(0, 0, 10, 10),), (Box(100, 100, 10, 10),)
+
+
+# At step 0.25, coverage 0.3 supports a person at alpha 0.25 only: its alert turns on at grid index 1. The
+# scene without persons (or without parts) never alerts; counted as alerting from index 0, it ties MCC at
+# 0.25 and 0.5, and the smaller alpha wins the tie.
+@pytest.mark.parametrize("specs, alert", [
+    # Two ghosts without a part, two ghosts and one matched person covering their part 0.3, one lone part.
+    ([(True, False, ())] * 2 + [(True, True, ())] * 2 + [(True, True, _MATCHED), (False, True, ())], 0),
+    # Two orphan parts and two parts a ghost covers 0.3 beside a missed person, one matched person covering its
+    # part 0.3, and one matched person without a part.
+    ([(False, True, _MISSED)] * 2 + [(True, True, _MISSED)] * 2 + [(True, True, _MATCHED), (True, False, _MATCHED)],
+     1),
+], ids=["person-free", "part-free"])
+def test_select_alphas_never_alerts_on_a_scene_without_persons_or_parts(specs, alert):
+    scenes, partitions = _scenes_and_partitions([_covered_scene(i, *spec) for i, spec in enumerate(specs, 1)])
+    chosen = select_alphas(scenes, partitions, grid_step=0.25)
+    assert chosen == oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, 0.25)
+    assert chosen[alert] == 0.5
+
+
 def test_select_alphas_rejects_part_box_whose_area_underflows():
-    # Both sides are positive, but their product rounds to 0.0.
-    tiny = part_det(Box(1, 1, 1e-200, 1e-200))
+    # Both sides are positive, but their product rounds to 0.0. A Detection refuses such a box, so a bare record
+    # carries it, as in test_geometry.
+    tiny = SimpleNamespace(box=Box(1, 1, 1e-200, 1e-200))
     scenes, partitions = _scenes_and_partitions(
         [Scene(image_id=1, persons=(det(Box(0, 0, 10, 10)),), parts=(tiny,), gt=(ann(Box(0, 0, 10, 10)),))]
     )

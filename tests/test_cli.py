@@ -13,7 +13,7 @@ import partmon.cli as cli_module
 import partmon.synth
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass, group_into_scenes, load_category_map, load_detections, load_ground_truth
-from partmon.oracle import oracle_alphas, oracle_metrics, oracle_threshold
+from partmon.oracle import oracle_alphas, oracle_metrics, oracle_per_image, oracle_per_object, oracle_threshold
 from partmon.partition import MatchingMode
 from partmon.synth import SynthConfig, generate
 
@@ -298,6 +298,94 @@ def test_evaluate_greedy_matches_greedy_oracle(tmp_path):
     assert reports["per-image"]["total_images"] == len(scenes)
     assert reports["per-object"]["confusion"] == asdict(want_confusion)
     assert reports["per-object"]["balances"] == asdict(want_balances)
+
+
+@pytest.fixture(scope="module")
+def interior_corpus(tmp_path_factory):
+    """Synth seed 6, 300 scenes with half the persons and parts dropped, and its operating point at tau 0.9.
+    Its alphas differ (0.95 / 0.25), and its persons span 12,800-51,200 px^2."""
+    corpus = tmp_path_factory.mktemp("interior") / "corpus"
+    result = runner.invoke(cli, ["synth", "--seed", "6", "--n-scenes", "300", "--jitter", "6",
+                                 "--drop-person-prob", "0.5", "--drop-part-prob", "0.5", "--out", str(corpus)])
+    assert result.exit_code == 0, result.output
+    op = corpus.parent / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus), "--tau", "0.9", "--out", str(op)])
+    assert result.exit_code == 0, result.output
+    return corpus, op
+
+
+def evaluated(tmp_path, corpus, op, *flags):
+    """The parsed per-image and per-object reports of ``evaluate``, by protocol."""
+    reports = {}
+    for protocol in ("per-image", "per-object"):
+        out = tmp_path / f"{protocol}.json"
+        result = runner.invoke(cli, ["evaluate", *corpus_args(corpus), "--operating-point", str(op), *flags,
+                                     "--protocol", protocol, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports[protocol] = json.loads(out.read_text())
+    return reports
+
+
+def assert_reports_match_oracle(reports, scenes, tau, alpha_fp, alpha_fn):
+    want_fp, want_fn, want_confusion, want_balances = oracle_metrics(scenes, tau, alpha_fp, alpha_fn)
+    for alert, want in (("fp_alert", want_fp), ("fn_alert", want_fn)):
+        assert {k: reports["per-image"][alert][k] for k in ("tp", "fp", "fn", "tn")} == asdict(want)
+    assert reports["per-image"]["total_images"] == len(scenes)
+    assert reports["per-object"]["confusion"] == asdict(want_confusion)
+    assert reports["per-object"]["balances"] == asdict(want_balances)
+
+
+def test_monitor_applies_each_alpha_to_its_own_alert(tmp_path, interior_corpus):
+    corpus, op_path = interior_corpus
+    op = json.loads(op_path.read_text())
+    assert op["alpha_fp"] != op["alpha_fn"]
+    scenes = kept_under(corpus_scenes(corpus), op["conf"])
+
+    def record(d):
+        return {"det_id": d.det_id, "category": d.category.value, "bbox": [d.box.x, d.box.y, d.box.w, d.box.h],
+                "score": d.score}
+
+    def oracle_lines(mode, alpha_fp, alpha_fn):
+        if mode == "image":
+            return [{"image_id": s.image_id, **asdict(oracle_per_image(s.persons, s.parts, alpha_fp, alpha_fn))}
+                    for s in scenes]
+        verdicts = [(s.image_id, oracle_per_object(s.persons, s.parts, alpha_fp, alpha_fn)) for s in scenes]
+        return [{"image_id": image_id, **{key: [record(d) for d in getattr(v, key)]
+                                          for key in ("tp_mon", "fp_mon", "fn_mon")}} for image_id, v in verdicts]
+
+    for mode in ("image", "object"):
+        want = oracle_lines(mode, op["alpha_fp"], op["alpha_fn"])
+        assert want != oracle_lines(mode, op["alpha_fn"], op["alpha_fp"])  # swapped alphas would show
+        out = tmp_path / f"{mode}.jsonl"
+        result = runner.invoke(cli, ["monitor", *corpus_args(corpus), "--operating-point", str(op_path),
+                                     "--mode", mode, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line) for line in out.read_text().splitlines()] == want
+
+
+def test_evaluate_scores_at_the_tau_of_the_operating_point(tmp_path, interior_corpus):
+    corpus, op_path = interior_corpus
+    op = json.loads(op_path.read_text())
+    assert op["tau"] == 0.9
+    scenes, alphas = kept_under(corpus_scenes(corpus), op["conf"]), (op["alpha_fp"], op["alpha_fn"])
+    assert oracle_metrics(scenes, 0.9, *alphas) != oracle_metrics(scenes, 0.5, *alphas)  # tau 0.5 would show
+    reports = evaluated(tmp_path, corpus, op_path, "--min-area", "0")
+    assert_reports_match_oracle(reports, scenes, 0.9, *alphas)
+
+
+def test_min_area_reaches_calibrate_and_evaluate(tmp_path, interior_corpus):
+    corpus, _ = interior_corpus
+    scenes = [s for s in corpus_scenes(corpus) if all(a.box.w * a.box.h >= 40000 for a in s.gt_persons())]
+    assert 0 < len(scenes) < 300
+    conf, alphas = oracle_operating_point(scenes, 0.9)
+    op_path = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus), "--tau", "0.9", "--min-area", "40000",
+                                 "--out", str(op_path)])
+    assert result.exit_code == 0, result.output
+    op = json.loads(op_path.read_text())
+    assert (op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (conf, alphas)
+    reports = evaluated(tmp_path, corpus, op_path, "--min-area", "40000")
+    assert_reports_match_oracle(reports, kept_under(scenes, conf), 0.9, *alphas)
 
 
 def test_require_all_above_filter_mode_drops_person_free_images(tmp_path):
@@ -695,11 +783,11 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--gt", '{"images": [{}], "annotations": []}', "image entry #0: id must be an integer, got None"),
     # Every command reads one scene per image id: a second entry would be counted twice.
     ("--gt", '{"images": [{"id": 3}, {"id": 4}, {"id": 3}], "annotations": []}', "image entry #2: duplicate id 3"),
-    # The loader refuses a negative extent itself, before the record's constructor sees the box.
     ("--gt", '{"images": [{"id": 1}], "annotations": [{"id": 5, "image_id": 1, "category_id": 1, '
-             '"bbox": [3, 4, 10, -2]}]}', "annotation id 5: negative bbox width/height [3, 4, 10, -2]"),
+             '"bbox": [3, 4, 10, -2]}]}',
+     "annotation id 5: bbox width and height must be positive, got [3, 4, 10, -2]"),
     ("--persons", "[%s]" % (DET % ("[3, 4, 10, -2]", "0.9")),
-     "detection #0: negative bbox width/height [3, 4, 10, -2]"),
+     "detection #0: bbox width and height must be positive, got [3, 4, 10, -2]"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -727,24 +815,21 @@ def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     assert_input_error(result, fragment)
 
 
-@pytest.mark.parametrize("bbox, shown", [
-    ("[3, 4, 0, 10]", "Box(x=3.0, y=4.0, w=0.0, h=10.0)"),
-    ("[3, 4, 10, 0]", "Box(x=3.0, y=4.0, w=10.0, h=0.0)"),
-    ("[3, 4, -0.0, 10]", "Box(x=3.0, y=4.0, w=-0.0, h=10.0)"),
-], ids=["zero-width", "zero-height", "negative-zero-width"])
+@pytest.mark.parametrize("bbox", ["[3, 4, 0, 10]", "[3, 4, 10, 0]", "[3, 4, -0.0, 10]"],
+                         ids=["zero-width", "zero-height", "negative-zero-width"])
 @pytest.mark.parametrize("flag, payload, message", [
     ("--gt", '{"images": [{"id": 1}], "annotations": [{"id": 5, "image_id": 1, "category_id": 1, "bbox": %s}]}',
-     "annotation box must have positive width and height (annotation id 5): %s"),
-    ("--persons", "[%s]" % (DET % ("%s", "0.9")), "detection box must have positive width and height, got %s"),
+     "annotation id 5: bbox width and height must be positive, got %s"),
+    ("--persons", "[%s]" % (DET % ("%s", "0.9")), "detection #0: bbox width and height must be positive, got %s"),
 ], ids=["gt", "detections"])
-def test_zero_extent_bbox_message(tmp_path, flag, payload, message, bbox, shown):
-    # _parse_bbox lets a zero extent through; the record's own constructor rejects it.
+def test_zero_extent_bbox_message(tmp_path, flag, payload, message, bbox):
+    # _parse_bbox refuses a zero or -0.0 extent as it refuses a negative one, naming the entry.
     bad = tmp_path / "bad.json"
     bad.write_text(payload % bbox, encoding="utf-8")
     category_map = write_json(tmp_path / "map.json", {"1": "Person"})
     result = runner.invoke(cli, ["validate", "--category-map", category_map, flag, str(bad)])
     assert result.exit_code == 2
-    assert result.output.splitlines() == ["Error: " + message % shown]
+    assert result.output.splitlines() == ["Error: " + message % bbox]
 
 
 _OK_DET = DET % ("[0, 0, 10, 10]", "0.9")
@@ -763,9 +848,15 @@ _OK_ANN = '{"id": 10, "image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10]}'
      "annotation #1: expected a JSON object, got [1]"),
     ("--gt", '{"images": [{"id": 1}], "annotations": [%s, %s, %s]}'
      % (_OK_ANN, '{"id": 11, "image_id": 1, "category_id": 1, "bbox": [0, 0, 10, -1]}', _OK_ANN),
-     "annotation id 11: negative bbox width/height [0, 0, 10, -1]"),
+     "annotation id 11: bbox width and height must be positive, got [0, 0, 10, -1]"),
+    ("--persons", "[%s, %s, %s, %s]" % (_OK_DET, _OK_DET, _OK_DET,
+                                         _OK_DET.replace('"category_id": 1', '"category_id": 99')),
+     "detection #3: unmapped category id: 99"),
+    ("--gt", '{"images": [{"id": 1}], "annotations": [%s, %s]}'
+     % (_OK_ANN, '{"id": 7, "image_id": 1, "category_id": 99, "bbox": [0, 0, 10, 10]}'),
+     "annotation id 7: unmapped category id: 99"),
 ], ids=["non-object-detection", "short-bbox", "string-score", "non-object-image", "non-object-annotation",
-        "negative-height-annotation"])
+        "negative-height-annotation", "unmapped-category-detection", "unmapped-category-annotation"])
 def test_malformed_entry_mid_file_is_named(tmp_path, flag, payload, message):
     # The loaders release each decoded entry as they go; the message still shows the one at fault.
     bad = tmp_path / "bad.json"

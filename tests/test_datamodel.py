@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -70,6 +71,27 @@ def test_detection_validation():
         det(Box(0, 0, 0, 10), score=0.5)
     with pytest.raises(ValidationError):
         ann(Box(0, 0, 10, 0))
+
+
+@pytest.mark.parametrize("bbox", [
+    [math.nan, 0, 10, 10],
+    [0, 0, math.inf, 10],
+    [1e308, 0, 1e308, 1],
+    [0, 0, 1e-200, 1e-200],
+    [0, 0, 1e200, 1e200],
+    [3, 4, 0, 10],
+], ids=["nan-x", "infinite-w", "overflowing-far-edge", "underflowing-area", "area-above-half-max", "zero-width"])
+def test_records_refuse_the_boxes_the_loaders_refuse_with_their_message(tmp_path, bbox):
+    dets = write_json(tmp_path / "dets.json", [{"image_id": 1, "category_id": 1, "bbox": bbox, "score": 0.9}])
+    gt = write_json(tmp_path / "gt.json", {"images": [{"id": 1}], "annotations": [
+        {"id": 7, "image_id": 1, "category_id": 1, "bbox": bbox}]})
+    for build, load in ((lambda: det(Box(*bbox), det_id=0), lambda: load_detections(dets, CATEGORY_MAP)),
+                        (lambda: ann(Box(*bbox), ann_id=7), lambda: load_ground_truth(gt, CATEGORY_MAP))):
+        with pytest.raises(ValidationError) as loaded:
+            load()
+        with pytest.raises(ValidationError) as built:
+            build()
+        assert str(built.value) == str(loaded.value)
 
 
 def test_load_ground_truth_basic(gt_file):
