@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _plain, read_json, write_json
+from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _number, read_json, write_json
 from .errors import CalibrationError, ValidationError
 from .monitor import overlaps
 from .partition import GtPartition, MatchingMode, matches, partition
@@ -67,29 +67,23 @@ class OperatingPoint:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "OperatingPoint":
-        if not isinstance(raw, dict):
-            raise ValidationError(f"invalid operating point: expected a JSON object, got {type(raw).__name__}")
-        unknown = [key for key in raw if key not in _OPERATING_POINT_KEYS]
-        if unknown:  # a misspelt key would otherwise load as its default
-            raise ValidationError(f"invalid operating point: unknown key {unknown[0]!r}")
-        if not isinstance(raw.get("conf", {}), dict):
-            raise ValidationError("invalid operating point: 'conf' must be an object of class thresholds")
-
-        def number(name, value) -> float:  # read the way the loaders read a score
-            try:
-                return float(_plain(value))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
-
         try:
-            conf = {DetectionClass(name): number(f"conf {name!r}", v) for name, v in raw["conf"].items()}
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+            unknown = [key for key in raw if key not in _OPERATING_POINT_KEYS]
+            if unknown:  # a misspelt key would otherwise load as its default
+                raise ValueError(f"unknown key {unknown[0]!r}")
+            if not isinstance(raw.get("conf", {}), dict):
+                raise ValueError("'conf' must be an object of class thresholds")
+            conf = {DetectionClass(name): _number(v, "conf {!r} must be a number, got {!r}", name)
+                    for name, v in raw["conf"].items()}
             strict_conf = raw.get("strict_conf", False)
             if strict_conf.__class__ is not bool:
                 raise ValueError(f"'strict_conf' must be a boolean, got {strict_conf!r}")
-            return cls(conf_thresholds=conf, alpha_fp=number("alpha_fp", raw["alpha_fp"]),
-                       alpha_fn=number("alpha_fn", raw["alpha_fn"]), tau=number("tau", raw["tau"]),
-                       strict_conf=strict_conf)
-        except (KeyError, ValueError) as exc:
+            values = {name: _number(raw[name], "{} must be a number, got {!r}", name)
+                      for name in ("alpha_fp", "alpha_fn", "tau")}
+            return cls(conf_thresholds=conf, **values, strict_conf=strict_conf)
+        except (KeyError, ValueError, ValidationError) as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
     def save(self, path) -> None:
@@ -279,4 +273,5 @@ def build_operating_point(
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]
-    return OperatingPoint(conf, *select_alphas(filtered, partitions, grid_step), tau=tau, strict_conf=strict_conf)
+    alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step)
+    return OperatingPoint(conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau, strict_conf=strict_conf)

@@ -201,7 +201,7 @@ def _apply_operating_point(p: dict, rule) -> tuple[OperatingPoint, list[Scene], 
     from .calibration import OperatingPoint, apply_confidence_thresholds
     op = OperatingPoint.load(p["operating_point"])
     scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
-    return op, scenes, [rule(s.persons, s.parts, op.alpha_fp, op.alpha_fn) for s in scenes]
+    return op, scenes, [rule(s.persons, s.parts, alpha_fp=op.alpha_fp, alpha_fn=op.alpha_fn) for s in scenes]
 
 
 def _det_record(det) -> dict:
@@ -396,7 +396,7 @@ def cmd_evaluate(**p):
         )
     else:
         confusion = object_confusion(
-            scenes, partitions, results, op.alpha_fn,
+            scenes, partitions, results, alpha_fn=op.alpha_fn,
             ghost_all_classes=p["ghost_all_classes"],
         )
         result = PerObjectResult(

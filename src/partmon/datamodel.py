@@ -8,7 +8,8 @@ category-map JSON so DensePose/COCO/VOC id spaces all work unchanged.
 
 The loaders check each field once and build records through one trusted path,
 without the public constructors' re-checks. Loaded records are still frozen.
-Both ways of building a record refuse the same boxes: ``_parse_bbox`` is the rule.
+Both ways of building a record refuse the same boxes and scores with the same
+messages: ``_parse_bbox`` and ``_parse_score`` are the rules.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ class Detection:
     score: float
     det_id: int | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"detection score must lie in [0, 1], got {self.score}")
-        _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "detection #", self.det_id)
+    def __post_init__(self):  # the record keeps what the rules return: a Box of floats and a float score
+        _set(self, "box", _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "detection #", self.det_id))
+        _set(self, "score", _parse_score(self.score, "detection #", self.det_id))
 
 
 @_record
@@ -74,7 +74,7 @@ class GtAnnotation:
     ann_id: int | None = None
 
     def __post_init__(self):
-        _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "annotation id ", self.ann_id)
+        _set(self, "box", _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "annotation id ", self.ann_id))
 
 
 @_record
@@ -201,6 +201,16 @@ def _integer(raw) -> int:
     return raw if raw.__class__ is int else int(_plain(raw))
 
 
+def _number(raw, refusal: str, *args) -> float:
+    """float(raw) for a JSON real number. Anything else is refused: ``refusal.format(*args, raw)``, built only then."""
+    try:
+        return float(raw) if raw.__class__ is int else float(_plain(raw))
+    except OverflowError:  # an integer too large for a float reads as infinite, as 1e999 does
+        return math.inf if raw > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise ValidationError(refusal.format(*args, raw)) from None
+
+
 def _map_category(category_id, category_map: Mapping[int, DetectionClass], what: str, key) -> DetectionClass:
     try:
         return category_map[_integer(category_id)]
@@ -222,12 +232,7 @@ def _parse_bbox(raw, what: str, key) -> Box:
         raise ValidationError(f"{what}{key}: bbox must be [x, y, w, h], got {raw!r}")
     x, y, w, h = raw  # four JSON floats are used as they are
     if not (x.__class__ is float and y.__class__ is float and w.__class__ is float and h.__class__ is float):
-        try:
-            x, y, w, h = map(float, [_plain(v) for v in raw])  # refuse before any overflow
-        except (TypeError, ValueError):
-            raise ValidationError(f"{what}{key}: bbox values must be numbers, got {raw!r}") from None
-        except OverflowError:  # an integer literal too large for a float
-            x = y = w = h = math.inf
+        x, y, w, h = [_number(v, "{}{}: bbox values must be numbers, got {!r}", what, key) for v in raw]
     # x + w and y + h are finite iff all four values are and no far edge overflows.
     if not (math.isfinite(x + w) and math.isfinite(y + h)):
         raise ValidationError(f"{what}{key}: bbox values and far edges must be finite, got {raw!r}")
@@ -241,6 +246,13 @@ def _parse_bbox(raw, what: str, key) -> Box:
     box = _new(Box)
     _set(box, "x", x), _set(box, "y", y), _set(box, "w", w), _set(box, "h", h)
     return box
+
+
+def _parse_score(raw, what: str, key) -> float:
+    score = raw if raw.__class__ is float else _number(raw, "{}{}: score must be a number, got {!r}", what, key)
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"{what}{key}: score {score} outside [0, 1]")
+    return score
 
 
 def _parse_image_id(raw, what: str, key, name="image_id") -> int:
@@ -305,13 +317,9 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         cls = _map_category(entry.get("category_id"), category_map, "detection #", index)
         box = _parse_bbox(entry.get("bbox"), "detection #", index)
         try:
-            score = float(_plain(entry["score"]))
+            score = _parse_score(entry["score"], "detection #", index)
         except KeyError:
             raise ValidationError(f"detection #{index}: score is missing") from None
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"detection #{index}: score must be a number, got {entry['score']!r}") from None
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"detection #{index}: score {score} outside [0, 1]")
         image_id = _parse_image_id(entry.get("image_id"), "detection #", index)
         det = _new(Detection)
         _set(det, "image_id", image_id), _set(det, "category", cls), _set(det, "box", box)

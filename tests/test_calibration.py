@@ -38,6 +38,12 @@ def test_alpha_grid_excludes_endpoints():
     assert alpha_grid(0.25) == [0.25, 0.5, 0.75]
 
 
+@pytest.mark.parametrize("step", [0.0, 1.0])
+def test_alpha_grid_step_outside_the_open_interval_is_rejected(step):
+    with pytest.raises(CalibrationError, match=rf"^grid step must lie in \(0, 1\), got {step}$"):
+        alpha_grid(step)
+
+
 def test_alpha_grid_without_interior_point_is_rejected():
     # k * step rounds to 1.0 already at k = 1, which leaves the grid empty.
     with pytest.raises(CalibrationError, match="no grid point"):

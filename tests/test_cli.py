@@ -388,6 +388,57 @@ def test_min_area_reaches_calibrate_and_evaluate(tmp_path, interior_corpus):
     assert_reports_match_oracle(reports, kept_under(scenes, conf), 0.9, *alphas)
 
 
+def doubled_corpus(corpus, out):
+    """The corpus appended to itself: the copy's image and annotation ids are shifted past the originals'."""
+    out.mkdir()
+    gt = json.loads((corpus / "gt.json").read_text())
+    image_shift = max(img["id"] for img in gt["images"])
+    ann_shift = max(a["id"] for a in gt["annotations"])
+    gt["images"] += [dict(img, id=img["id"] + image_shift) for img in gt["images"]]
+    gt["annotations"] += [dict(a, id=a["id"] + ann_shift, image_id=a["image_id"] + image_shift)
+                          for a in gt["annotations"]]
+    write_json(out / "gt.json", gt)
+    for name in ("persons.json", "parts.json"):
+        dets = json.loads((corpus / name).read_text())
+        write_json(out / name, dets + [dict(d, image_id=d["image_id"] + image_shift) for d in dets])
+    (out / "category_map.json").write_bytes((corpus / "category_map.json").read_bytes())
+    return out
+
+
+def assert_counts_doubled(report, doubled):
+    """Every count of ``doubled`` is twice the one of ``report``, and every ratio is the same."""
+    assert report.keys() == doubled.keys()
+    for key, value in report.items():
+        if isinstance(value, dict):
+            assert_counts_doubled(value, doubled[key])
+        else:
+            want = 2 * value if isinstance(value, int) else value
+            assert (doubled[key].__class__, doubled[key]) == (value.__class__, want)
+
+
+def test_doubling_the_corpus_keeps_the_operating_point_and_doubles_every_count(tmp_path, interior_corpus):
+    # A metamorphic relation: F1 and MCC are the same at twice the counts, so calibrate chooses the same point.
+    corpus = interior_corpus[0]
+    twice = doubled_corpus(corpus, tmp_path / "twice")
+    alphas = []
+    for matching in ("existential", "greedy"):
+        for tau in ("0.5", "0.9"):
+            ops = []
+            for source in (corpus, twice):
+                ops.append(tmp_path / f"op_{source.name}_{matching}_{tau}.json")
+                result = runner.invoke(cli, ["calibrate", *corpus_args(source), "--matching", matching, "--tau", tau,
+                                             "--out", str(ops[-1])])
+                assert result.exit_code == 0, result.output
+            assert ops[0].read_bytes() == ops[1].read_bytes()
+            op = json.loads(ops[0].read_text())
+            alphas.append((op["alpha_fp"], op["alpha_fn"]))
+            reports = [evaluated(tmp_path, source, ops[0], "--matching", matching) for source in (corpus, twice)]
+            for protocol, report in reports[0].items():
+                del report["manifest"], reports[1][protocol]["manifest"]
+                assert_counts_doubled(report, reports[1][protocol])
+    assert any(alpha_fp != alpha_fn for alpha_fp, alpha_fn in alphas)
+
+
 def test_require_all_above_filter_mode_drops_person_free_images(tmp_path):
     corpus = tmp_path / "corpus"
     result = runner.invoke(cli, ["synth", "--seed", "4", "--n-scenes", "12", "--persons-per-scene", "0:2",
@@ -483,6 +534,17 @@ def test_monitor_rejects_invalid_mode(tmp_path, corpus_dir):
          "--operating-point", op, "--mode", "bogus", "--out", str(tmp_path / "x.jsonl")],
     )
     assert result.exit_code == 2
+
+
+def test_detection_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir):
+    persons = json.loads((corpus_dir / "persons.json").read_text())
+    write_json(corpus_dir / "persons.json", [*persons, dict(persons[0], image_id=999_999)])
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    result = runner.invoke(cli, ["evaluate", *corpus_args(corpus_dir), "--operating-point", op,
+                                 "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.splitlines() == [
+        f"warning: person detection det_id={len(persons)} references unknown image id 999999"]
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -729,6 +791,10 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ("[1e308, 0, 1e308, 10]", "0.9")), "far edges must be finite"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 1%s, 10]" % ("0" * 400), "0.9")), "must be finite"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1%s" % ("0" * 5000))), "integer string conversion"),
+    # A number too large for a float reads as infinite however it is written.
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1e999")), "Error: detection #0: score inf outside [0, 1]"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1%s" % ("0" * 400))),
+     "Error: detection #0: score inf outside [0, 1]"),
     # Area 1e308 is finite, but the union of two such boxes in an IoU would not be.
     ("--persons", "[%s]" % (DET % ("[0, 0, 1e154, 1e154]", "0.9")), "area overflows"),
     # int() would truncate these to a valid id, and float() would read true as 1.0.
@@ -768,6 +834,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", '" 0.5"')), "score must be a number"),
     # float() reads a JSON boolean as 0 or 1.
     ("--config", '{"jitter": true}', "invalid value for 'jitter': expected a number, got true"),
+    ("--config", "[]", "config must be a JSON object"),
     # Operating-point numbers are read the way the loaders read a score.
     ("--operating-point", '{"conf": {"Person": true}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
      "invalid operating point: conf 'Person' must be a number, got True"),
@@ -780,6 +847,16 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     # A misspelt key would load as its default: here a strict operating point as a non-strict one.
     ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5, "strict_cof": true}',
      "invalid operating point: unknown key 'strict_cof'"),
+    # Every refusal of an operating-point file says so, the constructor's range checks included.
+    ("--operating-point", '[]', "Error: invalid operating point: expected a JSON object, got list"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 1e999, "alpha_fn": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: alpha_fp must lie in (0, 1), got inf"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 1%s, "alpha_fn": 0.5, "tau": 0.5}' % ("0" * 400),
+     "Error: invalid operating point: alpha_fp must lie in (0, 1), got inf"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 1.5, "alpha_fn": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: alpha_fp must lie in (0, 1), got 1.5"),
+    ("--operating-point", '{"conf": {"Person": 2.0}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: confidence threshold for Person outside [0, 1]: 2.0"),
     ("--gt", '{"images": [{}], "annotations": []}', "image entry #0: id must be an integer, got None"),
     # Every command reads one scene per image id: a second entry would be counted twice.
     ("--gt", '{"images": [{"id": 3}, {"id": 4}, {"id": 3}], "annotations": []}', "image entry #2: duplicate id 3"),
@@ -794,14 +871,18 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "non-utf8-config", "deep-nesting", "overflow-image-id", "overflow-gt-image-id",
         "overflow-category-id", "non-string-category-name", "non-object-conf",
         "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit",
+        "infinite-score", "integer-beyond-float-score",
         "overflow-iou-union", "fractional-image-id", "boolean-image-id", "fractional-gt-image-id",
         "fractional-category-id", "boolean-category-id", "boolean-gt-category-id", "boolean-bbox",
         "boolean-score", "missing-score", "underscore-category-map-key", "non-ascii-category-map-key",
         "underscore-image-id", "non-ascii-space-gt-image-id", "non-ascii-category-id", "underscore-bbox",
         "non-ascii-bbox", "non-ascii-score", "padded-category-map-key", "padded-image-id",
         "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score", "boolean-jitter-config",
-        "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf", "misspelt-strict-conf",
-        "missing-gt-image-id", "duplicate-gt-image-id", "negative-height-gt-bbox", "negative-height-bbox"])
+        "non-object-config", "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf",
+        "misspelt-strict-conf",
+        "non-object-operating-point", "infinite-alpha", "integer-beyond-float-alpha", "alpha-above-one",
+        "threshold-above-one", "missing-gt-image-id", "duplicate-gt-image-id", "negative-height-gt-bbox",
+        "negative-height-bbox"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
@@ -953,6 +1034,17 @@ def test_alpha_grid_step_that_rounds_to_zero_exits_2(tmp_path, corpus_dir):
     result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir),
                                  "--alpha-grid-step", "1e-11", "--out", str(out)])
     assert_input_error(result, "rounds to 0")
+    assert not out.exists()
+
+
+def test_calibrate_without_detections_exits_2(tmp_path, corpus_dir):
+    empty = write_json(tmp_path / "empty.json", [])
+    out = tmp_path / "op.json"
+    result = runner.invoke(cli, ["calibrate", "--gt", str(corpus_dir / "gt.json"), "--persons", empty,
+                                 "--parts", empty, "--category-map", str(corpus_dir / "category_map.json"),
+                                 "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == ["Error: no detections to calibrate on"]
     assert not out.exists()
 
 

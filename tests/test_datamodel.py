@@ -94,6 +94,26 @@ def test_records_refuse_the_boxes_the_loaders_refuse_with_their_message(tmp_path
         assert str(built.value) == str(loaded.value)
 
 
+@pytest.mark.parametrize("score", [True, None, "high", " 0.5", 1.5, math.nan, 10**400],
+                         ids=["boolean", "null", "word", "padded", "above-one", "nan", "integer-beyond-float"])
+def test_detection_refuses_the_scores_the_loader_refuses_with_its_message(tmp_path, score):
+    dets = write_json(tmp_path / "dets.json", [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 10],
+                                                "score": score}])
+    with pytest.raises(ValidationError) as loaded:
+        load_detections(dets, CATEGORY_MAP)
+    with pytest.raises(ValidationError) as built:
+        det(Box(0, 0, 10, 10), score=score, det_id=0)
+    assert str(built.value) == str(loaded.value)
+
+
+def test_detection_holds_the_float_score_and_the_box_it_was_given():
+    box = Box(0, 0, 10, 10)
+    built = det(box, score="0.5")
+    assert built.score.__class__ is float and built.score == 0.5
+    assert built.box == box and ann(box).box == box
+    assert [v.__class__ for v in (built.box.x, built.box.y, built.box.w, built.box.h)] == [float] * 4
+
+
 def test_load_ground_truth_basic(gt_file):
     gt = load_ground_truth(gt_file, CATEGORY_MAP)
     assert len(gt.annotations) == 1
@@ -381,6 +401,12 @@ def test_filter_boundary_area_is_retained():
     gt = _gt_with_person_areas({1: [2247]})
     assert filter_images_by_min_person_area(gt, 2247, FilterMode.DROP_IF_ANY_BELOW) == {1}
     assert filter_images_by_min_person_area(gt, 2247, FilterMode.REQUIRE_ALL_ABOVE) == {1}
+
+
+def test_filter_refuses_a_negative_min_area():
+    gt = _gt_with_person_areas({1: [2247]})
+    with pytest.raises(ValidationError, match=r"^min_area must be non-negative, got -1$"):
+        filter_images_by_min_person_area(gt, -1)
 
 
 def test_filter_ignores_part_annotations():

@@ -143,6 +143,13 @@ def test_object_confusion_rejects_mismatched_detections():
         object_confusion([scene], [part], [verdict], alpha_fn=0.5)
 
 
+def test_object_confusion_rejects_lists_of_different_lengths():
+    scene = Scene(image_id=1, persons=(det(Box(0, 0, 10, 10)),))
+    part = partition(scene.persons, (), 0.5)
+    with pytest.raises(ValidationError, match=r"^mismatched inputs: 1 scenes, 1 partitions, 0 verdicts$"):
+        object_confusion([scene], [part], [], alpha_fn=0.5)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_corpus_accounting_matches_oracle(seed):
     corpus = generate(SynthConfig(seed=200 + seed, n_scenes=20, drop_person_prob=0.3,
