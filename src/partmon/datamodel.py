@@ -6,8 +6,10 @@ category map). Ground truth arrives as a COCO annotation file, detections as
 a COCO results array; both are mapped onto the taxonomy via an explicit
 category-map JSON so DensePose/COCO/VOC id spaces all work unchanged.
 
-The loaders check each field once and build records through one trusted path,
-without the public constructors' re-checks. Loaded records are still frozen.
+The package only reads COCO; it writes none. The loaders check each field once
+and build records through one trusted path, without the public constructors'
+re-checks; ``synth`` builds its records by the same parse of the payloads it
+writes. Loaded records are still frozen.
 Both ways of building a record refuse the same boxes and scores with the same
 messages: ``_parse_bbox`` and ``_parse_score`` are the rules.
 """
@@ -18,7 +20,7 @@ import json
 import math
 import sys
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -282,16 +284,20 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
     if not (isinstance(raw, dict) and isinstance(raw.get("images"), list)
             and isinstance(raw.get("annotations"), list)):
         raise ValidationError(f"ground truth must contain 'images' and 'annotations' arrays: {path}")
+    return _ground_truth(raw["images"], raw["annotations"], category_map)
 
+
+def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping[int, DetectionClass]) -> GroundTruth:
+    """The records of a decoded annotation file's two arrays; each entry of both lists is set to None."""
     images = {}
-    for index, img in _objects(raw["images"], "image entry"):
+    for index, img in _objects(images_raw, "image entry"):
         image_id = _parse_image_id(img.get("id"), "image entry #", index, "id")
         if image_id in images:
             raise ValidationError(f"image entry #{index}: duplicate id {image_id}")
         images[image_id] = ImageInfo(image_id, img.get("width"), img.get("height"), img.get("file_name"))
 
     annotations = []
-    for _, entry in _objects(raw["annotations"], "annotation"):
+    for _, entry in _objects(annotations_raw, "annotation"):
         ann_id = entry.get("id")
         cls = _map_category(entry.get("category_id"), category_map, "annotation id ", ann_id)
         box = _parse_bbox(entry.get("bbox"), "annotation id ", ann_id)
@@ -312,8 +318,13 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
     raw = read_json(path)
     if not isinstance(raw, list):
         raise ValidationError(f"detection results must be a JSON array: {path}")
+    return _detections(raw, category_map)
+
+
+def _detections(entries: list, category_map: Mapping[int, DetectionClass]) -> tuple[Detection, ...]:
+    """The records of a decoded results array; each entry of ``entries`` is set to None."""
     detections = []
-    for index, entry in _objects(raw, "detection"):
+    for index, entry in _objects(entries, "detection"):
         cls = _map_category(entry.get("category_id"), category_map, "detection #", index)
         box = _parse_bbox(entry.get("bbox"), "detection #", index)
         try:
@@ -326,37 +337,6 @@ def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[D
         _set(det, "score", score), _set(det, "det_id", index)
         detections.append(det)
     return tuple(detections)
-
-
-def dump_ground_truth(gt: GroundTruth, category_ids: Mapping[DetectionClass, int]) -> dict:
-    """Serialize back to the COCO annotation layout ``load_ground_truth`` reads."""
-    images = [{key: value for key, value in asdict(img).items() if value is not None} for img in gt.images]
-    annotations = [
-        {
-            "id": ann.ann_id,
-            "image_id": ann.image_id,
-            "category_id": category_ids[ann.category],
-            "bbox": [ann.box.x, ann.box.y, ann.box.w, ann.box.h],
-        }
-        for ann in gt.annotations
-    ]
-    categories = [
-        {"id": cat_id, "name": cls.value} for cls, cat_id in sorted(category_ids.items(), key=lambda kv: kv[1])
-    ]
-    return {"images": images, "annotations": annotations, "categories": categories}
-
-
-def dump_detections(dets: Iterable[Detection], category_ids: Mapping[DetectionClass, int]) -> list[dict]:
-    """Serialize back to the COCO results layout ``load_detections`` reads."""
-    return [
-        {
-            "image_id": d.image_id,
-            "category_id": category_ids[d.category],
-            "bbox": [d.box.x, d.box.y, d.box.w, d.box.h],
-            "score": d.score,
-        }
-        for d in dets
-    ]
 
 
 def filter_images_by_min_person_area(
@@ -394,9 +374,9 @@ def group_into_scenes(
     """Group annotations and detections into one Scene per ground-truth image.
 
     ``image_ids`` restricts the scene universe (e.g. after min-area
-    filtering); detections on images unknown to the ground truth produce
-    warning records. Detections on known but unselected images are excluded
-    silently.
+    filtering); detections and annotations on images unknown to the ground
+    truth produce warning records, detections first. Entries on known but
+    unselected images are excluded silently.
 
     With ``gt=None`` (runtime monitoring) every image id is known, scenes
     carry no annotations, and the default universe is the images holding at
@@ -414,7 +394,10 @@ def group_into_scenes(
             elif (det.category is DetectionClass.PERSON) is wants_person:
                 buckets[det.image_id][slot].append(det)
     for ann in gt.annotations if gt is not None else ():
-        buckets[ann.image_id][2].append(ann)
+        if ann.image_id in known:
+            buckets[ann.image_id][2].append(ann)
+        else:
+            warnings.append(f"annotation id={ann.ann_id} references unknown image id {ann.image_id}")
 
     if image_ids is not None:
         universe = image_ids

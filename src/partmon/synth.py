@@ -24,20 +24,17 @@ from .datamodel import (
     Detection,
     DetectionClass,
     GroundTruth,
-    GtAnnotation,
-    ImageInfo,
     Scene,
-    _parse_bbox,
-    dump_detections,
-    dump_ground_truth,
+    _detections,
+    _ground_truth,
     group_into_scenes,
     write_json,
 )
 from .errors import ValidationError
-from .geometry import Box
 
 # Canonical category ids for serialized corpora: 1-9 in the taxonomy's declaration order.
-CATEGORY_IDS = {cls: cat_id for cat_id, cls in enumerate(DetectionClass, 1)}
+_CLASS_BY_ID = dict(enumerate(DetectionClass, 1))
+CATEGORY_IDS = {cls: cat_id for cat_id, cls in _CLASS_BY_ID.items()}
 CATEGORY_MAP = {str(cat_id): cls.value for cls, cat_id in CATEGORY_IDS.items()}
 
 # The files of a corpus directory, each named after its role: write_corpus writes them, and the CLI
@@ -101,45 +98,50 @@ class SceneLabels:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Labels, ``files`` (the decoded JSON of each file of ``CORPUS_FILES``, by role) and the records read from them."""
+
     gt: GroundTruth
     person_dets: tuple[Detection, ...]
     part_dets: tuple[Detection, ...]
     labels: tuple[SceneLabels, ...]
+    files: dict[str, object]
 
     def scenes(self) -> tuple[Scene, ...]:
         return group_into_scenes(self.gt, self.person_dets, self.part_dets).scenes
 
 
-def _part_box(person: Box, fractions: tuple[float, float, float, float]) -> Box:
-    fx, fy, fw, fh = fractions
-    x1 = person.x + math.floor(fx * person.w)
-    y1 = person.y + math.floor(fy * person.h)
-    x2 = person.x + math.floor((fx + fw) * person.w)
-    y2 = person.y + math.floor((fy + fh) * person.h)
-    return Box(x1, y1, max(x2 - x1, 1.0), max(y2 - y1, 1.0))
+def _part_box(person: list[float], fractions: tuple[float, float, float, float]) -> list[float]:
+    (px, py, pw, ph), (fx, fy, fw, fh) = person, fractions
+    x1, y1 = px + math.floor(fx * pw), py + math.floor(fy * ph)
+    x2, y2 = px + math.floor((fx + fw) * pw), py + math.floor((fy + fh) * ph)
+    return [x1, y1, max(x2 - x1, 1.0), max(y2 - y1, 1.0)]
 
 
-def _jittered(box: Box, jitter: float, rng: random.Random) -> Box:
+def _jittered(box: list[float], jitter: float, rng: random.Random) -> list[float]:
     if jitter == 0:
         return box
-    dx = rng.uniform(-jitter, jitter)
-    dy = rng.uniform(-jitter, jitter)
-    dw = rng.uniform(-jitter / 2, jitter / 2)
-    dh = rng.uniform(-jitter / 2, jitter / 2)
-    # The loaders' own bbox check: a jitter too large for float arithmetic makes boxes they refuse.
-    return _parse_bbox([box.x + dx, box.y + dy, max(box.w + dw, 1.0), max(box.h + dh, 1.0)], f"jitter {jitter}", "")
+    x, y, w, h = box
+    dx, dy = rng.uniform(-jitter, jitter), rng.uniform(-jitter, jitter)
+    dw, dh = rng.uniform(-jitter / 2, jitter / 2), rng.uniform(-jitter / 2, jitter / 2)
+    return [x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0)]
 
 
 def generate(config: SynthConfig) -> Corpus:
-    """Build a corpus deterministically from the seed."""
+    """Build a corpus deterministically from the seed: the files' payloads, boxes of floats, then the records."""
     rng = random.Random(config.seed)
-    images, annotations = [], []
-    person_dets, part_dets, labels = [], [], []
-    next_ann_id = 1
+    images, annotations, labels = [], [], []
+    person_dets, part_dets = [], []
 
-    def detect(dets: list, cls: DetectionClass, box: Box, low: float, high: float) -> int:
+    def annotate(cls: DetectionClass, bbox: list[float]) -> int:
+        """Append an annotation on the current image; return its id, counted from 1."""
+        annotations.append({"id": len(annotations) + 1, "image_id": image_id, "category_id": CATEGORY_IDS[cls],
+                            "bbox": bbox})
+        return len(annotations)
+
+    def detect(dets: list, cls: DetectionClass, bbox: list[float], low: float, high: float) -> int:
         """Append a detection on the current image, scored after its box is drawn; return its det_id."""
-        dets.append(Detection(image_id, cls, box, score=round(rng.uniform(low, high), 4), det_id=len(dets)))
+        dets.append({"image_id": image_id, "category_id": CATEGORY_IDS[cls], "bbox": bbox,
+                     "score": round(rng.uniform(low, high), 4)})
         return len(dets) - 1
 
     for scene_idx in range(config.n_scenes):
@@ -153,14 +155,9 @@ def generate(config: SynthConfig) -> Corpus:
             h = float(rng.randint(160, 320))
             x = float(col * _PERSON_CELL + rng.randint(0, 40))
             y = float(rng.randint(0, 40))
-            person_box = Box(x, y, w, h)
+            person_box = [x, y, w, h]
             max_extent = max(max_extent, x + w)
-
-            person_ann_id = next_ann_id
-            next_ann_id += 1
-            annotations.append(
-                GtAnnotation(image_id, DetectionClass.PERSON, person_box, ann_id=person_ann_id)
-            )
+            person_ann_id = annotate(DetectionClass.PERSON, person_box)
 
             n_parts = min(rng.randint(*config.parts_per_person), len(_PART_LAYOUT))
             slots = rng.sample(range(len(_PART_LAYOUT)), n_parts)
@@ -168,8 +165,7 @@ def generate(config: SynthConfig) -> Corpus:
             for slot in sorted(slots):
                 cls, fractions = _PART_LAYOUT[slot]
                 pbox = _part_box(person_box, fractions)
-                annotations.append(GtAnnotation(image_id, cls, pbox, ann_id=next_ann_id))
-                next_ann_id += 1
+                annotate(cls, pbox)
                 part_boxes.append((cls, pbox))
 
             if rng.random() < config.drop_person_prob:
@@ -189,7 +185,7 @@ def generate(config: SynthConfig) -> Corpus:
                 gh = float(rng.randint(120, 260))
                 gx = float(col * _PERSON_CELL + rng.randint(0, 40))
                 gy = float(_GHOST_Y + rng.randint(0, 30))
-                fp_ids.append(detect(person_dets, DetectionClass.PERSON, Box(gx, gy, gw, gh), 0.05, 0.7))
+                fp_ids.append(detect(person_dets, DetectionClass.PERSON, [gx, gy, gw, gh], 0.05, 0.7))
                 max_extent = max(max_extent, gx + gw)
 
             if rng.random() < config.ghost_part_prob:
@@ -198,47 +194,37 @@ def generate(config: SynthConfig) -> Corpus:
                 gh = float(rng.randint(20, 60))
                 gx = float(col * _PERSON_CELL + rng.randint(0, 120))
                 gy = float(_GHOST_Y + 280 + rng.randint(0, 20))
-                ghost_part_ids.append(detect(part_dets, cls, Box(gx, gy, gw, gh), 0.05, 0.7))
+                ghost_part_ids.append(detect(part_dets, cls, [gx, gy, gw, gh], 0.05, 0.7))
                 max_extent = max(max_extent, gx + gw)
 
-        images.append(
-            ImageInfo(
-                id=image_id,
-                width=int(max_extent) + 40,
-                height=_CANVAS_H + 40,
-                file_name=f"synth_{image_id:06d}.jpg",
-            )
-        )
-        labels.append(
-            SceneLabels(
-                image_id=image_id,
-                tp_person_det_ids=tuple(tp_ids),
-                fp_person_det_ids=tuple(fp_ids),
-                fn_person_ann_ids=tuple(fn_ids),
-                ghost_part_det_ids=tuple(ghost_part_ids),
-            )
-        )
+        images.append({"id": image_id, "width": int(max_extent) + 40, "height": _CANVAS_H + 40,
+                       "file_name": f"synth_{image_id:06d}.jpg"})
+        labels.append(SceneLabels(image_id, tuple(tp_ids), tuple(fp_ids), tuple(fn_ids), tuple(ghost_part_ids)))
 
-    gt = GroundTruth(annotations=tuple(annotations), images=tuple(images))
-    return Corpus(
-        gt=gt,
-        person_dets=tuple(person_dets),
-        part_dets=tuple(part_dets),
-        labels=tuple(labels),
-    )
+    categories = [{"id": cat_id, "name": cls.value} for cat_id, cls in _CLASS_BY_ID.items()]
+    files = {"gt": {"images": images, "annotations": annotations, "categories": categories},
+             "persons": person_dets, "parts": part_dets, "category_map": CATEGORY_MAP,
+             "labels": [asdict(label) for label in labels]}  # tuples write as JSON arrays
+
+    def read(role: str) -> tuple[Detection, ...]:
+        """The loaders' records of a detection payload; they read a copy, as they set each entry they read to None."""
+        try:
+            return _detections(list(files[role]), _CLASS_BY_ID)
+        except ValidationError as exc:  # only a jitter too large for float arithmetic makes boxes they refuse
+            raise ValidationError(f"jitter {config.jitter}: {CORPUS_FILES[role]}: {exc}") from None
+
+    gt = _ground_truth(list(images), list(annotations), _CLASS_BY_ID)
+    return Corpus(gt=gt, person_dets=read("persons"), part_dets=read("parts"), labels=tuple(labels), files=files)
 
 
 def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
-    """Serialize a corpus to the COCO-style files the loaders ingest, named by ``CORPUS_FILES``."""
+    """Write a corpus's payloads to the COCO-style files the loaders ingest, named by ``CORPUS_FILES``."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # the message of every other failed write
         raise ValidationError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     paths = {role: out_dir / name for role, name in CORPUS_FILES.items()}
-    write_json(paths["gt"], dump_ground_truth(corpus.gt, CATEGORY_IDS))
-    write_json(paths["persons"], dump_detections(corpus.person_dets, CATEGORY_IDS))
-    write_json(paths["parts"], dump_detections(corpus.part_dets, CATEGORY_IDS))
-    write_json(paths["category_map"], CATEGORY_MAP)
-    write_json(paths["labels"], [asdict(label) for label in corpus.labels])  # tuples write as JSON arrays
+    for role, path in paths.items():
+        write_json(path, corpus.files[role])
     return paths

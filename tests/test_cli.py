@@ -547,6 +547,23 @@ def test_detection_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir):
         f"warning: person detection det_id={len(persons)} references unknown image id 999999"]
 
 
+@pytest.mark.parametrize("protocol", ["per-image", "per-object"])
+def test_annotation_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir, protocol):
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    args = ["evaluate", *corpus_args(corpus_dir), "--operating-point", op, "--protocol", protocol]
+    clean = runner.invoke(cli, [*args, "--out", str(tmp_path / "clean.json")])
+    gt = json.loads((corpus_dir / "gt.json").read_text())
+    stray = dict(gt["annotations"][0], id=999, image_id=999_999)
+    write_json(corpus_dir / "gt.json", dict(gt, annotations=[*gt["annotations"], stray]))
+    result = runner.invoke(cli, [*args, "--out", str(tmp_path / "report.json")])
+    assert clean.exit_code == result.exit_code == 0, result.output
+    assert result.stderr.splitlines() == ["warning: annotation id=999 references unknown image id 999999"]
+    # The report still names its inputs by digest; every count is the clean corpus's.
+    report, clean_report = (json.loads((tmp_path / name).read_text()) for name in ("report.json", "clean.json"))
+    assert report.pop("manifest")["inputs"]["gt"] != clean_report.pop("manifest")["inputs"]["gt"]
+    assert report == clean_report
+
+
 def test_missing_input_file_exits_2(tmp_path):
     result = runner.invoke(
         cli,
@@ -745,6 +762,7 @@ def test_boolean_config_values_must_be_booleans(tmp_path, corpus_dir, command, c
 def test_synth_refuses_a_jitter_that_makes_boxes_the_loaders_refuse(tmp_path, jitter):
     result = runner.invoke(cli, ["synth", "--n-scenes", "2", "--jitter", jitter, "--out", str(tmp_path / "corpus")])
     assert_input_error(result, "jitter")
+    assert "detection #" in result.output
     assert not (tmp_path / "corpus").exists()
 
 
@@ -855,6 +873,10 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
      "Error: invalid operating point: alpha_fp must lie in (0, 1), got inf"),
     ("--operating-point", '{"conf": {}, "alpha_fp": 1.5, "alpha_fn": 0.5, "tau": 0.5}',
      "Error: invalid operating point: alpha_fp must lie in (0, 1), got 1.5"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 1.5}',
+     "Error: invalid operating point: tau must lie in (0, 1), got 1.5"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0}',
+     "Error: invalid operating point: tau must lie in (0, 1), got 0.0"),
     ("--operating-point", '{"conf": {"Person": 2.0}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
      "Error: invalid operating point: confidence threshold for Person outside [0, 1]: 2.0"),
     ("--gt", '{"images": [{}], "annotations": []}', "image entry #0: id must be an integer, got None"),
@@ -881,8 +903,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "non-object-config", "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf",
         "misspelt-strict-conf",
         "non-object-operating-point", "infinite-alpha", "integer-beyond-float-alpha", "alpha-above-one",
-        "threshold-above-one", "missing-gt-image-id", "duplicate-gt-image-id", "negative-height-gt-bbox",
-        "negative-height-bbox"])
+        "tau-above-one", "tau-zero", "threshold-above-one", "missing-gt-image-id", "duplicate-gt-image-id",
+        "negative-height-gt-bbox", "negative-height-bbox"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))

@@ -17,8 +17,6 @@ from partmon.datamodel import (
     GtAnnotation,
     ImageInfo,
     Scene,
-    dump_detections,
-    dump_ground_truth,
     filter_images_by_min_person_area,
     group_detections_only,
     group_into_scenes,
@@ -355,24 +353,32 @@ def test_category_map_loading_and_merging(tmp_path):
 
 
 def test_round_trip_ground_truth_and_detections(tmp_path):
-    category_ids = {cls: i + 1 for i, cls in enumerate(DetectionClass)}
-    gt = GroundTruth(
+    # The loaders read a COCO file into the records built by hand from the same values.
+    category_map = {1: DetectionClass.PERSON, 9: DetectionClass.HEAD, 2: DetectionClass.TORSO}
+    gt_path = write_json(tmp_path / "gt.json", {
+        "images": [{"id": 1, "width": 640, "height": 480, "file_name": "a.jpg"}, {"id": 2}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0.0, 0.0, 50.5, 100.0]},
+            {"id": 2, "image_id": 2, "category_id": 9, "bbox": [3.0, 4.0, 10.0, 10.0]},
+        ],
+        "categories": [{"id": 1, "name": "Person"}, {"id": 9, "name": "Head"}],
+    })
+    assert load_ground_truth(gt_path, category_map) == GroundTruth(
         annotations=(
             ann(Box(0, 0, 50.5, 100), image_id=1, ann_id=1),
             ann(Box(3, 4, 10, 10), image_id=2, category=DetectionClass.HEAD, ann_id=2),
         ),
         images=(ImageInfo(id=1, width=640, height=480, file_name="a.jpg"), ImageInfo(id=2)),
     )
-    gt_path = write_json(tmp_path / "gt.json", dump_ground_truth(gt, category_ids))
-    reloaded = load_ground_truth(gt_path, {i: c for c, i in category_ids.items()})
-    assert reloaded == gt
 
-    dets = (
+    det_path = write_json(tmp_path / "dets.json", [
+        {"image_id": 1, "category_id": 1, "bbox": [1.0, 2.0, 3.25, 4.0], "score": 0.5},
+        {"image_id": 2, "category_id": 2, "bbox": [9.0, 9.0, 2.0, 2.0], "score": 0.125},
+    ])
+    assert load_detections(det_path, category_map) == (
         det(Box(1, 2, 3.25, 4), image_id=1, score=0.5, det_id=0),
         part_det(Box(9, 9, 2, 2), image_id=2, score=0.125, det_id=1),
     )
-    det_path = write_json(tmp_path / "dets.json", dump_detections(dets, category_ids))
-    assert load_detections(det_path, {i: c for c, i in category_ids.items()}) == dets
 
 
 def _gt_with_person_areas(areas_by_image):
@@ -476,7 +482,9 @@ def test_group_into_scenes_class_split_allows_joint_stream():
 
 
 def test_group_into_scenes_warns_per_stream_in_stream_order():
-    gt = GroundTruth(annotations=(), images=(ImageInfo(id=1),))
+    annotations = (ann(Box(0, 0, 10, 10), image_id=1, ann_id=1), ann(Box(0, 0, 10, 10), image_id=7, ann_id=2),
+                   ann(Box(0, 0, 2, 2), image_id=9, category=DetectionClass.HEAD, ann_id=3))
+    gt = GroundTruth(annotations=annotations, images=(ImageInfo(id=1),))
     persons = [det(Box(0, 0, 10, 10), image_id=42, det_id=3), det(Box(0, 0, 10, 10), image_id=1, det_id=4)]
     parts = [part_det(Box(0, 0, 2, 2), image_id=7, det_id=5), part_det(Box(0, 0, 2, 2), image_id=8, det_id=6)]
     result = group_into_scenes(gt, persons, parts)
@@ -484,8 +492,11 @@ def test_group_into_scenes_warns_per_stream_in_stream_order():
         "person detection det_id=3 references unknown image id 42",
         "part detection det_id=5 references unknown image id 7",
         "part detection det_id=6 references unknown image id 8",
+        "annotation id=2 references unknown image id 7",
+        "annotation id=3 references unknown image id 9",
     )
-    assert [(s.image_id, [d.det_id for d in s.persons], s.parts) for s in result.scenes] == [(1, [4], ())]
+    assert [(s.image_id, [d.det_id for d in s.persons], s.parts, [a.ann_id for a in s.gt])
+            for s in result.scenes] == [(1, [4], (), [1])]
 
 
 def test_group_joint_stream_without_ground_truth():

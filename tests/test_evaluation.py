@@ -150,6 +150,20 @@ def test_object_confusion_rejects_lists_of_different_lengths():
         object_confusion([scene], [part], [], alpha_fn=0.5)
 
 
+@pytest.mark.parametrize("alpha_fn", [0.0, 1.0, -1.0])
+def test_object_confusion_refuses_the_alpha_fn_the_rules_refuse(alpha_fn):
+    # At alpha_fn 0 the orphan torso, far from the missed person, would count as recovering it.
+    scene = Scene(image_id=1, parts=(part_det(Box(900, 900, 30, 30), image_id=1, det_id=0),),
+                  gt=(ann(Box(0, 0, 100, 200), image_id=1, ann_id=1),))
+    part = partition(scene.persons, scene.gt_persons(), 0.5)
+    verdict = per_object_rule(scene.persons, scene.parts, 0.5, 0.5)
+    message = rf"^alpha_fn must lie in \(0, 1\), got {alpha_fn}$"
+    with pytest.raises(ValueError, match=message):
+        per_object_rule(scene.persons, scene.parts, 0.5, alpha_fn)
+    with pytest.raises(ValueError, match=message):
+        object_confusion([scene], [part], [verdict], alpha_fn=alpha_fn)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_corpus_accounting_matches_oracle(seed):
     corpus = generate(SynthConfig(seed=200 + seed, n_scenes=20, drop_person_prob=0.3,

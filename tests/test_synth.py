@@ -1,5 +1,9 @@
+import json
+import sys
+
 import pytest
 
+import partmon.datamodel
 from partmon.datamodel import (
     DetectionClass,
     load_category_map,
@@ -78,6 +82,26 @@ def test_corpus_round_trips_through_files(tmp_path):
     assert load_ground_truth(paths["gt"], category_map) == corpus.gt
     assert load_detections(paths["persons"], category_map) == corpus.person_dets
     assert load_detections(paths["parts"], category_map) == corpus.part_dets
+
+
+def test_each_written_box_passes_the_loaders_bbox_rule_once(tmp_path):
+    # Calls are counted by the function's code, so a call through any name bound to it counts.
+    code, calls = partmon.datamodel._parse_bbox.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["raw"])
+
+    sys.setprofile(profile)
+    try:
+        corpus = generate(SynthConfig(seed=23, n_scenes=30, jitter=2.0))
+    finally:
+        sys.setprofile(None)
+    paths = write_corpus(corpus, tmp_path)
+    written = [entry["bbox"] for role in ("persons", "parts") for entry in json.loads(paths[role].read_text())]
+    written += [entry["bbox"] for entry in json.loads(paths["gt"].read_text())["annotations"]]
+    assert len(written) > 100
+    assert sorted(map(list, calls)) == sorted(written)
 
 
 def test_empty_corpus_is_valid(tmp_path):
