@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _number, read_json, write_json
-from .errors import CalibrationError, ValidationError
+from .errors import CalibrationError, ValidationError, check_open_unit
 from .monitor import overlaps
 from .partition import GtPartition, MatchingMode, matches, partition
 
@@ -55,9 +55,8 @@ class OperatingPoint:
         for cls, value in self.conf_thresholds.items():
             if not 0.0 <= value <= _ONE_PLUS_ULP:
                 raise ValidationError(f"confidence threshold for {cls.value} outside [0, 1]: {value}")
-        for name, value in (("alpha_fp", self.alpha_fp), ("alpha_fn", self.alpha_fn), ("tau", self.tau)):
-            if not 0.0 < value < 1.0:
-                raise ValidationError(f"{name} must lie in (0, 1), got {value}")
+        check_open_unit("alpha_fp", self.alpha_fp), check_open_unit("alpha_fn", self.alpha_fn)
+        check_open_unit("tau", self.tau)
 
     def to_json_dict(self) -> dict:
         conf = {cls.value: value for cls, value in sorted(self.conf_thresholds.items(), key=lambda kv: kv[0].value)}
@@ -83,7 +82,7 @@ class OperatingPoint:
             values = {name: _number(raw[name], "{} must be a number, got {!r}", name)
                       for name in ("alpha_fp", "alpha_fn", "tau")}
             return cls(conf_thresholds=conf, **values, strict_conf=strict_conf)
-        except (KeyError, ValueError, ValidationError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
     def save(self, path) -> None:

@@ -42,6 +42,7 @@ from .datamodel import (
     load_detections,
     load_ground_truth,
     read_json,
+    unknown_image_warnings,
     write_json,
     write_text,
 )
@@ -425,9 +426,13 @@ def cmd_validate(gt, persons, parts, category_map, operating_point):
     if gt:
         loaded = load_ground_truth(gt, cat_map)
         click.echo(f"gt: {len(loaded.images)} images, {len(loaded.annotations)} annotations")
-    for name, path in (("persons", persons), ("parts", parts)):
+    streams = {"persons": (), "parts": ()}
+    for name, path in zip(streams, (persons, parts)):
         if path:
-            click.echo(f"{name}: {len(load_detections(path, cat_map))} detections")
+            streams[name] = load_detections(path, cat_map)
+            click.echo(f"{name}: {len(streams[name])} detections")
+    for warning in unknown_image_warnings(loaded, *streams.values()) if gt else ():  # as the other commands warn
+        click.echo(f"warning: {warning}", err=True)
     if operating_point:
         from .calibration import OperatingPoint
         op = OperatingPoint.load(operating_point)

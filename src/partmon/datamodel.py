@@ -79,24 +79,12 @@ class GtAnnotation:
         _set(self, "box", _parse_bbox([self.box.x, self.box.y, self.box.w, self.box.h], "annotation id ", self.ann_id))
 
 
-@_record
-class ImageInfo:
-    id: int
-    width: int | None = None
-    height: int | None = None
-    file_name: str | None = None
-
-
 @dataclass(frozen=True)
 class GroundTruth:
-    """All annotations of a dataset plus its image index."""
+    """All annotations of a dataset plus its image ids, in file order."""
 
     annotations: tuple[GtAnnotation, ...]
-    images: tuple[ImageInfo, ...]
-
-    @property
-    def image_ids(self) -> tuple[int, ...]:
-        return tuple(img.id for img in self.images)
+    images: tuple[int, ...]
 
 
 @_record
@@ -181,6 +169,8 @@ def load_category_map(path) -> dict[int, DetectionClass]:
             cat_id = _integer(key)
         except (TypeError, ValueError):
             raise ValidationError(f"category map key is not an integer id: {key!r}") from None
+        if cat_id in mapping:  # "01" and "1" name one id: the second would silently replace the first
+            raise ValidationError(f"category map key {key!r} repeats id {cat_id}")
         cls = _CLASS_BY_NAME.get(name) if isinstance(name, str) else None
         if cls is None:
             raise TaxonomyError(f"category map value {name!r} for id {cat_id} is not one of {sorted(_CLASS_BY_NAME)}")
@@ -289,12 +279,12 @@ def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> Groun
 
 def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping[int, DetectionClass]) -> GroundTruth:
     """The records of a decoded annotation file's two arrays; each entry of both lists is set to None."""
-    images = {}
+    images = {}  # an image entry's other fields (width, height, file_name) are not read
     for index, img in _objects(images_raw, "image entry"):
         image_id = _parse_image_id(img.get("id"), "image entry #", index, "id")
         if image_id in images:
             raise ValidationError(f"image entry #{index}: duplicate id {image_id}")
-        images[image_id] = ImageInfo(image_id, img.get("width"), img.get("height"), img.get("file_name"))
+        images[image_id] = None
 
     annotations = []
     for _, entry in _objects(annotations_raw, "annotation"):
@@ -306,7 +296,7 @@ def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping
         _set(ann, "image_id", image_id), _set(ann, "category", cls)
         _set(ann, "box", box), _set(ann, "ann_id", ann_id)
         annotations.append(ann)
-    return GroundTruth(annotations=tuple(annotations), images=tuple(images.values()))
+    return GroundTruth(annotations=tuple(annotations), images=tuple(images))
 
 
 def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[Detection, ...]:
@@ -353,7 +343,7 @@ def filter_images_by_min_person_area(
     if min_area < 0:
         raise ValidationError(f"min_area must be non-negative, got {min_area}")
     persons = [ann for ann in gt.annotations if ann.category is DetectionClass.PERSON]
-    retained = set(gt.image_ids) - {ann.image_id for ann in persons if area(ann.box) < min_area}
+    retained = set(gt.images) - {ann.image_id for ann in persons if area(ann.box) < min_area}
     if mode is FilterMode.REQUIRE_ALL_ABOVE:
         retained &= {ann.image_id for ann in persons}
     return retained
@@ -375,37 +365,43 @@ def group_into_scenes(
 
     ``image_ids`` restricts the scene universe (e.g. after min-area
     filtering); detections and annotations on images unknown to the ground
-    truth produce warning records, detections first. Entries on known but
-    unselected images are excluded silently.
+    truth join no scene and produce the ``unknown_image_warnings``. Entries
+    on known but unselected images are excluded silently.
 
     With ``gt=None`` (runtime monitoring) every image id is known, scenes
     carry no annotations, and the default universe is the images holding at
     least one kept detection: a person-class entry of the person stream or a
     part-class entry of the part stream.
     """
-    known = None if gt is None else set(gt.image_ids)
+    known = None if gt is None else set(gt.images)
     # Per image, its (persons, parts, annotations); a bucket is made only for a new image.
     buckets: dict[int, tuple[list[Detection], list[Detection], list[GtAnnotation]]] = defaultdict(lambda: ([], [], []))
-    warnings = []
-    for slot, kind, stream, wants_person in ((0, "person", person_dets, True), (1, "part", part_dets, False)):
+    for slot, stream, wants_person in ((0, person_dets, True), (1, part_dets, False)):
         for det in stream:
-            if known is not None and det.image_id not in known:
-                warnings.append(f"{kind} detection det_id={det.det_id} references unknown image id {det.image_id}")
-            elif (det.category is DetectionClass.PERSON) is wants_person:
+            if (det.category is DetectionClass.PERSON) is wants_person:
                 buckets[det.image_id][slot].append(det)
     for ann in gt.annotations if gt is not None else ():
-        if ann.image_id in known:
-            buckets[ann.image_id][2].append(ann)
-        else:
-            warnings.append(f"annotation id={ann.ann_id} references unknown image id {ann.image_id}")
+        buckets[ann.image_id][2].append(ann)
+    warnings = () if gt is None else unknown_image_warnings(gt, person_dets, part_dets)
+    if warnings:  # entries on unknown images join no scene, even one that ``image_ids`` names
+        for image_id in buckets.keys() - known:
+            del buckets[image_id]
 
-    if image_ids is not None:
-        universe = image_ids
-    else:
-        universe = known if known is not None else buckets.keys()
+    universe = image_ids if image_ids is not None else known if known is not None else buckets.keys()
     empty = ((), (), ())
     scenes = tuple(Scene(img_id, *map(tuple, buckets.get(img_id, empty))) for img_id in sorted(universe))
     return GroupingResult(scenes=scenes, warnings=tuple(warnings))
+
+
+def unknown_image_warnings(gt: GroundTruth, person_dets: Sequence[Detection],
+                           part_dets: Sequence[Detection]) -> list[str]:
+    """One warning per entry on an image that ``gt`` does not list: person detections, part detections, then
+    annotations. Set lookups only: no scene is built."""
+    known = set(gt.images)
+    return [f"{kind} detection det_id={det.det_id} references unknown image id {det.image_id}"
+            for kind, stream in (("person", person_dets), ("part", part_dets)) for det in stream
+            if det.image_id not in known] + [f"annotation id={ann.ann_id} references unknown image id {ann.image_id}"
+                                             for ann in gt.annotations if ann.image_id not in known]
 
 
 def group_detections_only(

@@ -21,8 +21,8 @@ from typing import Sequence
 
 from .calibration import mcc_from_counts
 from .datamodel import Scene, json_text
-from .errors import ValidationError
-from .monitor import AlertPair, MonitorVerdict, check_alpha, masks
+from .errors import ValidationError, check_open_unit
+from .monitor import AlertPair, MonitorVerdict, masks
 from .partition import GtPartition
 
 
@@ -108,7 +108,7 @@ def object_confusion(
     person annotations anchor the ghost test; ``ghost_all_classes`` widens it
     to the full annotation set (e.g. when part ground truth exists).
     """
-    check_alpha("alpha_fn", alpha_fn)
+    check_open_unit("alpha_fn", alpha_fn)
     if not (len(scenes) == len(partitions) == len(verdicts)):
         raise ValidationError(f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions, "
                               f"{len(verdicts)} verdicts")

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
+from .errors import check_open_unit
+
 
 class DegeneratePartBoxError(ValueError):
     """A body-part box with zero area cannot anchor an overlap test."""
@@ -115,8 +117,7 @@ def part_overlap_at_least(person: Box, part: Box, alpha: float) -> bool:
     Raises DegeneratePartBoxError for a zero-area part and ValueError for an
     alpha outside the open interval (0, 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_open_unit("alpha", alpha)
     part_area = area(part)
     if part_area <= 0:
         raise DegeneratePartBoxError(f"degenerate part box: {part}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import Detection
+from .errors import check_open_unit
 from .geometry import DegeneratePartBoxError, overlap_pairs
 
 
@@ -40,14 +41,6 @@ class MonitorVerdict:
     tp_mon: tuple[Detection, ...]
     fp_mon: tuple[Detection, ...]
     fn_mon: tuple[Detection, ...]
-    alpha_fp: float
-    alpha_fn: float
-
-
-def check_alpha(name: str, alpha: float) -> None:
-    """Reject an alpha outside (0, 1), naming it."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {alpha}")
 
 
 def overlaps(persons: Sequence, parts: Sequence, alpha_min: float) -> list[tuple[int, int, float, float]]:
@@ -93,7 +86,7 @@ def per_image_rule(
     alpha_fp * part_area. alert_fn: some part detection overlaps every person
     by less than alpha_fn * part_area.
     """
-    check_alpha("alpha_fp", alpha_fp), check_alpha("alpha_fn", alpha_fn)
+    check_open_unit("alpha_fp", alpha_fp), check_open_unit("alpha_fn", alpha_fn)
     supported, covered = masks(persons, parts, alpha_fp, alpha_fn)
     return AlertPair(alert_fp=not all(supported), alert_fn=not all(covered))
 
@@ -107,12 +100,10 @@ def per_object_rule(
     plausible (tp_mon), otherwise suspected ghost (fp_mon). A part covered by
     no person to alpha_fn of its area is an orphan (fn_mon).
     """
-    check_alpha("alpha_fp", alpha_fp), check_alpha("alpha_fn", alpha_fn)
+    check_open_unit("alpha_fp", alpha_fp), check_open_unit("alpha_fn", alpha_fn)
     supported, covered = masks(persons, parts, alpha_fp, alpha_fn)
     return MonitorVerdict(
         tp_mon=tuple(p for p, keep in zip(persons, supported) if keep),
         fp_mon=tuple(p for p, keep in zip(persons, supported) if not keep),
         fn_mon=tuple(p for p, keep in zip(parts, covered) if not keep),
-        alpha_fp=alpha_fp,
-        alpha_fn=alpha_fn,
     )

@@ -90,8 +90,6 @@ def oracle_per_object(
         tp_mon=tuple(tp_mon),
         fp_mon=tuple(fp_mon),
         fn_mon=tuple(fn_mon),
-        alpha_fp=alpha_fp,
-        alpha_fn=alpha_fn,
     )
 
 

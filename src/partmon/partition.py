@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Sequence
 
 from .datamodel import Detection, GtAnnotation
+from .errors import check_open_unit
 from .geometry import overlap_pairs
 
 
@@ -56,8 +57,7 @@ def matches(
     first one on equal IoU, so every ground-truth box appears at most once.
     The inequality is strict: IoU exactly equal to tau never matches.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    check_open_unit("tau", tau)
     boxes = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, j) for j, gt in enumerate(gt_persons) for b in (gt.box,)]
     above, ious = [], []  # the pairs with IoU > tau, by detection and then ground truth, and their IoUs
     for i, j, inter, gt_area in overlap_pairs(persons, boxes):

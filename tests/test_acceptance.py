@@ -15,7 +15,6 @@ from partmon.cli import cli
 from partmon.datamodel import (
     FilterMode,
     GroundTruth,
-    ImageInfo,
     filter_images_by_min_person_area,
     load_category_map,
     load_detections,
@@ -365,8 +364,7 @@ def test_c9_ingestion_round_trip_and_min_area_filter(tmp_path, capsys):
             person(3, 2247, 4),                       # boundary -> retained
             person(4, 9000, 5), person(4, 100, 6),    # mixed -> dropped
         ),
-        images=(ImageInfo(id=1), ImageInfo(id=2), ImageInfo(id=3), ImageInfo(id=4),
-                ImageInfo(id=5)),                     # image 5 has no persons
+        images=(1, 2, 3, 4, 5),                       # image 5 has no persons
     )
     assert filter_images_by_min_person_area(gt, 2247, FilterMode.DROP_IF_ANY_BELOW) == {1, 3, 5}
     assert filter_images_by_min_person_area(gt, 2247, FilterMode.REQUIRE_ALL_ABOVE) == {1, 3}

@@ -1,5 +1,7 @@
 import gc
 import json
+import random
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -388,21 +390,31 @@ def test_min_area_reaches_calibrate_and_evaluate(tmp_path, interior_corpus):
     assert_reports_match_oracle(reports, kept_under(scenes, conf), 0.9, *alphas)
 
 
+INPUT_NAMES = ("gt", "persons", "parts", "category_map")
+
+
+def rewritten_corpus(corpus, out, rewrite):
+    """The corpus's four input files, decoded, changed in place by ``rewrite(gt, persons, parts, category_map)``
+    and written to ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    files = {name: json.loads((corpus / f"{name}.json").read_text()) for name in INPUT_NAMES}
+    rewrite(**files)
+    for name, payload in files.items():
+        write_json(out / f"{name}.json", payload)
+    return out
+
+
 def doubled_corpus(corpus, out):
     """The corpus appended to itself: the copy's image and annotation ids are shifted past the originals'."""
-    out.mkdir()
-    gt = json.loads((corpus / "gt.json").read_text())
-    image_shift = max(img["id"] for img in gt["images"])
-    ann_shift = max(a["id"] for a in gt["annotations"])
-    gt["images"] += [dict(img, id=img["id"] + image_shift) for img in gt["images"]]
-    gt["annotations"] += [dict(a, id=a["id"] + ann_shift, image_id=a["image_id"] + image_shift)
-                          for a in gt["annotations"]]
-    write_json(out / "gt.json", gt)
-    for name in ("persons.json", "parts.json"):
-        dets = json.loads((corpus / name).read_text())
-        write_json(out / name, dets + [dict(d, image_id=d["image_id"] + image_shift) for d in dets])
-    (out / "category_map.json").write_bytes((corpus / "category_map.json").read_bytes())
-    return out
+    def rewrite(gt, persons, parts, category_map):
+        image_shift = max(img["id"] for img in gt["images"])
+        ann_shift = max(a["id"] for a in gt["annotations"])
+        gt["images"] += [dict(img, id=img["id"] + image_shift) for img in gt["images"]]
+        gt["annotations"] += [dict(a, id=a["id"] + ann_shift, image_id=a["image_id"] + image_shift)
+                              for a in gt["annotations"]]
+        for dets in (persons, parts):
+            dets += [dict(d, image_id=d["image_id"] + image_shift) for d in dets]
+    return rewritten_corpus(corpus, out, rewrite)
 
 
 def assert_counts_doubled(report, doubled):
@@ -437,6 +449,90 @@ def test_doubling_the_corpus_keeps_the_operating_point_and_doubles_every_count(t
                 del report["manifest"], reports[1][protocol]["manifest"]
                 assert_counts_doubled(report, reports[1][protocol])
     assert any(alpha_fp != alpha_fn for alpha_fp, alpha_fn in alphas)
+
+
+def outputs_at_one_path(corpus, work, *flags):
+    """{name: bytes} of every output and stdout of the commands run on ``corpus`` with ``flags`` for the filter.
+
+    The corpus is copied to ``work/in`` and the outputs go to ``work/out``, so two corpora run under the same
+    paths. Under both matchings at tau 0.5 and 0.9: calibrate, then at its operating point evaluate in both
+    protocols and monitor --gt in both modes.
+    """
+    inputs, out = work / "in", work / "out"
+    inputs.mkdir(parents=True, exist_ok=True), out.mkdir(exist_ok=True)
+    for name in INPUT_NAMES:
+        (inputs / f"{name}.json").write_bytes((corpus / f"{name}.json").read_bytes())
+    op, outputs = out / "op.json", {}
+    for matching in ("existential", "greedy"):
+        for tau in ("0.5", "0.9"):
+            runs = [("calibrate", ["calibrate", *corpus_args(inputs), *flags, "--matching", matching, "--tau", tau,
+                                   "--out", str(op)])]
+            runs += [(f"evaluate-{protocol}", ["evaluate", *corpus_args(inputs), *flags, "--matching", matching,
+                                               "--operating-point", str(op), "--protocol", protocol,
+                                               "--out", str(out / f"{protocol}.json")])
+                     for protocol in ("per-image", "per-object")]
+            runs += [(f"monitor-{mode}", ["monitor", *corpus_args(inputs), "--operating-point", str(op),
+                                          "--mode", mode, "--out", str(out / f"{mode}.jsonl")])
+                     for mode in ("image", "object")]
+            for name, args in runs:
+                result = runner.invoke(cli, args)
+                assert result.exit_code == 0, result.output
+                outputs[f"{matching}-{tau}/{name}.stdout"] = result.stdout.encode()
+            outputs |= {f"{matching}-{tau}/{path.name}": path.read_bytes() for path in out.iterdir()}
+    return outputs
+
+
+def without_hashes(data):
+    return re.sub(rb'"sha256": "[0-9a-f]{64}"', b'"sha256": ""', data)
+
+
+def test_scaling_every_box_and_the_min_area_keeps_every_output(tmp_path, interior_corpus):
+    # A metamorphic relation: x2 on every box value scales every area and intersection by exactly 4, and
+    # leaves every overlap ratio and IoU as it was.
+    def rewrite(gt, persons, parts, category_map):
+        for entry in (*gt["annotations"], *persons, *parts):
+            entry["bbox"] = [2 * value for value in entry["bbox"]]
+
+    corpus = interior_corpus[0]
+    scaled = rewritten_corpus(corpus, tmp_path / "scaled", rewrite)
+    want = outputs_at_one_path(corpus, tmp_path / "run", "--min-area", "40000")
+    got = outputs_at_one_path(scaled, tmp_path / "run", "--min-area", "160000")
+    assert got.keys() == want.keys()
+    for name, data in want.items():
+        if name.endswith("/object.jsonl"):  # its detection records carry their boxes
+            lines = [json.loads(line) for line in data.decode().splitlines()]
+            for record in (d for line in lines for key in ("tp_mon", "fp_mon", "fn_mon") for d in line[key]):
+                record["bbox"] = [2 * value for value in record["bbox"]]
+            data = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines).encode()
+        assert without_hashes(got[name]) == without_hashes(data), name
+    assert got["existential-0.5/object.jsonl"] != want["existential-0.5/object.jsonl"]
+    assert json.loads(want["existential-0.9/per-image.json"])["total_images"] < 300  # the filter drops images
+
+
+def test_relabelling_the_source_categories_keeps_every_output(tmp_path, interior_corpus):
+    # A metamorphic relation: a source id matters only through the category map.
+    new_ids = list(range(1, 10))
+    random.Random(3).shuffle(new_ids)
+    relabel = dict(zip(range(1, 10), new_ids))
+    assert relabel != {i: i for i in range(1, 10)}
+
+    def rewrite(gt, persons, parts, category_map):
+        for entry in (*gt["annotations"], *persons, *parts):
+            entry["category_id"] = relabel[entry["category_id"]]
+        for category in gt["categories"]:
+            category["id"] = relabel[category["id"]]
+        names = dict(category_map)
+        category_map.clear()
+        category_map.update({str(relabel[int(key)]): name for key, name in names.items()})
+
+    corpus = interior_corpus[0]
+    relabelled = rewritten_corpus(corpus, tmp_path / "relabelled", rewrite)
+    want = outputs_at_one_path(corpus, tmp_path / "run")
+    got = outputs_at_one_path(relabelled, tmp_path / "run")
+    assert got.keys() == want.keys()
+    for name, data in want.items():
+        assert without_hashes(got[name]) == without_hashes(data), name
+    assert got["existential-0.5/op.json.manifest.json"] != want["existential-0.5/op.json.manifest.json"]
 
 
 def test_require_all_above_filter_mode_drops_person_free_images(tmp_path):
@@ -629,6 +725,27 @@ def test_validate_command(tmp_path, corpus_dir):
     assert missing_map.exit_code == 2
 
 
+def test_validate_warns_about_entries_on_unknown_images(tmp_path, corpus_dir):
+    # The entries that evaluate drops with a warning: validate names them the same way, and still passes.
+    args = ["validate", *corpus_args(corpus_dir)]
+    clean = runner.invoke(cli, args)
+    assert (clean.exit_code, clean.stderr) == (0, "")
+    gt = json.loads((corpus_dir / "gt.json").read_text())
+    stray = dict(gt["annotations"][0], id=999, image_id=1_000_000)
+    write_json(corpus_dir / "gt.json", dict(gt, annotations=[*gt["annotations"], stray]))
+    persons = json.loads((corpus_dir / "persons.json").read_text())
+    write_json(corpus_dir / "persons.json", [*persons, dict(persons[0], image_id=777_777)])
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1] == "ok"
+    assert result.stderr.splitlines() == [
+        f"warning: person detection det_id={len(persons)} references unknown image id 777777",
+        "warning: annotation id=999 references unknown image id 1000000"]
+    # Without --gt every image id is known.
+    alone = runner.invoke(cli, ["validate", *corpus_args(corpus_dir)[2:]])
+    assert (alone.exit_code, alone.stderr) == (0, "")
+
+
 def test_validate_prints_the_recorded_confidence_rule(tmp_path):
     lines = []
     for strict in (False, True):
@@ -804,6 +921,9 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "0.9")).replace('"category_id": 1', '"category_id": 1e999'),
      "unmapped category id"),
     ("--category-map", '{"1": ["Person"]}', "category map value"),
+    # int() reads "01" and "+2" as 1 and 2: a second key for one id would silently replace the first.
+    ("--category-map", '{"1": "Person", "01": "Torso", "+2": "Head", "2": "Hand"}',
+     "Error: category map key '01' repeats id 1"),
     ("--operating-point", '{"conf": [], "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}', "'conf' must be an object"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 1e200, 1e200]", "0.9")), "area overflows"),
     ("--persons", "[%s]" % (DET % ("[1e308, 0, 1e308, 10]", "0.9")), "far edges must be finite"),
@@ -891,7 +1011,7 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
         "non-utf8-config", "deep-nesting", "overflow-image-id", "overflow-gt-image-id",
-        "overflow-category-id", "non-string-category-name", "non-object-conf",
+        "overflow-category-id", "non-string-category-name", "repeated-category-map-id", "non-object-conf",
         "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit",
         "infinite-score", "integer-beyond-float-score",
         "overflow-iou-union", "fractional-image-id", "boolean-image-id", "fractional-gt-image-id",

@@ -15,7 +15,6 @@ from partmon.datamodel import (
     FilterMode,
     GroundTruth,
     GtAnnotation,
-    ImageInfo,
     Scene,
     filter_images_by_min_person_area,
     group_detections_only,
@@ -118,7 +117,7 @@ def test_load_ground_truth_basic(gt_file):
     record = gt.annotations[0]
     assert record.category is DetectionClass.PERSON
     assert area(record.box) == 5000
-    assert gt.image_ids == (1,)
+    assert gt.images == (1,)
 
 
 def test_load_ground_truth_unknown_category(tmp_path):
@@ -205,7 +204,7 @@ def test_integral_float_and_string_values_still_load(tmp_path):
     gt = write_json(tmp_path / "gt.json", {"images": [{"id": "3"}], "annotations": [
         {"id": 1, "image_id": 3.0, "category_id": 9.0, "bbox": [0, 0, 5, 5]}]})
     loaded = load_ground_truth(gt, CATEGORY_MAP)
-    assert loaded.image_ids == (3,)
+    assert loaded.images == (3,)
     assert [(a.image_id, a.category) for a in loaded.annotations] == [(3, DetectionClass.HEAD)]
 
 
@@ -273,8 +272,8 @@ def test_records_are_slotted(tmp_path, gt_file):
     gt = load_ground_truth(gt_file, CATEGORY_MAP)
     (loaded_scene,) = group_into_scenes(gt, [loaded_det], []).scenes
     box = Box(0, 0, 5, 5)
-    built = (box, det(box), ann(box), ImageInfo(id=1), Scene(1, (det(box),)))
-    loaded = (loaded_det.box, loaded_det, gt.annotations[0], gt.images[0], loaded_scene)
+    built = (box, det(box), ann(box), Scene(1, (det(box),)))
+    loaded = (loaded_det.box, loaded_det, gt.annotations[0], loaded_scene)
     for record in built + loaded:
         assert not hasattr(record, "__dict__"), type(record).__name__
         for name in record.__dataclass_fields__:
@@ -353,7 +352,8 @@ def test_category_map_loading_and_merging(tmp_path):
 
 
 def test_round_trip_ground_truth_and_detections(tmp_path):
-    # The loaders read a COCO file into the records built by hand from the same values.
+    # The loaders read a COCO file into the records built by hand from the same values. An image
+    # entry's width, height and file_name are accepted and not read.
     category_map = {1: DetectionClass.PERSON, 9: DetectionClass.HEAD, 2: DetectionClass.TORSO}
     gt_path = write_json(tmp_path / "gt.json", {
         "images": [{"id": 1, "width": 640, "height": 480, "file_name": "a.jpg"}, {"id": 2}],
@@ -368,7 +368,7 @@ def test_round_trip_ground_truth_and_detections(tmp_path):
             ann(Box(0, 0, 50.5, 100), image_id=1, ann_id=1),
             ann(Box(3, 4, 10, 10), image_id=2, category=DetectionClass.HEAD, ann_id=2),
         ),
-        images=(ImageInfo(id=1, width=640, height=480, file_name="a.jpg"), ImageInfo(id=2)),
+        images=(1, 2),
     )
 
     det_path = write_json(tmp_path / "dets.json", [
@@ -386,7 +386,7 @@ def _gt_with_person_areas(areas_by_image):
     images = []
     ann_id = 1
     for img_id, person_areas in areas_by_image.items():
-        images.append(ImageInfo(id=img_id))
+        images.append(img_id)
         for person_area in person_areas:
             annotations.append(
                 ann(Box(0, 0, person_area / 10, 10), image_id=img_id, ann_id=ann_id)
@@ -422,7 +422,7 @@ def test_filter_ignores_part_annotations():
             ann(Box(0, 0, 2, 2), image_id=1, category=DetectionClass.HAND, ann_id=2),
             ann(Box(0, 0, 100, 100), image_id=2, category=DetectionClass.HEAD, ann_id=3),
         ),
-        images=(ImageInfo(id=1), ImageInfo(id=2)),
+        images=(1, 2),
     )
     assert filter_images_by_min_person_area(gt, 2247, FilterMode.DROP_IF_ANY_BELOW) == {1, 2}
     # A part annotation is not a person: an image of parts alone has none.
@@ -451,7 +451,7 @@ def test_filter_monotone_in_min_area(areas_by_image, thresholds):
 def test_group_into_scenes_covers_all_gt_images():
     gt = GroundTruth(
         annotations=(ann(Box(0, 0, 10, 10), image_id=1, ann_id=1),),
-        images=(ImageInfo(id=1), ImageInfo(id=2)),
+        images=(1, 2),
     )
     result = group_into_scenes(gt, [det(Box(0, 0, 10, 10), image_id=1)], [])
     assert [s.image_id for s in result.scenes] == [1, 2]
@@ -461,7 +461,7 @@ def test_group_into_scenes_covers_all_gt_images():
 
 
 def test_group_into_scenes_warns_on_unknown_image():
-    gt = GroundTruth(annotations=(), images=(ImageInfo(id=1),))
+    gt = GroundTruth(annotations=(), images=(1,))
     orphan = det(Box(0, 0, 10, 10), image_id=42, det_id=3)
     result = group_into_scenes(gt, [orphan], [])
     assert len(result.warnings) == 1
@@ -470,7 +470,7 @@ def test_group_into_scenes_warns_on_unknown_image():
 
 def test_group_into_scenes_class_split_allows_joint_stream():
     # One jointly trained detector: the same mixed stream passed as both inputs.
-    gt = GroundTruth(annotations=(), images=(ImageInfo(id=1),))
+    gt = GroundTruth(annotations=(), images=(1,))
     stream = [
         det(Box(0, 0, 10, 10), image_id=1, det_id=0),
         part_det(Box(1, 1, 2, 2), image_id=1, det_id=1),
@@ -484,7 +484,7 @@ def test_group_into_scenes_class_split_allows_joint_stream():
 def test_group_into_scenes_warns_per_stream_in_stream_order():
     annotations = (ann(Box(0, 0, 10, 10), image_id=1, ann_id=1), ann(Box(0, 0, 10, 10), image_id=7, ann_id=2),
                    ann(Box(0, 0, 2, 2), image_id=9, category=DetectionClass.HEAD, ann_id=3))
-    gt = GroundTruth(annotations=annotations, images=(ImageInfo(id=1),))
+    gt = GroundTruth(annotations=annotations, images=(1,))
     persons = [det(Box(0, 0, 10, 10), image_id=42, det_id=3), det(Box(0, 0, 10, 10), image_id=1, det_id=4)]
     parts = [part_det(Box(0, 0, 2, 2), image_id=7, det_id=5), part_det(Box(0, 0, 2, 2), image_id=8, det_id=6)]
     result = group_into_scenes(gt, persons, parts)
@@ -516,7 +516,7 @@ def test_group_joint_stream_without_ground_truth():
 
 
 def test_group_scene_partition_accounting():
-    gt = GroundTruth(annotations=(), images=(ImageInfo(id=1), ImageInfo(id=2)))
+    gt = GroundTruth(annotations=(), images=(1, 2))
     persons = [det(Box(0, 0, 10, 10), image_id=i, det_id=i) for i in (1, 1, 2)]
     orphans = [det(Box(0, 0, 10, 10), image_id=9, det_id=9)]
     result = group_into_scenes(gt, persons + orphans, [])
@@ -525,7 +525,7 @@ def test_group_scene_partition_accounting():
 
 
 def test_group_into_scenes_respects_image_subset():
-    gt = GroundTruth(annotations=(), images=(ImageInfo(id=1), ImageInfo(id=2)))
+    gt = GroundTruth(annotations=(), images=(1, 2))
     result = group_into_scenes(gt, [det(Box(0, 0, 5, 5), image_id=2)], [], image_ids={1})
     assert [s.image_id for s in result.scenes] == [1]
     assert result.warnings == ()  # image 2 is known, just unselected

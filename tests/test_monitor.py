@@ -1,10 +1,16 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partmon.geometry import Box
+from partmon.calibration import OperatingPoint
+from partmon.errors import ValidationError
+from partmon.evaluation import object_confusion
+from partmon.geometry import Box, part_overlap_at_least
 from partmon.monitor import per_image_rule, per_object_rule
 from partmon.oracle import oracle_per_image, oracle_per_object
+from partmon.partition import partition
 
 from conftest import det, part_det, pos_boxes
 
@@ -68,12 +74,22 @@ def test_overlap_boundary_is_inclusive_for_tp_mon():
     assert verdict.fn_mon == ()
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 3.0, math.nan])
 def test_rules_reject_alpha_outside_open_interval(alpha):
-    with pytest.raises(ValueError):
-        per_image_rule([], [], alpha, 0.5)
-    with pytest.raises(ValueError):
-        per_object_rule([], [], 0.5, alpha)
+    # Every consumer of an alpha or tau refuses it by one rule, with a ValidationError that is also a ValueError.
+    calls = {
+        "alpha_fp": [lambda: per_image_rule([], [], alpha, 0.5), lambda: per_object_rule([], [], alpha, 0.5),
+                     lambda: OperatingPoint({}, alpha, 0.5, 0.5)],
+        "alpha_fn": [lambda: per_image_rule([], [], 0.5, alpha), lambda: per_object_rule([], [], 0.5, alpha),
+                     lambda: object_confusion([], [], [], alpha_fn=alpha), lambda: OperatingPoint({}, 0.5, alpha, 0.5)],
+        "tau": [lambda: partition([], [], alpha), lambda: OperatingPoint({}, 0.5, 0.5, alpha)],
+        "alpha": [lambda: part_overlap_at_least(Box(0, 0, 1, 1), Box(0, 0, 1, 1), alpha)],
+    }
+    for name, refused in calls.items():
+        for call in refused:
+            with pytest.raises(ValidationError, match=rf"^{name} must lie in \(0, 1\), got {alpha}$"):
+                call()
+    assert issubclass(ValidationError, ValueError)
 
 
 scene_persons = st.lists(pos_boxes, max_size=6).map(
