@@ -1417,8 +1417,11 @@ def test_validate_arbitrary_json_exits_0_or_2(tmp_path, gt, persons, category_ma
     assert result.exit_code in (0, 2), result.output
     assert "Traceback" not in result.output
     *summary, last = result.output.strip().splitlines()
-    # validate reports each file as it loads it, then "ok" or a one-line error.
-    assert all(line.startswith(("gt: ", "persons: ", "operating point: ")) for line in summary), result.output
+    # validate reports each file as it loads it and warns of entries on unknown images,
+    # then "ok" or a one-line error.
+    assert all(line.startswith(("gt: ", "persons: ", "operating point: "))
+               or (line.startswith("warning: ") and "references unknown image id" in line)
+               for line in summary), result.output
     assert last == "ok" if result.exit_code == 0 else last.startswith("Error: "), result.output
 
 
