@@ -90,7 +90,7 @@ class OperatingPoint:
 
     @classmethod
     def load(cls, path) -> "OperatingPoint":
-        return cls.from_json_dict(read_json(path))
+        return cls.from_json_dict(read_json(path, unique_keys=True))
 
 
 def mcc_from_counts(tp: int, fp: int, fn: int, tn: int) -> float:
@@ -238,7 +238,7 @@ def apply_confidence_thresholds(
         return tuple([d for d in dets if (d.score > conf[d.category] if strict else d.score >= conf[d.category])])
 
     try:
-        return [Scene(image_id=s.image_id, persons=kept(s.persons), parts=kept(s.parts), gt=s.gt) for s in scenes]
+        return [Scene(s.image_id, kept(s.persons), kept(s.parts), s.gt) for s in scenes]
     except KeyError as exc:  # only conf[...] can raise it
         raise ValidationError(f"no confidence threshold for class {exc.args[0].value}") from None
 

@@ -58,6 +58,11 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
+# The characters at which str.splitlines() ends a line. An input's id can hold them; a message or a
+# warning quoting it shows them escaped, so it stays one line.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class _FiniteRange(click.FloatRange):
     """A FloatRange that also refuses NaN and infinities, which its bounds alone let through."""
 
@@ -79,7 +84,7 @@ class _PartmonCommand(click.Command):
             _refuse_overwriting_inputs(ctx)
             return super().invoke(ctx)
         except (ValidationError, OSError) as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(str(exc).translate(_LINE_BREAKS)) from exc
         finally:
             if collecting:
                 gc.enable()
@@ -102,7 +107,7 @@ def _apply_config(ctx: click.Context, config_path) -> None:
     """Fill parameters from a JSON config for flags the user did not pass (so never ``config`` itself)."""
     if config_path is None:
         return
-    raw = read_json(config_path)
+    raw = read_json(config_path, unique_keys=True)
     if not isinstance(raw, dict):
         raise ValidationError(f"config must be a JSON object: {config_path}")
     params = {param.name: param for param in ctx.command.params}
@@ -193,7 +198,7 @@ def _scenes_from(p: dict) -> list[Scene]:
         retained = filter_images_by_min_person_area(gt, p["min_area"], FilterMode(p["filter_mode"]))
     grouping = group_into_scenes(gt, person_dets, part_dets, image_ids=retained)
     for warning in grouping.warnings:
-        click.echo(f"warning: {warning}", err=True)
+        click.echo(f"warning: {warning}".translate(_LINE_BREAKS), err=True)
     return list(grouping.scenes)
 
 
@@ -426,13 +431,15 @@ def cmd_validate(gt, persons, parts, category_map, operating_point):
     if gt:
         loaded = load_ground_truth(gt, cat_map)
         click.echo(f"gt: {len(loaded.images)} images, {len(loaded.annotations)} annotations")
-    streams = {"persons": (), "parts": ()}
-    for name, path in zip(streams, (persons, parts)):
+    warnings = []  # as the other commands warn; gathered per stream, so its records are freed before the next loads
+    for name, path in (("persons", persons), ("parts", parts)):
         if path:
-            streams[name] = load_detections(path, cat_map)
-            click.echo(f"{name}: {len(streams[name])} detections")
-    for warning in unknown_image_warnings(loaded, *streams.values()) if gt else ():  # as the other commands warn
-        click.echo(f"warning: {warning}", err=True)
+            dets = load_detections(path, cat_map)
+            click.echo(f"{name}: {len(dets)} detections")
+            warnings += unknown_image_warnings(loaded, **{name: dets}) if gt else ()
+            del dets
+    for warning in warnings + unknown_image_warnings(loaded, annotations=loaded.annotations) if gt else ():
+        click.echo(f"warning: {warning}".translate(_LINE_BREAKS), err=True)
     if operating_point:
         from .calibration import OperatingPoint
         op = OperatingPoint.load(operating_point)

@@ -88,7 +88,7 @@ def per_image_rule(
     """
     check_open_unit("alpha_fp", alpha_fp), check_open_unit("alpha_fn", alpha_fn)
     supported, covered = masks(persons, parts, alpha_fp, alpha_fn)
-    return AlertPair(alert_fp=not all(supported), alert_fn=not all(covered))
+    return AlertPair(not all(supported), not all(covered))
 
 
 def per_object_rule(
@@ -103,7 +103,7 @@ def per_object_rule(
     check_open_unit("alpha_fp", alpha_fp), check_open_unit("alpha_fn", alpha_fn)
     supported, covered = masks(persons, parts, alpha_fp, alpha_fn)
     return MonitorVerdict(
-        tp_mon=tuple(p for p, keep in zip(persons, supported) if keep),
-        fp_mon=tuple(p for p, keep in zip(persons, supported) if not keep),
-        fn_mon=tuple(p for p, keep in zip(parts, covered) if not keep),
+        tuple([p for p, keep in zip(persons, supported) if keep]),
+        tuple([p for p, keep in zip(persons, supported) if not keep]),
+        tuple([p for p, keep in zip(parts, covered) if not keep]),
     )

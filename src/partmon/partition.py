@@ -94,8 +94,8 @@ def partition(
     matched = {i for i, _ in pairs}
     covered = {j for _, j in pairs}
     return GtPartition(
-        tp_gt=tuple(d for i, d in enumerate(persons) if i in matched),
-        fp_gt=tuple(d for i, d in enumerate(persons) if i not in matched),
-        fn_gt=tuple(g for j, g in enumerate(gt_persons) if j not in covered),
-        tau=tau,
+        tuple([d for i, d in enumerate(persons) if i in matched]),
+        tuple([d for i, d in enumerate(persons) if i not in matched]),
+        tuple([g for j, g in enumerate(gt_persons) if j not in covered]),
+        tau,
     )

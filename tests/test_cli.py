@@ -660,6 +660,18 @@ def test_annotation_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir, proto
     assert report == clean_report
 
 
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_a_warning_quoting_an_id_stays_one_line(tmp_path, corpus_dir, command):
+    # An annotation id is any JSON value; the characters at which str.splitlines() breaks a line show escaped.
+    gt = json.loads((corpus_dir / "gt.json").read_text())
+    stray = dict(gt["annotations"][0], id="a\nb\x1e\u2028", image_id=999_999)
+    write_json(corpus_dir / "gt.json", dict(gt, annotations=[*gt["annotations"], stray]))
+    op = ["--operating-point", write_json(tmp_path / "op.json", ZERO_OP), "--out", str(tmp_path / "report.json")]
+    result = runner.invoke(cli, [command, *corpus_args(corpus_dir), *(op if command == "evaluate" else [])])
+    assert result.exit_code == 0, result.output
+    assert result.stderr.splitlines() == ["warning: annotation id=a\\nb\\x1e\\u2028 references unknown image id 999999"]
+
+
 def test_missing_input_file_exits_2(tmp_path):
     result = runner.invoke(
         cli,
@@ -933,6 +945,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1e999")), "Error: detection #0: score inf outside [0, 1]"),
     ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "1%s" % ("0" * 400))),
      "Error: detection #0: score inf outside [0, 1]"),
+    ("--persons", "[%s]" % (DET % ("[0, 0, 10, 10]", "-1%s" % ("0" * 400))),
+     "Error: detection #0: score -inf outside [0, 1]"),
     # Area 1e308 is finite, but the union of two such boxes in an IoU would not be.
     ("--persons", "[%s]" % (DET % ("[0, 0, 1e154, 1e154]", "0.9")), "area overflows"),
     # int() would truncate these to a valid id, and float() would read true as 1.0.
@@ -991,6 +1005,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
      "Error: invalid operating point: alpha_fp must lie in (0, 1), got inf"),
     ("--operating-point", '{"conf": {}, "alpha_fp": 1%s, "alpha_fn": 0.5, "tau": 0.5}' % ("0" * 400),
      "Error: invalid operating point: alpha_fp must lie in (0, 1), got inf"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": -1%s, "alpha_fn": 0.5, "tau": 0.5}' % ("0" * 400),
+     "Error: invalid operating point: alpha_fp must lie in (0, 1), got -inf"),
     ("--operating-point", '{"conf": {}, "alpha_fp": 1.5, "alpha_fn": 0.5, "tau": 0.5}',
      "Error: invalid operating point: alpha_fp must lie in (0, 1), got 1.5"),
     ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 1.5}',
@@ -1007,13 +1023,24 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
      "annotation id 5: bbox width and height must be positive, got [3, 4, 10, -2]"),
     ("--persons", "[%s]" % (DET % ("[3, 4, 10, -2]", "0.9")),
      "detection #0: bbox width and height must be positive, got [3, 4, 10, -2]"),
+    # json keeps the last of two equal keys; the three small files refuse the repeat, naming the file and the key.
+    ("--category-map", '{"1": "Person", "1": "Torso"}', "bad.json: repeated key '1'"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5, "alpha_fp": 0.3, "tau": 0.5}',
+     "bad.json: repeated key 'alpha_fp'"),
+    ("--operating-point", '{"conf": {"Person": 0.5, "Person": 0.4}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
+     "bad.json: repeated key 'Person'"),
+    ("--config", '{"seed": 1, "seed": 2}', "bad.json: repeated key 'seed'"),
+    # An annotation id is any JSON value: the one-line message shows its line breaks escaped.
+    ("--gt", '{"images": [{"id": 1}], "annotations": '
+             '[{"id": "a\\nb\\u001e", "image_id": 1, "category_id": 7, "bbox": [0, 0, 1, 1]}]}',
+     "Error: annotation id a\\nb\\x1e: unmapped category id: 7"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
         "non-utf8-config", "deep-nesting", "overflow-image-id", "overflow-gt-image-id",
         "overflow-category-id", "non-string-category-name", "repeated-category-map-id", "non-object-conf",
         "overflow-bbox-area", "overflow-bbox-edge", "huge-integer-bbox", "integer-beyond-digit-limit",
-        "infinite-score", "integer-beyond-float-score",
+        "infinite-score", "integer-beyond-float-score", "negative-integer-beyond-float-score",
         "overflow-iou-union", "fractional-image-id", "boolean-image-id", "fractional-gt-image-id",
         "fractional-category-id", "boolean-category-id", "boolean-gt-category-id", "boolean-bbox",
         "boolean-score", "missing-score", "underscore-category-map-key", "non-ascii-category-map-key",
@@ -1022,9 +1049,11 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "padded-gt-image-id", "padded-category-id", "padded-bbox", "padded-score", "boolean-jitter-config",
         "non-object-config", "boolean-threshold", "padded-alpha", "underscore-alpha", "integer-strict-conf",
         "misspelt-strict-conf",
-        "non-object-operating-point", "infinite-alpha", "integer-beyond-float-alpha", "alpha-above-one",
+        "non-object-operating-point", "infinite-alpha", "integer-beyond-float-alpha",
+        "negative-integer-beyond-float-alpha", "alpha-above-one",
         "tau-above-one", "tau-zero", "threshold-above-one", "missing-gt-image-id", "duplicate-gt-image-id",
-        "negative-height-gt-bbox", "negative-height-bbox"])
+        "negative-height-gt-bbox", "negative-height-bbox", "repeated-category-map-key",
+        "repeated-operating-point-key", "repeated-conf-key", "repeated-config-key", "line-break-annotation-id"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))

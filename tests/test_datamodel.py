@@ -531,6 +531,15 @@ def test_group_into_scenes_respects_image_subset():
     assert result.warnings == ()  # image 2 is known, just unselected
 
 
+def test_group_into_scenes_gives_an_unlisted_image_no_scene_even_when_selected():
+    gt = GroundTruth(annotations=(ann(Box(0, 0, 10, 10), image_id=7, ann_id=2),), images=(1,))
+    persons = [det(Box(0, 0, 10, 10), image_id=7, det_id=0), det(Box(0, 0, 10, 10), image_id=1, det_id=1)]
+    result = group_into_scenes(gt, persons, [], image_ids={1, 7, 8})
+    assert [(s.image_id, [d.det_id for d in s.persons], s.gt) for s in result.scenes] == [(1, [1], ())]
+    assert result.warnings == ("person detection det_id=0 references unknown image id 7",
+                               "annotation id=2 references unknown image id 7")
+
+
 def test_group_detections_only():
     scenes = group_detections_only(
         [det(Box(0, 0, 10, 10), image_id=5)],

@@ -88,31 +88,6 @@ def ids(verdict):
     return tuple(tuple(id(d) for d in group) for group in (verdict.tp_mon, verdict.fp_mon, verdict.fn_mon))
 
 
-@settings(max_examples=150, deadline=None)
-@given(scenes=corpora, tau=taus, alpha_fp=alphas, alpha_fn=alphas, ghost_all_classes=st.booleans())
-def test_rules_and_confusion_match_oracle_on_real_valued_scenes(scenes, tau, alpha_fp, alpha_fn, ghost_all_classes):
-    partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
-    alerts, verdicts = [], []
-    for s in scenes:
-        alerts.append(per_image_rule(s.persons, s.parts, alpha_fp, alpha_fn))
-        verdicts.append(per_object_rule(s.persons, s.parts, alpha_fp, alpha_fn))
-        assert alerts[-1] == oracle_per_image(s.persons, s.parts, alpha_fp, alpha_fn)
-        assert ids(verdicts[-1]) == ids(oracle_per_object(s.persons, s.parts, alpha_fp, alpha_fn))
-
-    want_fp, want_fn, want_confusion, _ = oracle_metrics(
-        scenes, tau, alpha_fp, alpha_fn, ghost_all_classes=ghost_all_classes
-    )
-    assert per_image_counts(scenes, partitions, alerts) == (want_fp, want_fn)
-    assert object_confusion(scenes, partitions, verdicts, alpha_fn, ghost_all_classes) == want_confusion
-
-
-@settings(max_examples=80, deadline=None)
-@given(scenes=corpora, tau=taus, step=st.sampled_from([0.05, 0.01]))
-def test_select_alphas_matches_brute_force_on_real_valued_scenes(scenes, tau, step):
-    partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
-    assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, tau, MatchingMode.EXISTENTIAL, step)
-
-
 def test_overlaps_lists_each_overlapping_pair_once():
     persons = [det(Box(0.0, 0.0, 10.0, 10.0)), det(Box(5.0, 0.0, 10.0, 10.0))]
     parts = [part_det(Box(8.0, 2.0, 4.0, 2.0)), part_det(Box(10.0, 0.0, 1.0, 1.0)), part_det(Box(50.0, 50.0, 1.0, 1.0))]
@@ -133,17 +108,26 @@ def test_overlaps_pairs_a_part_whose_threshold_underflows_with_every_person():
     ]
 
 
-@pytest.mark.parametrize("alpha, passes", [(0.05, True), (0.5, True), (0.6, False)])
-def test_rules_on_a_disjoint_part_whose_threshold_underflows(alpha, passes):
-    assert alpha * 5e-324 == (0.0 if passes else 5e-324)
+# Ids of equal alphas name the alpha and whether its test passes; unequal ones name both alphas.
+@pytest.mark.parametrize("alpha_fp, alpha_fn", [
+    pytest.param(0.05, 0.05, id="0.05-True"),
+    pytest.param(0.5, 0.5, id="0.5-True"),
+    pytest.param(0.6, 0.6, id="0.6-False"),
+    # One threshold underflows and the other does not: each alpha must decide its own test.
+    pytest.param(0.05, 0.6, id="0.05-0.6"),
+    pytest.param(0.6, 0.05, id="0.6-0.05"),
+])
+def test_rules_on_a_disjoint_part_whose_threshold_underflows(alpha_fp, alpha_fn):
+    supported, covered = alpha_fp * 5e-324 == 0.0, alpha_fn * 5e-324 == 0.0
+    assert (alpha_fp * 5e-324, alpha_fn * 5e-324) == (0.0 if supported else 5e-324, 0.0 if covered else 5e-324)
     person, part = det(PERSON), part_det(THIN)
-    alert = per_image_rule([person], [part], alpha, alpha)
-    assert alert == oracle_per_image([person], [part], alpha, alpha)
-    assert (alert.alert_fp, alert.alert_fn) == (not passes, not passes)
-    verdict = per_object_rule([person], [part], alpha, alpha)
-    assert ids(verdict) == ids(oracle_per_object([person], [part], alpha, alpha))
-    assert verdict.tp_mon == ((person,) if passes else ())
-    assert verdict.fn_mon == (() if passes else (part,))
+    alert = per_image_rule([person], [part], alpha_fp, alpha_fn)
+    assert alert == oracle_per_image([person], [part], alpha_fp, alpha_fn)
+    assert (alert.alert_fp, alert.alert_fn) == (not supported, not covered)
+    verdict = per_object_rule([person], [part], alpha_fp, alpha_fn)
+    assert ids(verdict) == ids(oracle_per_object([person], [part], alpha_fp, alpha_fn))
+    assert verdict.tp_mon == ((person,) if supported else ())
+    assert verdict.fn_mon == (() if covered else (part,))
 
 
 @pytest.mark.parametrize("ghost_all_classes", [False, True])
@@ -193,3 +177,29 @@ def test_select_alphas_counts_with_the_product_test_not_the_ratio(ghost, real, s
     partitions = [partition(s.persons, s.gt_persons(), 0.5) for s in scenes]
     assert select_alphas(scenes, partitions, step)[0] == expected
     assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, 0.5, MatchingMode.EXISTENTIAL, step)
+
+
+# The drawn tests come last, so that a run with -x stops first at a fixed case that fails fast.
+@settings(max_examples=150, deadline=None)
+@given(scenes=corpora, tau=taus, alpha_fp=alphas, alpha_fn=alphas, ghost_all_classes=st.booleans())
+def test_rules_and_confusion_match_oracle_on_real_valued_scenes(scenes, tau, alpha_fp, alpha_fn, ghost_all_classes):
+    partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
+    alerts, verdicts = [], []
+    for s in scenes:
+        alerts.append(per_image_rule(s.persons, s.parts, alpha_fp, alpha_fn))
+        verdicts.append(per_object_rule(s.persons, s.parts, alpha_fp, alpha_fn))
+        assert alerts[-1] == oracle_per_image(s.persons, s.parts, alpha_fp, alpha_fn)
+        assert ids(verdicts[-1]) == ids(oracle_per_object(s.persons, s.parts, alpha_fp, alpha_fn))
+
+    want_fp, want_fn, want_confusion, _ = oracle_metrics(
+        scenes, tau, alpha_fp, alpha_fn, ghost_all_classes=ghost_all_classes
+    )
+    assert per_image_counts(scenes, partitions, alerts) == (want_fp, want_fn)
+    assert object_confusion(scenes, partitions, verdicts, alpha_fn, ghost_all_classes) == want_confusion
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenes=corpora, tau=taus, step=st.sampled_from([0.05, 0.01]))
+def test_select_alphas_matches_brute_force_on_real_valued_scenes(scenes, tau, step):
+    partitions = [partition(s.persons, s.gt_persons(), tau) for s in scenes]
+    assert select_alphas(scenes, partitions, step) == oracle_alphas(scenes, tau, MatchingMode.EXISTENTIAL, step)
