@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 import re
@@ -15,6 +16,7 @@ import partmon.cli as cli_module
 import partmon.synth
 from partmon.cli import cli
 from partmon.datamodel import DetectionClass, group_into_scenes, load_category_map, load_detections, load_ground_truth
+from partmon.geometry import intersection_area, iou
 from partmon.oracle import oracle_alphas, oracle_metrics, oracle_per_image, oracle_per_object, oracle_threshold
 from partmon.partition import MatchingMode
 from partmon.synth import SynthConfig, generate
@@ -456,7 +458,7 @@ def outputs_at_one_path(corpus, work, *flags):
 
     The corpus is copied to ``work/in`` and the outputs go to ``work/out``, so two corpora run under the same
     paths. Under both matchings at tau 0.5 and 0.9: calibrate, then at its operating point evaluate in both
-    protocols and monitor --gt in both modes.
+    protocols and monitor in both modes, with --gt and without it (``live-<mode>.jsonl``).
     """
     inputs, out = work / "in", work / "out"
     inputs.mkdir(parents=True, exist_ok=True), out.mkdir(exist_ok=True)
@@ -471,9 +473,10 @@ def outputs_at_one_path(corpus, work, *flags):
                                                "--operating-point", str(op), "--protocol", protocol,
                                                "--out", str(out / f"{protocol}.json")])
                      for protocol in ("per-image", "per-object")]
-            runs += [(f"monitor-{mode}", ["monitor", *corpus_args(inputs), "--operating-point", str(op),
-                                          "--mode", mode, "--out", str(out / f"{mode}.jsonl")])
-                     for mode in ("image", "object")]
+            runs += [(f"monitor-{live}{mode}", ["monitor", *corpus_args(inputs)[2 if live else 0:],
+                                                "--operating-point", str(op), "--mode", mode,
+                                                "--out", str(out / f"{live}{mode}.jsonl")])
+                     for mode in ("image", "object") for live in ("", "live-")]
             for name, args in runs:
                 result = runner.invoke(cli, args)
                 assert result.exit_code == 0, result.output
@@ -484,6 +487,14 @@ def outputs_at_one_path(corpus, work, *flags):
 
 def without_hashes(data):
     return re.sub(rb'"sha256": "[0-9a-f]{64}"', b'"sha256": ""', data)
+
+
+@pytest.fixture(scope="module")
+def interior_outputs(tmp_path_factory, interior_corpus):
+    """The work directory and ``outputs_at_one_path`` of the interior corpus with the default filter: a rewritten
+    corpus run in the same directory names the same paths."""
+    work = tmp_path_factory.mktemp("run")
+    return work, outputs_at_one_path(interior_corpus[0], work)
 
 
 def test_scaling_every_box_and_the_min_area_keeps_every_output(tmp_path, interior_corpus):
@@ -499,7 +510,7 @@ def test_scaling_every_box_and_the_min_area_keeps_every_output(tmp_path, interio
     got = outputs_at_one_path(scaled, tmp_path / "run", "--min-area", "160000")
     assert got.keys() == want.keys()
     for name, data in want.items():
-        if name.endswith("/object.jsonl"):  # its detection records carry their boxes
+        if name.endswith("object.jsonl"):  # its detection records carry their boxes
             lines = [json.loads(line) for line in data.decode().splitlines()]
             for record in (d for line in lines for key in ("tp_mon", "fp_mon", "fn_mon") for d in line[key]):
                 record["bbox"] = [2 * value for value in record["bbox"]]
@@ -509,7 +520,7 @@ def test_scaling_every_box_and_the_min_area_keeps_every_output(tmp_path, interio
     assert json.loads(want["existential-0.9/per-image.json"])["total_images"] < 300  # the filter drops images
 
 
-def test_relabelling_the_source_categories_keeps_every_output(tmp_path, interior_corpus):
+def test_relabelling_the_source_categories_keeps_every_output(tmp_path, interior_corpus, interior_outputs):
     # A metamorphic relation: a source id matters only through the category map.
     new_ids = list(range(1, 10))
     random.Random(3).shuffle(new_ids)
@@ -525,14 +536,66 @@ def test_relabelling_the_source_categories_keeps_every_output(tmp_path, interior
         category_map.clear()
         category_map.update({str(relabel[int(key)]): name for key, name in names.items()})
 
-    corpus = interior_corpus[0]
-    relabelled = rewritten_corpus(corpus, tmp_path / "relabelled", rewrite)
-    want = outputs_at_one_path(corpus, tmp_path / "run")
-    got = outputs_at_one_path(relabelled, tmp_path / "run")
+    relabelled = rewritten_corpus(interior_corpus[0], tmp_path / "relabelled", rewrite)
+    work, want = interior_outputs
+    got = outputs_at_one_path(relabelled, work)
     assert got.keys() == want.keys()
     for name, data in want.items():
         assert without_hashes(got[name]) == without_hashes(data), name
     assert got["existential-0.5/op.json.manifest.json"] != want["existential-0.5/op.json.manifest.json"]
+
+
+def greedy_order_dependences(scenes):
+    """Where greedy matching can follow file order: two equal-score detections of one class in one scene that both
+    overlap one ground-truth box of that class, or a detection with equal IoU against two such boxes."""
+    found = []
+    for s in scenes:
+        dets = (*s.persons, *s.parts)
+        found += [(a, b) for a, b in itertools.combinations(dets, 2) if a.category is b.category
+                  and a.score == b.score and any(g.category is a.category and intersection_area(a.box, g.box) > 0
+                                                 < intersection_area(b.box, g.box) for g in s.gt)]
+        for d in dets:
+            ious = [value for g in s.gt if g.category is d.category and (value := iou(d.box, g.box)) > 0]
+            if len(set(ious)) < len(ious):
+                found.append(d)
+    return found
+
+
+def monitor_records(data, original_id=lambda record: record["det_id"]):
+    """The lines of a ``monitor --mode object`` output, with each record's det_id replaced by
+    ``original_id(record)`` and each line's records sorted."""
+    lines = [json.loads(line) for line in data.decode().splitlines()]
+    for line, key in itertools.product(lines, ("tp_mon", "fp_mon", "fn_mon")):
+        line[key] = sorted((dict(d, det_id=original_id(d)) for d in line[key]),
+                           key=lambda d: (d["category"], d["det_id"]))
+    return lines
+
+
+def test_shuffling_the_entries_of_every_file_keeps_every_output(tmp_path, interior_corpus, interior_outputs):
+    # A metamorphic relation: an output depends on the entries of each file, not on their order.
+    corpus = interior_corpus[0]
+    assert not greedy_order_dependences(corpus_scenes(corpus))  # the premise under greedy matching
+    rng, orders = random.Random(11), {}
+
+    def rewrite(gt, persons, parts, category_map):
+        for name, entries in (("persons", persons), ("parts", parts), ("annotations", gt["annotations"]),
+                              ("images", gt["images"])):
+            orders[name] = rng.sample(range(len(entries)), len(entries))
+            entries[:] = [entries[i] for i in orders[name]]
+
+    def original_id(record):  # a det_id is the entry's index in its file
+        return orders["persons" if record["category"] == "Person" else "parts"][record["det_id"]]
+
+    shuffled = rewritten_corpus(corpus, tmp_path / "shuffled", rewrite)
+    work, want = interior_outputs
+    got = outputs_at_one_path(shuffled, work)
+    assert got.keys() == want.keys()
+    for name, data in want.items():
+        if name.endswith("object.jsonl"):
+            assert monitor_records(got[name], original_id) == monitor_records(data), name
+        else:
+            assert without_hashes(got[name]) == without_hashes(data), name
+    assert got["existential-0.5/object.jsonl"] != want["existential-0.5/object.jsonl"]  # the det_ids moved
 
 
 def test_require_all_above_filter_mode_drops_person_free_images(tmp_path):
@@ -844,11 +907,13 @@ def assert_input_error(result, fragment):
     ({"min_area": "inf"}, "--min-area"),
     ({"min_area": False}, "invalid value for 'min_area': expected a number, got false"),
     ({"tau": True}, "invalid value for 'tau': expected a number, got true"),
+    ('{"tau": 0.3, "tau": 0.7}', "cfg.json: repeated key 'tau'"),  # as written: a dict cannot repeat a key
 ])
 def test_config_values_get_the_checks_of_flags(tmp_path, corpus_dir, config, option):
-    cfg = write_json(tmp_path / "cfg.json", config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     out = tmp_path / "op.json"
-    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir), "--config", cfg, "--out", str(out)])
+    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus_dir), "--config", str(cfg), "--out", str(out)])
     assert_input_error(result, option)
     assert not out.exists()
 
@@ -1034,6 +1099,10 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--gt", '{"images": [{"id": 1}], "annotations": '
              '[{"id": "a\\nb\\u001e", "image_id": 1, "category_id": 7, "bbox": [0, 0, 1, 1]}]}',
      "Error: annotation id a\\nb\\x1e: unmapped category id: 7"),
+    # The top-level shape of each file, checked before any entry is read.
+    ("--category-map", '[]', "Error: category map must be a JSON object: "),
+    ("--gt", '{"images": []}', "Error: ground truth must contain 'images' and 'annotations' arrays: "),
+    ("--persons", '{}', "Error: detection results must be a JSON array: "),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -1053,7 +1122,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "negative-integer-beyond-float-alpha", "alpha-above-one",
         "tau-above-one", "tau-zero", "threshold-above-one", "missing-gt-image-id", "duplicate-gt-image-id",
         "negative-height-gt-bbox", "negative-height-bbox", "repeated-category-map-key",
-        "repeated-operating-point-key", "repeated-conf-key", "repeated-config-key", "line-break-annotation-id"])
+        "repeated-operating-point-key", "repeated-conf-key", "repeated-config-key", "line-break-annotation-id",
+        "non-object-category-map", "gt-without-annotations", "non-array-detections"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))

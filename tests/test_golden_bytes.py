@@ -84,29 +84,40 @@ def run(*args):
     assert result.exit_code == 0, result.output
 
 
+def pipeline(corpus, prefix, *calibrate_flags, formats=("json", "csv"), modes=("image", "object")) -> list[str]:
+    """Under each matching: calibrate the corpus, evaluate in both protocols and each format, and monitor in each
+    mode. Return the names of the written files, each with ``prefix``."""
+    inputs = ["--gt", f"{corpus}/gt.json", "--persons", f"{corpus}/persons.json",
+              "--parts", f"{corpus}/parts.json", "--category-map", f"{corpus}/category_map.json"]
+    names = []
+    for matching in ("existential", "greedy"):
+        op = f"{prefix}op_{matching}.json"
+        run("calibrate", *inputs, "--matching", matching, *calibrate_flags, "--out", op)
+        names += [op, op + ".manifest.json"]
+        for protocol in ("per-image", "per-object"):
+            for fmt in formats:
+                out = f"{prefix}{protocol}_{matching}.{fmt}"
+                run("evaluate", *inputs, "--matching", matching, "--operating-point", op,
+                    "--protocol", protocol, "--format", fmt, "--out", out)
+                names += [out, out + ".manifest.json"]
+        for mode in modes:
+            out = f"{prefix}monitor-{mode}_{matching}.jsonl"
+            run("monitor", *inputs[2:], "--operating-point", op, "--mode", mode, "--out", out)
+            names += [out, out + ".manifest.json"]
+    return names
+
+
+def digests(names) -> dict[str, str]:
+    return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
+
+
 def produce() -> dict[str, str]:
     """Write every pinned file under the working directory; return their digests by relative path."""
     names = []
     for corpus, args in SYNTH_ARGS.items():
         run("synth", *args, "--out", corpus)
         names += [f"{corpus}/{name}" for name in CORPUS_FILES]
-    inputs = ["--gt", "greedy/gt.json", "--persons", "greedy/persons.json",
-              "--parts", "greedy/parts.json", "--category-map", "greedy/category_map.json"]
-    for matching in ("existential", "greedy"):
-        op = f"op_{matching}.json"
-        run("calibrate", *inputs, "--matching", matching, "--out", op)
-        names += [op, op + ".manifest.json"]
-        for protocol in ("per-image", "per-object"):
-            for fmt in ("json", "csv"):
-                out = f"{protocol}_{matching}.{fmt}"
-                run("evaluate", *inputs, "--matching", matching, "--operating-point", op,
-                    "--protocol", protocol, "--format", fmt, "--out", out)
-                names += [out, out + ".manifest.json"]
-        for mode in ("image", "object"):
-            out = f"monitor-{mode}_{matching}.jsonl"
-            run("monitor", *inputs[2:], "--operating-point", op, "--mode", mode, "--out", out)
-            names += [out, out + ".manifest.json"]
-    return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
+    return digests(names + pipeline("greedy", ""))
 
 
 def test_outputs_match_golden_digests(tmp_path, monkeypatch):
@@ -174,26 +185,47 @@ def produce_strict() -> dict[str, str]:
     """Calibrate with --strict-conf, then evaluate and monitor without it; return the digests of
     every file as it would read without the recorded rule."""
     run("synth", *STRICT_SYNTH_ARGS, "--out", "strict")
-    inputs = ["--gt", "strict/gt.json", "--persons", "strict/persons.json",
-              "--parts", "strict/parts.json", "--category-map", "strict/category_map.json"]
-    names = []
-    for matching in ("existential", "greedy"):
-        op = f"strict-op_{matching}.json"
-        run("calibrate", *inputs, "--matching", matching, "--strict-conf", "--out", op)
-        names += [op, op + ".manifest.json"]
-        for protocol in ("per-image", "per-object"):
-            for fmt in ("json", "csv"):
-                out = f"strict-{protocol}_{matching}.{fmt}"
-                run("evaluate", *inputs, "--matching", matching, "--operating-point", op,
-                    "--protocol", protocol, "--format", fmt, "--out", out)
-                names += [out, out + ".manifest.json"]
-        for mode in ("image", "object"):
-            out = f"strict-monitor-{mode}_{matching}.jsonl"
-            run("monitor", *inputs[2:], "--operating-point", op, "--mode", mode, "--out", out)
-            names += [out, out + ".manifest.json"]
-    return {name: hashlib.sha256(_as_before_strict_conf_was_recorded(name)).hexdigest() for name in names}
+    return {name: hashlib.sha256(_as_before_strict_conf_was_recorded(name)).hexdigest()
+            for name in pipeline("strict", "strict-", "--strict-conf")}
 
 
 def test_strict_operating_point_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert produce_strict() == STRICT_GOLDEN
+
+
+# A corpus on which the two matchings differ: synth puts every person in a column of its own, so only the
+# second detection, at 0.9 times the score, of every third person gives greedy matching a choice. Greedy
+# matching validates one of the two, existential matching both.
+DUPLICATES_SYNTH_ARGS = ["--seed", "8", "--n-scenes", "24", "--persons-per-scene", "3:3", "--jitter", "2"]
+
+DUPLICATES_GOLDEN = {
+    "duplicates-op_existential.json": "c9fc1b82b2620f82bf3cbb93570b9e93d8d8d927e7d719023c88824f76f51503",
+    "duplicates-op_existential.json.manifest.json": "b92131c035c3d5635dce60a755f55ba04ae8c09c1cc9538bd3c7ce74c46837ff",
+    "duplicates-per-image_existential.json": "9eeab01cd1f56ca23b8bc84614f9202bb68347932f2cb1cc37b6d545daeebdc8",
+    "duplicates-per-image_existential.json.manifest.json": "2edf14ea1809272e4c2685fa5e3393d8fba32d30ac5b44022bc5b5d6f3e65838",
+    "duplicates-per-object_existential.json": "151fa3f3ca789ca16a1423e5759f7fe77b47da844c0efd7f453bdb44e0f1f5f7",
+    "duplicates-per-object_existential.json.manifest.json": "875c1f694bc04c69dbc444a98f700af7f62becba2aa7ea22d799fabfb277cf59",
+    "duplicates-op_greedy.json": "00f14af7b04e256de67a87c8954583e934e6d066cde0ec263b72ade577673c15",
+    "duplicates-op_greedy.json.manifest.json": "3ac1c7ca1cbcf62cf39e6d452530e9ba02568e0f5985c700ba8e91806f38fb85",
+    "duplicates-per-image_greedy.json": "7b329c14e28b7f824539fcebc656aa1a42a9a3edca27ae3c192f4220d962ca2e",
+    "duplicates-per-image_greedy.json.manifest.json": "cada76ccd2839ac98a3b72b63a184ed7dcf206ecb8a5962ed7cceaca7ce7b74d",
+    "duplicates-per-object_greedy.json": "39cb15e9add5b2746b276f455fb1d9f7739bc58266b892459e9abbdfc5d01517",
+    "duplicates-per-object_greedy.json.manifest.json": "9807512fc6949015e7b1ebf49e131e8d28d45c6f1043182896a1a1db7464d1a7",
+}
+
+
+def produce_duplicates() -> dict[str, str]:
+    run("synth", *DUPLICATES_SYNTH_ARGS, "--out", "duplicates")
+    persons = json.loads(Path("duplicates/persons.json").read_text(encoding="utf-8"))
+    persons += [dict(d, score=d["score"] * 0.9) for d in persons[::3]]
+    Path("duplicates/persons.json").write_text(json.dumps(persons), encoding="utf-8")
+    return digests(pipeline("duplicates", "duplicates-", formats=("json",), modes=()))
+
+
+def test_outputs_on_duplicated_persons_match_golden_digests_and_tell_the_matchings_apart(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = produce_duplicates()
+    assert got == DUPLICATES_GOLDEN
+    for name in ("op", "per-image", "per-object"):
+        assert got[f"duplicates-{name}_existential.json"] != got[f"duplicates-{name}_greedy.json"], name

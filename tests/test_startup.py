@@ -85,3 +85,24 @@ def test_module_entry_exits_2_on_malformed_json(tmp_path):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("Error: "), result.stderr
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--config"), ("calibrate", "--gt"), ("evaluate", "--persons"), ("monitor", "--operating-point"),
+])
+def test_module_entry_exits_2_on_malformed_input_for_every_command(inputs, tmp_path, command, flag):
+    # The refusal reaches the process's own streams: nothing on stdout, one line on stderr.
+    root, data = inputs
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"1": "Person"', encoding="utf-8")
+    files = {} if command == "synth" else dict(arg.split("=", 1) for arg in data)
+    if command in ("evaluate", "monitor"):
+        files["--operating-point"] = root / "op.json"
+    files[flag] = bad
+    args = [f"{name}={path}" for name, path in files.items()]
+    result = run_module(tmp_path, command, *args, "--out", "out")
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith(f"Error: malformed JSON in {bad} "), result.stderr
+    assert not (tmp_path / "out").exists()
