@@ -5,12 +5,13 @@ malformed JSON, unmapped categories, bad flag or config values, an output
 that is an input, unwritable outputs), 1 for anything unexpected.
 ``_PartmonCommand``, the class of every command, is the single boundary that
 turns those problems into exit 2 with one line. Before a command runs, it
-checks every file the command writes (``--out``, or synth's corpus files, and
-the manifest) against every file it reads. Every produced report has a
-manifest recording the command, the tool version, input file hashes, and the
-operating point used; JSON reports embed it inline and every output
-additionally gets a ``<out>.manifest.json`` sidecar (synth: one
-``corpus.manifest.json`` for the corpus).
+lists every file the command writes (``--out``, or synth's corpus files, and
+the manifest last) and refuses any that the command reads. Every produced
+report has a manifest recording the command, the tool version, input file
+hashes, and the operating point used; JSON reports embed it inline. A writing
+command returns its manifest and summary line, and the boundary then writes
+the manifest to a ``<out>.manifest.json`` sidecar (synth: one
+``corpus.manifest.json`` for the corpus) before it echoes the summary.
 
 Each optional flag can also be supplied through ``--config FILE`` (a JSON
 object keyed by the flag's underscored name); explicit flags win on conflict.
@@ -74,15 +75,19 @@ class _FiniteRange(click.FloatRange):
 
 
 class _PartmonCommand(click.Command):
-    """Pauses the collector, applies ``--config``, refuses an output that is an input; input problems exit 2."""
+    """Pauses the collector, applies ``--config``, checks and writes a command's outputs; bad input exits 2."""
 
     def invoke(self, ctx):
         collecting = gc.isenabled()
         gc.disable()  # a command's records form no cycles: reference counting frees them
         try:
             _apply_config(ctx, ctx.params.get("config"))
-            _refuse_overwriting_inputs(ctx)
-            return super().invoke(ctx)
+            written = _outputs(ctx)
+            returned = super().invoke(ctx)
+            if written:
+                manifest, summary = returned
+                write_json(written[-1], manifest)
+                click.echo(summary)
         except (ValidationError, OSError) as exc:
             raise InputError(str(exc).translate(_LINE_BREAKS)) from exc
         finally:
@@ -147,30 +152,27 @@ _INPUT_FILES = ("gt", "persons", "parts", "category_map", "persons_category_map"
                 "parts_category_map", "operating_point")
 
 
-def _manifest_path(command: str, out) -> str:
-    """Where a command records its run: beside ``out``, or for synth's corpus as a whole, inside it."""
-    return f"{Path(out) / 'corpus' if command == 'synth' else out}.manifest.json"
-
-
-def _refuse_overwriting_inputs(ctx: click.Context) -> None:
-    """Refuse every written file (``--out`` or synth's corpus files, and the manifest) that the command reads."""
-    p, command = ctx.params, ctx.command.name
+def _outputs(ctx: click.Context) -> list:
+    """Every file the command writes, its manifest last (``--out`` and ``<out>.manifest.json``, or synth's corpus
+    files and ``corpus.manifest.json`` inside ``--out``); refuses any that the command reads."""
+    p = ctx.params
     if "out" not in p:
-        return
-    outputs = [p["out"]]
-    if command == "synth":
+        return []
+    written = [p["out"], f"{p['out']}.manifest.json"]
+    if ctx.command.name == "synth":
         from .synth import CORPUS_FILES
-        outputs = [Path(p["out"]) / name for name in CORPUS_FILES.values()]
-    for written in (*outputs, _manifest_path(command, p["out"])):
+        written = [Path(p["out"]) / name for name in (*CORPUS_FILES.values(), "corpus.manifest.json")]
+    for path in written:
         for name in (*_INPUT_FILES, "config"):
-            if p.get(name) is not None and os.path.exists(written) and os.path.samefile(written, p[name]):
-                raise ValidationError(f"cannot write {written}: it is the --{name.replace('_', '-')} input")
+            if p.get(name) is not None and os.path.exists(path) and os.path.samefile(path, p[name]):
+                raise ValidationError(f"cannot write {path}: it is the --{name.replace('_', '-')} input")
+    return written
 
 
-def _manifest(command: str, params: dict, operating_point: OperatingPoint, out) -> dict:
-    """Record every input file a command was given, by path and hash."""
+def _manifest(params: dict, operating_point: OperatingPoint) -> dict:
+    """Record the running command and every input file it was given, by path and hash."""
     return {
-        "command": command,
+        "command": click.get_current_context().command.name,
         "version": __version__,
         "inputs": {
             name: {"path": str(params[name]), "sha256": _sha256(params[name])}
@@ -178,7 +180,7 @@ def _manifest(command: str, params: dict, operating_point: OperatingPoint, out) 
             if params.get(name) is not None
         },
         "operating_point": operating_point.to_json_dict(),
-        "report": Path(out).name,
+        "report": Path(params["out"]).name,
     }
 
 
@@ -255,16 +257,13 @@ def cmd_synth(**p):
     corpus = generate(config)
     paths = write_corpus(corpus, p["out"])
     manifest = {
-        "command": "synth",
+        "command": click.get_current_context().command.name,
         "version": __version__,
         "config": asdict(config),
         "outputs": {name: {"path": str(path), "sha256": _sha256(path)} for name, path in paths.items()},
     }
-    write_json(_manifest_path("synth", p["out"]), manifest)
-    click.echo(
-        f"wrote corpus: {config.n_scenes} scenes, {len(corpus.person_dets)} person dets, "
-        f"{len(corpus.part_dets)} part dets -> {p['out']}"
-    )
+    return manifest, (f"wrote corpus: {config.n_scenes} scenes, {len(corpus.person_dets)} person dets, "
+                      f"{len(corpus.part_dets)} part dets -> {p['out']}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +328,7 @@ def cmd_calibrate(**p):
         strict_conf=p["strict_conf"],
     )
     op.save(p["out"])
-    write_json(_manifest_path("calibrate", p["out"]), _manifest("calibrate", p, op, p["out"]))
-    click.echo(f"operating point -> {p['out']} (alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn})")
+    return _manifest(p, op), f"operating point -> {p['out']} (alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn})"
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +360,7 @@ def cmd_monitor(**p):
 
     out = Path(p["out"])
     write_text(out, (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)))
-    write_json(_manifest_path("monitor", out), _manifest("monitor", p, op, out))
-    click.echo(f"monitored {len(scenes)} scenes -> {out}")
+    return _manifest(p, op), f"monitored {len(scenes)} scenes -> {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +389,7 @@ def cmd_evaluate(**p):
     op, scenes, results = _apply_operating_point(p, per_image_rule if per_image else per_object_rule)
     matching = MatchingMode(p["matching"])
     partitions = [partition(s.persons, s.gt_persons(), op.tau, matching) for s in scenes]
-    manifest = _manifest("evaluate", p, op, p["out"])
+    manifest = _manifest(p, op)
 
     if per_image:
         fp_counts, fn_counts = per_image_counts(scenes, partitions, results)
@@ -409,8 +406,7 @@ def cmd_evaluate(**p):
             system=p["system"], confusion=confusion, balances=balances(confusion),
         )
     write_text(p["out"], [render_report(result, p["fmt"], manifest)])
-    write_json(_manifest_path("evaluate", p["out"]), manifest)
-    click.echo(f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}")
+    return manifest, f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}"
 
 
 # ---------------------------------------------------------------------------

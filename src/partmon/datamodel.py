@@ -351,7 +351,7 @@ def filter_images_by_min_person_area(
     strictly below ``min_area``. Under REQUIRE_ALL_ABOVE, images without any
     person annotation fail too.
     """
-    if min_area < 0:
+    if not min_area >= 0:  # refuses NaN too
         raise ValidationError(f"min_area must be non-negative, got {min_area}")
     persons = [ann for ann in gt.annotations if ann.category is DetectionClass.PERSON]
     retained = set(gt.images) - {ann.image_id for ann in persons if area(ann.box) < min_area}

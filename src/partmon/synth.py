@@ -81,8 +81,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be a non-empty non-negative range, got ({lo}, {hi})")
         if self.n_scenes < 0:
             raise ValueError(f"n_scenes must be non-negative, got {self.n_scenes}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        if not 0 <= self.jitter < math.inf:  # as --jitter: a NaN or infinite jitter makes boxes the loaders refuse
+            raise ValueError(f"jitter must be finite and non-negative, got {self.jitter}")
 
 
 @dataclass(frozen=True)

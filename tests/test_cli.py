@@ -1321,6 +1321,21 @@ def test_unwritable_out_is_named_once(tmp_path, corpus_dir, command):
     assert result.output.count(str(out)) == 1, result.output
 
 
+@pytest.mark.parametrize("command", ["synth", "calibrate", "evaluate", "monitor"])
+def test_unwritable_sidecar_exits_2_before_the_summary(tmp_path, corpus_dir, command):
+    # The boundary writes the sidecar before it echoes the summary: a run that cannot record itself reports no success.
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    args = {"synth": ["--n-scenes", "2"], "calibrate": corpus_args(corpus_dir),
+            "evaluate": [*corpus_args(corpus_dir), "--operating-point", op],
+            "monitor": [*corpus_args(corpus_dir)[2:], "--operating-point", op]}[command]
+    out = tmp_path / ("new_corpus" if command == "synth" else "out.json")
+    sidecar = out / "corpus.manifest.json" if command == "synth" else Path(f"{out}.manifest.json")
+    sidecar.mkdir(parents=True)
+    result = runner.invoke(cli, [command, *args, "--out", str(out)])
+    assert_input_error(result, f"Error: cannot write {sidecar}: Is a directory")
+    assert result.output == f"Error: cannot write {sidecar}: Is a directory\n"
+
+
 def test_every_command_is_the_boundary_class():
     assert cli.commands and all(type(command) is cli_module._PartmonCommand for command in cli.commands.values())
 

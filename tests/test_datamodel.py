@@ -411,8 +411,9 @@ def test_filter_boundary_area_is_retained():
 
 def test_filter_refuses_a_negative_min_area():
     gt = _gt_with_person_areas({1: [2247]})
-    with pytest.raises(ValidationError, match=r"^min_area must be non-negative, got -1$"):
-        filter_images_by_min_person_area(gt, -1)
+    for min_area in (-1, float("nan")):  # every comparison with NaN is false, so it would keep every image
+        with pytest.raises(ValidationError, match=rf"^min_area must be non-negative, got {min_area}$"):
+            filter_images_by_min_person_area(gt, min_area)
 
 
 def test_filter_ignores_part_annotations():

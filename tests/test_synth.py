@@ -119,8 +119,9 @@ def test_config_validation():
         SynthConfig(persons_per_scene=(3, 1))
     with pytest.raises(ValueError):
         SynthConfig(n_scenes=-1)
-    with pytest.raises(ValueError):
-        SynthConfig(jitter=-0.5)
+    for jitter in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SynthConfig(jitter=jitter)
 
 
 def test_category_ids_cover_taxonomy():
