@@ -131,14 +131,14 @@ def select_confidence_threshold(
     Candidates are the distinct observed scores, zero, and one value just
     above the maximum score (the discard-everything option). Detections are
     retained when score >= threshold, or score > threshold with ``strict``.
-    Raises CalibrationError when the class has no ground-truth instances (F1
-    undefined); with no detections at all the threshold is 1.0, since there
-    is nothing to retain.
+    With no detections at all the threshold is 1.0, since there is nothing to
+    retain; otherwise raises CalibrationError when the class has no
+    ground-truth instances (F1 undefined).
     """
-    if not gts:
-        raise CalibrationError("F1 undefined: no ground-truth instances for this class")
     if not dets:
         return 1.0
+    if not gts:
+        raise CalibrationError(f"F1 undefined for class {dets[0].category.value}: no ground-truth instances")
     by_img: dict[int, tuple[list[Detection], list[GtAnnotation]]] = {}
     for det in dets:
         by_img.setdefault(det.image_id, ([], []))[0].append(det)
@@ -266,9 +266,7 @@ def build_operating_point(
         raise CalibrationError("no detections to calibrate on")
     conf = {}
     for cls in sorted(dets_by_class, key=lambda c: c.value):
-        if cls not in gts_by_class:
-            raise CalibrationError(f"F1 undefined for class {cls.value}: no ground-truth instances")
-        conf[cls] = select_confidence_threshold(dets_by_class[cls], gts_by_class[cls], tau, matching, strict_conf)
+        conf[cls] = select_confidence_threshold(dets_by_class[cls], gts_by_class.get(cls, ()), tau, matching, strict_conf)
 
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
     partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]

@@ -358,9 +358,8 @@ def cmd_monitor(**p):
             "fn_mon": [_det_record(d) for d in result.fn_mon],
         }
 
-    out = Path(p["out"])
-    write_text(out, (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)))
-    return _manifest(p, op), f"monitored {len(scenes)} scenes -> {out}"
+    write_text(p["out"], (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)))
+    return _manifest(p, op), f"monitored {len(scenes)} scenes -> {p['out']}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ strip, derives part boxes at fixed anatomical fractions inside each person
 (head at the top, torso in the middle, limbs flanking and below), then
 simulates a detector: drops erase detections (missed persons/parts), ghosts
 add detections in a reserved region disjoint from every person, and jitter
-perturbs the surviving boxes. Because persons never overlap each other and
-ghosts never overlap persons, the generator knows the exact TP/FP/FN labels
-of its own output whenever jitter is zero.
+perturbs the surviving boxes. One rule draws every person, ghost person and
+ghost part box: a size from its kind's ranges, then offsets inside the
+person's 220-px column and its kind's strip; the image widens to hold it.
+Because persons never overlap each other and ghosts never overlap persons,
+the generator knows the exact TP/FP/FN labels of its own output whenever
+jitter is zero.
 
 The random source is Python's Mersenne Twister (random.Random), so a seed
 reproduces the same corpus on any platform.
@@ -144,6 +147,14 @@ def generate(config: SynthConfig) -> Corpus:
                      "score": round(rng.uniform(low, high), 4)})
         return len(dets) - 1
 
+    def draw(col: int, w_range: tuple, h_range: tuple, x_span: int, y0: int, y_span: int) -> list[float]:
+        """Draw a box in column ``col``: width, height, then x and y offsets; widen the image to hold it."""
+        nonlocal max_extent
+        w, h = float(rng.randint(*w_range)), float(rng.randint(*h_range))
+        x, y = float(col * _PERSON_CELL + rng.randint(0, x_span)), float(y0 + rng.randint(0, y_span))
+        max_extent = max(max_extent, x + w)
+        return [x, y, w, h]
+
     for scene_idx in range(config.n_scenes):
         image_id = scene_idx + 1
         n_persons = rng.randint(*config.persons_per_scene)
@@ -151,12 +162,7 @@ def generate(config: SynthConfig) -> Corpus:
         max_extent = 400.0
 
         for col in range(n_persons):
-            w = float(rng.randint(80, 160))
-            h = float(rng.randint(160, 320))
-            x = float(col * _PERSON_CELL + rng.randint(0, 40))
-            y = float(rng.randint(0, 40))
-            person_box = [x, y, w, h]
-            max_extent = max(max_extent, x + w)
+            person_box = draw(col, (80, 160), (160, 320), 40, 0, 40)
             person_ann_id = annotate(DetectionClass.PERSON, person_box)
 
             n_parts = min(rng.randint(*config.parts_per_person), len(_PART_LAYOUT))
@@ -181,21 +187,13 @@ def generate(config: SynthConfig) -> Corpus:
 
             # Ghosts live on their own strip, disjoint from every person box.
             if rng.random() < config.ghost_person_prob:
-                gw = float(rng.randint(70, 150))
-                gh = float(rng.randint(120, 260))
-                gx = float(col * _PERSON_CELL + rng.randint(0, 40))
-                gy = float(_GHOST_Y + rng.randint(0, 30))
-                fp_ids.append(detect(person_dets, DetectionClass.PERSON, [gx, gy, gw, gh], 0.05, 0.7))
-                max_extent = max(max_extent, gx + gw)
+                box = draw(col, (70, 150), (120, 260), 40, _GHOST_Y, 30)
+                fp_ids.append(detect(person_dets, DetectionClass.PERSON, box, 0.05, 0.7))
 
             if rng.random() < config.ghost_part_prob:
                 cls = _PART_LAYOUT[rng.randrange(len(_PART_LAYOUT))][0]
-                gw = float(rng.randint(20, 60))
-                gh = float(rng.randint(20, 60))
-                gx = float(col * _PERSON_CELL + rng.randint(0, 120))
-                gy = float(_GHOST_Y + 280 + rng.randint(0, 20))
-                ghost_part_ids.append(detect(part_dets, cls, [gx, gy, gw, gh], 0.05, 0.7))
-                max_extent = max(max_extent, gx + gw)
+                box = draw(col, (20, 60), (20, 60), 120, _GHOST_Y + 280, 20)
+                ghost_part_ids.append(detect(part_dets, cls, box, 0.05, 0.7))
 
         images.append({"id": image_id, "width": int(max_extent) + 40, "height": _CANVAS_H + 40,
                        "file_name": f"synth_{image_id:06d}.jpg"})

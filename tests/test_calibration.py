@@ -115,12 +115,14 @@ def test_threshold_sweep_all_unmatched_discards_everything():
 
 
 def test_threshold_sweep_requires_ground_truth():
-    with pytest.raises(CalibrationError, match="F1 undefined"):
+    with pytest.raises(CalibrationError, match="^F1 undefined for class Person: no ground-truth instances$"):
         select_confidence_threshold([det(Box(0, 0, 5, 5), score=0.5)], [], tau=0.5)
 
 
 def test_threshold_sweep_no_detections_returns_one():
+    # Nothing can be kept, so no F1 is needed, with or without ground truth.
     assert select_confidence_threshold([], [ann(Box(0, 0, 5, 5))], tau=0.5) == 1.0
+    assert select_confidence_threshold([], [], tau=0.5) == 1.0
 
 
 def test_threshold_sweep_strict_mode_uses_exclusive_comparison():

@@ -1321,19 +1321,33 @@ def test_unwritable_out_is_named_once(tmp_path, corpus_dir, command):
     assert result.output.count(str(out)) == 1, result.output
 
 
+def _writing_command_args(command, tmp_path, corpus_dir):
+    """A small run of a writing command on the corpus, without its ``--out``."""
+    op = write_json(tmp_path / "op.json", ZERO_OP)
+    return {"synth": ["--n-scenes", "2"], "calibrate": corpus_args(corpus_dir),
+            "evaluate": [*corpus_args(corpus_dir), "--operating-point", op],
+            "monitor": [*corpus_args(corpus_dir)[2:], "--operating-point", op]}[command]
+
+
 @pytest.mark.parametrize("command", ["synth", "calibrate", "evaluate", "monitor"])
 def test_unwritable_sidecar_exits_2_before_the_summary(tmp_path, corpus_dir, command):
     # The boundary writes the sidecar before it echoes the summary: a run that cannot record itself reports no success.
-    op = write_json(tmp_path / "op.json", ZERO_OP)
-    args = {"synth": ["--n-scenes", "2"], "calibrate": corpus_args(corpus_dir),
-            "evaluate": [*corpus_args(corpus_dir), "--operating-point", op],
-            "monitor": [*corpus_args(corpus_dir)[2:], "--operating-point", op]}[command]
+    args = _writing_command_args(command, tmp_path, corpus_dir)
     out = tmp_path / ("new_corpus" if command == "synth" else "out.json")
     sidecar = out / "corpus.manifest.json" if command == "synth" else Path(f"{out}.manifest.json")
     sidecar.mkdir(parents=True)
     result = runner.invoke(cli, [command, *args, "--out", str(out)])
     assert_input_error(result, f"Error: cannot write {sidecar}: Is a directory")
     assert result.output == f"Error: cannot write {sidecar}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate", "evaluate", "monitor"])
+def test_summary_names_out_as_given(tmp_path, corpus_dir, monkeypatch, command):
+    args = _writing_command_args(command, tmp_path, corpus_dir)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(cli, [command, *args, "--out", f"./{command}"])
+    assert result.exit_code == 0, result.output
+    assert f"-> ./{command}" in result.output, result.output
 
 
 def test_every_command_is_the_boundary_class():

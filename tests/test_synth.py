@@ -64,6 +64,36 @@ def test_generated_parts_lie_inside_their_person():
             assert covered == part.box.w * part.box.h
 
 
+@pytest.mark.parametrize("seed, persons_per_scene, ghost_prob", [
+    (0, (1, 4), 0.1), (1, (1, 4), 0.6), (2, (3, 3), 1.0), (3, (0, 6), 1.0), (4, (0, 6), 1.0), (5, (6, 6), 1.0),
+])
+def test_default_layout_keeps_persons_and_ghosts_apart(seed, persons_per_scene, ghost_prob):
+    # The module docstring's promise, on which the labels rest: persons never overlap each other, ghosts never
+    # overlap a person, and every drawn box lies inside its image.
+    corpus = generate(SynthConfig(seed=seed, n_scenes=30, persons_per_scene=persons_per_scene, jitter=2.0,
+                                  ghost_person_prob=ghost_prob, ghost_part_prob=ghost_prob))
+    gt = corpus.files["gt"]
+    persons = {image["id"]: [] for image in gt["images"]}
+    for entry in gt["annotations"]:
+        if entry["category_id"] == CATEGORY_IDS[DetectionClass.PERSON]:
+            persons[entry["image_id"]].append(entry)
+    ghosts = [corpus.files[role][i] for labels in corpus.labels
+              for role, ids in (("persons", labels.fp_person_det_ids), ("parts", labels.ghost_part_det_ids))
+              for i in ids]
+    assert ghosts
+    for ghost in ghosts:
+        for person in persons[ghost["image_id"]]:
+            assert intersection_area(Box(*ghost["bbox"]), Box(*person["bbox"])) == 0, (ghost, person)
+    for image_persons in persons.values():
+        for i, a in enumerate(image_persons):
+            for b in image_persons[i + 1:]:
+                assert intersection_area(Box(*a["bbox"]), Box(*b["bbox"])) == 0, (a, b)
+    size = {image["id"]: (image["width"], image["height"]) for image in gt["images"]}
+    for entry in [*gt["annotations"], *ghosts]:
+        (x, y, w, h), (width, height) = entry["bbox"], size[entry["image_id"]]
+        assert 0 <= x and 0 <= y and x + w <= width and y + h <= height, (entry, width, height)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_labels_sound_against_partition_at_default_tau(seed):
     corpus = generate(SynthConfig(seed=seed, n_scenes=10, drop_person_prob=0.3,
