@@ -6,11 +6,10 @@ category map). Ground truth arrives as a COCO annotation file, detections as
 a COCO results array; both are mapped onto the taxonomy via an explicit
 category-map JSON so DensePose/COCO/VOC id spaces all work unchanged.
 
-The package only reads COCO; it writes none. The loaders check each field once
-and build records through one trusted path, without the public constructors'
-re-checks; ``synth`` builds its records by the same parse of the payloads it
-writes. Loaded records are still frozen.
-Both ways of building a record refuse the same boxes and scores with the same
+The package only reads COCO; it writes none. The loaders check each field once,
+then fill a draft of the record and set its ``__class__`` (``geometry._draft``):
+the public constructors' re-checks are skipped, and ``synth`` reads its payloads
+back the same way. Both paths refuse the same boxes and scores with the same
 messages: ``_parse_bbox`` and ``_parse_score`` are the rules.
 """
 
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, TaxonomyError, ValidationError
-from .geometry import Box, _record, area
+from .geometry import Box, _draft, _record, area
 
 
 class DetectionClass(Enum):
@@ -221,9 +220,8 @@ def _map_category(category_id, category_map: Mapping[int, DetectionClass], what:
         raise TaxonomyError(f"{what}{key}: unmapped category id: {category_id!r}") from None
 
 
-# The trusted build path: a frozen record's generated __init__ without the __post_init__ checks
-# the loader has just made. object.__setattr__ fills each slot past the frozen __setattr__.
-_new, _set = object.__new__, object.__setattr__
+_BoxDraft, _DetectionDraft, _GtAnnotationDraft = _draft(Box), _draft(Detection), _draft(GtAnnotation)
+_set = object.__setattr__  # for the public constructors' checks: sets a field past the frozen __setattr__
 
 
 # The largest accepted box area: the union of two boxes in an IoU then stays finite.
@@ -246,8 +244,9 @@ def _parse_bbox(raw, what: str, key) -> Box:
         raise ValidationError(f"{what}{key}: bbox area underflows to 0, got {raw!r}")
     if box_area > _MAX_AREA:
         raise ValidationError(f"{what}{key}: bbox area overflows, got {raw!r}")
-    box = _new(Box)
-    _set(box, "x", x), _set(box, "y", y), _set(box, "w", w), _set(box, "h", h)
+    box = _BoxDraft()
+    box.x, box.y, box.w, box.h = x, y, w, h
+    box.__class__ = Box
     return box
 
 
@@ -303,9 +302,9 @@ def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping
         cls = _map_category(entry.get("category_id"), category_map, "annotation id ", ann_id)
         box = _parse_bbox(entry.get("bbox"), "annotation id ", ann_id)
         image_id = _parse_image_id(entry.get("image_id"), "annotation id ", ann_id)
-        ann = _new(GtAnnotation)
-        _set(ann, "image_id", image_id), _set(ann, "category", cls)
-        _set(ann, "box", box), _set(ann, "ann_id", ann_id)
+        ann = _GtAnnotationDraft()
+        ann.image_id, ann.category, ann.box, ann.ann_id = image_id, cls, box, ann_id
+        ann.__class__ = GtAnnotation
         annotations.append(ann)
     return GroundTruth(annotations=tuple(annotations), images=tuple(images))
 
@@ -333,9 +332,9 @@ def _detections(entries: list, category_map: Mapping[int, DetectionClass]) -> tu
         except KeyError:
             raise ValidationError(f"detection #{index}: score is missing") from None
         image_id = _parse_image_id(entry.get("image_id"), "detection #", index)
-        det = _new(Detection)
-        _set(det, "image_id", image_id), _set(det, "category", cls), _set(det, "box", box)
-        _set(det, "score", score), _set(det, "det_id", index)
+        det = _DetectionDraft()
+        det.image_id, det.category, det.box, det.score, det.det_id = image_id, cls, box, score, index
+        det.__class__ = Detection
         detections.append(det)
     return tuple(detections)
 

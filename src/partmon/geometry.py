@@ -33,10 +33,16 @@ def _refuse_deletion(self, name):
 
 def _record(cls):
     """A frozen, slotted dataclass that refuses every assignment and deletion with FrozenInstanceError. On CPython
-    3.10-3.13 the generated methods name the class that ``slots=True`` replaced: a non-field name raised TypeError."""
+    3.10-3.13 the generated methods name the class that ``slots=True`` replaced: a non-field name raised TypeError.
+    Trusted builders fill a ``_draft`` and set its ``__class__``, which CPython allows only between equal layouts."""
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
     return cls
+
+
+def _draft(record):
+    """A class with exactly ``record``'s slots and no checks: fill one, then set its ``__class__`` to ``record``."""
+    return type(f"{record.__name__}Draft", (), {"__slots__": record.__slots__})
 
 
 @_record

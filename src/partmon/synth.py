@@ -4,13 +4,14 @@ Each scene places non-overlapping ground-truth persons on a horizontal
 strip, derives part boxes at fixed anatomical fractions inside each person
 (head at the top, torso in the middle, limbs flanking and below), then
 simulates a detector: drops erase detections (missed persons/parts), ghosts
-add detections in a reserved region disjoint from every person, and jitter
-perturbs the surviving boxes. One rule draws every person, ghost person and
-ghost part box: a size from its kind's ranges, then offsets inside the
-person's 220-px column and its kind's strip; the image widens to hold it.
-Because persons never overlap each other and ghosts never overlap persons,
-the generator knows the exact TP/FP/FN labels of its own output whenever
-jitter is zero.
+add detections below every person, and jitter perturbs the surviving boxes.
+One rule draws every person, ghost person and ghost part box: a size from its
+kind's ranges, then offsets inside the person's 220-px column and its kind's
+strip; the image widens to hold it. Persons never overlap each other and ghosts
+never overlap persons, so the generator knows the exact TP/FP/FN labels of its
+own output whenever jitter is zero. Ghost persons (y 500-790) and ghost parts
+(y 780-860) share a 10-px band, so a ghost part can overlap its column's ghost
+person; the band stays, since moving a strip changes every corpus's bytes.
 
 The random source is Python's Mersenne Twister (random.Random), so a seed
 reproduces the same corpus on any platform.
@@ -185,7 +186,8 @@ def generate(config: SynthConfig) -> Corpus:
                     continue
                 detect(part_dets, cls, _jittered(pbox, config.jitter, rng), 0.5, 0.99)
 
-            # Ghosts live on their own strip, disjoint from every person box.
+            # Ghosts live below every person box. A ghost part can overlap its column's ghost person in their 10-px
+            # shared band (19 of 5,056 did at both ghost probabilities 1.0, seed 1); the band stays: see the docstring.
             if rng.random() < config.ghost_person_prob:
                 box = draw(col, (70, 150), (120, 260), 40, _GHOST_Y, 30)
                 fp_ids.append(detect(person_dets, DetectionClass.PERSON, box, 0.05, 0.7))
