@@ -1,10 +1,14 @@
 """Operating-point selection.
 
 Per-class confidence thresholds come from an exhaustive sweep over the
-observed scores, keeping the best F1. ``build_operating_point`` gathers each
-class's detections and ground truth in one pass over the scenes. Under
-either matching mode, one matching pass per image fixes which of them count
-at every threshold, so each candidate is scored by bisection. The two
+observed scores, keeping the best F1. ``build_operating_point`` walks the
+grouped scenes once, matching each scene's classes whose two sides are
+non-empty. Matches do not depend on the threshold: under greedy matching the
+detections kept at any threshold (ties kept or dropped together) are a prefix
+of the score-descending visiting order. A box is missed at t iff its best
+matched score is not kept, so each candidate is scored by bisection; and the
+person pairs label each scene with no second ``partition`` pass: FP iff a
+kept person is in no pair, FN iff a ground-truth person is missed. The two
 overlap parameters are chosen independently over a regular grid in (0, 1) by
 the Matthews correlation of the per-image alerts against the ground-truth
 image labels: the FP alert depends only on alpha_fp, the FN alert only on
@@ -21,15 +25,16 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Mapping, Sequence
 
-from .datamodel import Detection, DetectionClass, GtAnnotation, Scene, _number, read_json, write_json
+from .datamodel import _CLASS_BY_NAME, Detection, DetectionClass, GtAnnotation, Scene, _number, read_json, write_json
 from .errors import CalibrationError, ValidationError, check_open_unit
 from .monitor import overlaps
-from .partition import GtPartition, MatchingMode, matches, partition
+from .partition import GtPartition, MatchingMode, matches, partition  # noqa: F401 (perfbench swaps partition)
 
 _ONE_PLUS_ULP = math.nextafter(1.0, math.inf)
 _OPERATING_POINT_KEYS = ("conf", "alpha_fp", "alpha_fn", "tau", "strict_conf")
@@ -74,15 +79,20 @@ class OperatingPoint:
                 raise ValueError(f"unknown key {unknown[0]!r}")
             if not isinstance(raw.get("conf", {}), dict):
                 raise ValueError("'conf' must be an object of class thresholds")
-            conf = {DetectionClass(name): _number(v, "conf {!r} must be a number, got {!r}", name)
-                    for name, v in raw["conf"].items()}
+            conf = {}
+            for name, v in raw["conf"].items():  # each entry's class, then its number, in file order
+                if name not in _CLASS_BY_NAME:
+                    raise ValueError(f"conf class {name!r} is not one of {sorted(_CLASS_BY_NAME)}")
+                conf[_CLASS_BY_NAME[name]] = _number(v, "conf {!r} must be a number, got {!r}", name)
             strict_conf = raw.get("strict_conf", False)
             if strict_conf.__class__ is not bool:
                 raise ValueError(f"'strict_conf' must be a boolean, got {strict_conf!r}")
             values = {name: _number(raw[name], "{} must be a number, got {!r}", name)
                       for name in ("alpha_fp", "alpha_fn", "tau")}
             return cls(conf_thresholds=conf, **values, strict_conf=strict_conf)
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:  # only a missing required key raises it
+            raise ValidationError(f"invalid operating point: missing key {exc}") from exc
+        except ValueError as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
 
     def save(self, path) -> None:
@@ -137,29 +147,49 @@ def select_confidence_threshold(
     """
     if not dets:
         return 1.0
-    if not gts:
-        raise CalibrationError(f"F1 undefined for class {dets[0].category.value}: no ground-truth instances")
-    by_img: dict[int, tuple[list[Detection], list[GtAnnotation]]] = {}
-    for det in dets:
-        by_img.setdefault(det.image_id, ([], []))[0].append(det)
-    for gt in gts:
-        by_img.setdefault(gt.image_id, ([], []))[1].append(gt)
-    # Whether a detection matches does not depend on the threshold. Under
-    # existential matching that is immediate. Under greedy matching the
-    # detections kept at any threshold are a prefix of the score-descending
-    # visiting order, so the full pass decides them as a pass over the kept
-    # ones would. A ground-truth box is missed at threshold t iff the best score
-    # among the detections matched to it (under greedy matching, the one that
-    # consumed it) is not retained at t: one matching pass per image suffices.
-    matched_scores, best_scores = [], []
-    for img_dets, img_gts in by_img.values():
-        best, matched = [-1.0] * len(img_gts), {}
-        for i, j in matches(img_dets, img_gts, tau, matching):
-            matched[i] = score = img_dets[i].score
-            best[j] = max(best[j], score)
-        matched_scores += matched.values()
-        best_scores += best
-    all_scores = sorted(d.score for d in dets)
+    cls = dets[0].category
+    sweeps, _ = _sweep(({cls: group} for group in _buckets(dets, gts, attrgetter("image_id")).values()), tau, matching)
+    return _max_f1_threshold(cls, *sweeps[cls], strict)
+
+
+def _buckets(dets, gts, key) -> dict:
+    """``dets`` and ``gts`` split by ``key`` into (detections, ground truth) pairs, in first-seen order."""
+    out = defaultdict(lambda: ([], []))
+    for side, records in enumerate((dets, gts)):
+        for record in records:
+            out[key(record)][side].append(record)
+    return out
+
+
+def _sweep(images, tau: float, matching: MatchingMode) -> tuple[dict, list[tuple[float, float]]]:
+    """One matching pass per image and class (``images``: each image's {class: (detections, ground truth)}): each
+    class's score lists for ``_max_f1_threshold``, and each image's person scores for ``build_operating_point``."""
+    sweeps, persons = defaultdict(lambda: ([], [], [])), []
+    for by_class in images:
+        unpaired, covered = -1.0, math.inf
+        for cls, (dets, gts) in by_class.items():
+            all_scores, matched_scores, best_scores = sweeps[cls]
+            best, matched = [-1.0] * len(gts), {}
+            for i, j in matches(dets, gts, tau, matching) if dets and gts else ():
+                matched[i] = score = dets[i].score
+                if score > best[j]:
+                    best[j] = score
+            all_scores += [d.score for d in dets]
+            matched_scores += matched.values()
+            best_scores += best
+            if cls is DetectionClass.PERSON:
+                unpaired = max([d.score for i, d in enumerate(dets) if i not in matched], default=-1.0)
+                covered = min(best, default=math.inf)
+        persons.append((unpaired, covered))
+    return sweeps, persons
+
+
+def _max_f1_threshold(cls, all_scores, matched_scores, best_scores, strict) -> float:
+    """The first threshold of best F1 from the top down, from one class's scores: every detection's, the matched
+    detections', and each ground-truth box's best matched score (-1.0: unmatched)."""
+    if not best_scores:
+        raise CalibrationError(f"F1 undefined for class {cls.value}: no ground-truth instances")
+    all_scores.sort()
     matched_scores.sort()
     best_scores.sort()
     cut = bisect_right if strict else bisect_left
@@ -171,7 +201,6 @@ def select_confidence_threshold(
         precision, recall = tp / kept if kept else 0.0, tp / (tp + fn) if tp + fn else 0.0
         return 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
 
-    # The walk goes from the top down; see the module docstring.
     return max(sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)}, reverse=True), key=f1)
 
 
@@ -199,11 +228,18 @@ def select_alphas(
         raise CalibrationError("cannot select alphas from an empty scene list")
     if len(partitions) != len(scenes):
         raise ValidationError(f"mismatched inputs: {len(scenes)} scenes, {len(partitions)} partitions")
+    return _select_alphas(scenes, [(len(p.fp_gt) >= 1, len(p.fn_gt) >= 1) for p in partitions], grid_step)
+
+
+def _select_alphas(
+    scenes: Sequence[Scene], labels: Sequence[tuple[bool, bool]], grid_step: float
+) -> tuple[float, float]:
+    """``select_alphas`` on each scene's (FP, FN) image labels in place of its partition."""
     n = _grid_length(grid_step)
     point = functools.cache(lambda k: round((k + 1) * grid_step, 10))  # alpha_grid(grid_step)[k]
     # flips[kind][label][k]: scenes whose alert of that kind first turns on at point(k); k = n: never.
     flips = [[Counter(), Counter()], [Counter(), Counter()]]
-    for scene, part in zip(scenes, partitions):
+    for scene, (fp_label, fn_label) in zip(scenes, labels):
         # best_fp[i]: grid points at which person i is supported; best_fn[j]: at which part j is covered.
         best_fp, best_fn = [0] * len(scene.persons), [0] * len(scene.parts)
         for i, j, inter, part_area in overlaps(scene.persons, scene.parts, point(0)):
@@ -214,8 +250,8 @@ def select_alphas(
             while k and not inter >= point(k - 1) * part_area:
                 k -= 1
             best_fp[i], best_fn[j] = max(best_fp[i], k), max(best_fn[j], k)
-        flips[0][len(part.fp_gt) >= 1][min(best_fp, default=n)] += 1
-        flips[1][len(part.fn_gt) >= 1][min(best_fn, default=n)] += 1
+        flips[0][fp_label][min(best_fp, default=n)] += 1
+        flips[1][fn_label][min(best_fn, default=n)] += 1
 
     def best_alpha(neg, pos):
         positives, negatives = sum(pos.values()), sum(neg.values())
@@ -255,20 +291,17 @@ def build_operating_point(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    dets_by_class: dict[DetectionClass, list[Detection]] = {}
-    gts_by_class: dict[DetectionClass, list[GtAnnotation]] = {}
-    for scene in scenes:
-        for det in (*scene.persons, *scene.parts):
-            dets_by_class.setdefault(det.category, []).append(det)
-        for ann in scene.gt:
-            gts_by_class.setdefault(ann.category, []).append(ann)
-    if not dets_by_class:
+    images = (_buckets((*s.persons, *s.parts), s.gt, attrgetter("category")) for s in scenes)
+    sweeps, persons = _sweep(images, tau, matching)
+    classes = sorted([cls for cls, (all_scores, _, _) in sweeps.items() if all_scores], key=lambda c: c.value)
+    if not classes:
         raise CalibrationError("no detections to calibrate on")
-    conf = {}
-    for cls in sorted(dets_by_class, key=lambda c: c.value):
-        conf[cls] = select_confidence_threshold(dets_by_class[cls], gts_by_class.get(cls, ()), tau, matching, strict_conf)
-
+    conf = {cls: _max_f1_threshold(cls, *sweeps[cls], strict_conf) for cls in classes}
+    # persons: per scene, the best score of a person in no pair (-1.0: none) and the least best score matched to a
+    # ground-truth person (inf: none). Without person detections only -1.0 and inf occur: any threshold will do.
+    t = conf.get(DetectionClass.PERSON, 0.0)
+    kept = t.__lt__ if strict_conf else t.__le__
+    labels = [(kept(unpaired), not kept(covered)) for unpaired, covered in persons]
     filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
-    partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]
-    alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step)
+    alpha_fp, alpha_fn = _select_alphas(filtered, labels, grid_step)
     return OperatingPoint(conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau, strict_conf=strict_conf)

@@ -502,6 +502,94 @@ def test_build_operating_point_requires_gt_for_each_detected_class():
         build_operating_point([scene])
 
 
+def test_build_operating_point_refusals_keep_their_text_and_order():
+    # A scene list with ground truth but no detection, and an empty one.
+    for scenes in ([Scene(image_id=1, gt=(ann(Box(0, 0, 10, 10)),)), Scene(image_id=2)], []):
+        with pytest.raises(CalibrationError, match=r"^no detections to calibrate on$"):
+            build_operating_point(scenes, grid_step=2.0)
+    # Torso and Head are detected without ground truth: the refusal names the first class by name, and comes
+    # before the grid step is checked.
+    scene = Scene(image_id=1, persons=(det(Box(0, 0, 10, 10)),),
+                  parts=(part_det(Box(0, 0, 5, 5)), part_det(Box(0, 0, 5, 5), category=DetectionClass.HEAD)),
+                  gt=(ann(Box(0, 0, 10, 10)),))
+    for matching in MatchingMode:
+        with pytest.raises(CalibrationError, match=r"^F1 undefined for class Head: no ground-truth instances$"):
+            build_operating_point([scene], matching=matching, grid_step=2.0)
+
+
+def _composed_operating_point(scenes, tau, grid_step, matching, strict_conf):
+    """``build_operating_point`` written out from the public pieces: per-class threshold sweeps over flat class
+    lists, the thresholds applied, one ``partition`` per kept scene, then the alpha sweep."""
+    dets_by_class, gts_by_class = {}, {}
+    for scene in scenes:
+        for d in (*scene.persons, *scene.parts):
+            dets_by_class.setdefault(d.category, []).append(d)
+        for a in scene.gt:
+            gts_by_class.setdefault(a.category, []).append(a)
+    if not dets_by_class:
+        raise CalibrationError("no detections to calibrate on")
+    conf = {cls: select_confidence_threshold(dets_by_class[cls], gts_by_class.get(cls, ()), tau, matching, strict_conf)
+            for cls in sorted(dets_by_class, key=lambda c: c.value)}
+    filtered = apply_confidence_thresholds(scenes, conf, strict=strict_conf)
+    partitions = [partition(s.persons, s.gt_persons(), tau, matching) for s in filtered]
+    alpha_fp, alpha_fn = select_alphas(filtered, partitions, grid_step)
+    return OperatingPoint(conf, alpha_fp=alpha_fp, alpha_fn=alpha_fn, tau=tau, strict_conf=strict_conf)
+
+
+_SCORE_VALUES = (0.2, 0.5, 0.8)
+_SCORES = st.sampled_from(_SCORE_VALUES)
+
+
+@st.composite
+def _calibration_scenes(draw):
+    """Scenes of side-by-side persons, some missed, some detected twice (the copy scored lower, so greedy
+    matching leaves it unmatched), ghost persons, and parts straddling the persons with part ground truth.
+    Scores come from three values, so ties occur."""
+    scenes = []
+    for image_id in range(1, draw(st.integers(1, 4)) + 1):
+        persons, parts, gt = [], [], []
+        for k in range(draw(st.integers(0, 3))):
+            truth = Box(30.0 * k + draw(st.integers(0, 6)), draw(st.integers(0, 6)), 40.0, 80.0)
+            gt.append(ann(truth, image_id=image_id))
+            if draw(st.integers(0, 3)):  # detected, three times out of four
+                score = draw(_SCORES)
+                persons.append((truth, score))
+                if draw(st.booleans()):
+                    persons.append((truth, draw(st.sampled_from([s for s in _SCORE_VALUES if s < score] or [score]))))
+        persons += [(Box(200.0 + 50 * k, 0.0, 40.0, 80.0), draw(_SCORES)) for k in range(draw(st.integers(0, 2)))]
+        dets = []
+        for box, score in persons:
+            dx, dy = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+            dets.append(det(Box(box.x + dx, box.y + dy, box.w, box.h), image_id=image_id, score=score))
+        for person in dets + [None]:
+            for _ in range(draw(st.integers(0, 2))):
+                category = draw(st.sampled_from([DetectionClass.TORSO, DetectionClass.HEAD]))
+                x, y = (person.box.x, person.box.y) if person else (400.0, 0.0)
+                box = Box(x + draw(st.integers(-15, 35)), y + draw(st.integers(0, 70)), 20.0, 20.0)
+                parts.append(part_det(box, image_id=image_id, category=category, score=draw(_SCORES)))
+                if draw(st.integers(0, 3)):  # annotated, three times out of four
+                    gt.append(ann(box, image_id=image_id, category=category))
+        scenes.append(Scene(image_id=image_id, persons=tuple(draw(st.permutations(dets))), parts=tuple(parts),
+                            gt=tuple(gt)))
+    return scenes
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except CalibrationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("strict_conf", [False, True])
+@pytest.mark.parametrize("matching", list(MatchingMode), ids=lambda mode: mode.value)
+@settings(max_examples=150, deadline=None)
+@given(_calibration_scenes(), st.sampled_from([0.3, 0.5]), st.sampled_from([0.25, 0.05]))
+def test_build_operating_point_equals_its_composition_from_public_pieces(matching, strict_conf, scenes, tau, step):
+    args = scenes, tau, step, matching, strict_conf
+    assert _outcome(build_operating_point, *args) == _outcome(_composed_operating_point, *args)
+
+
 def test_operating_point_round_trip(tmp_path):
     op = OperatingPoint(
         conf_thresholds={DetectionClass.PERSON: 0.4, DetectionClass.HEAD: 0.25},

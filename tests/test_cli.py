@@ -1103,6 +1103,18 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
     ("--category-map", '[]', "Error: category map must be a JSON object: "),
     ("--gt", '{"images": []}', "Error: ground truth must contain 'images' and 'annotations' arrays: "),
     ("--persons", '{}', "Error: detection results must be a JSON array: "),
+    # An operating point's missing key and unknown class are named as such.
+    ("--operating-point", '{"alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: missing key 'conf'"),
+    ("--operating-point", '{"conf": {}, "alpha_fn": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: missing key 'alpha_fp'"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: missing key 'alpha_fn'"),
+    ("--operating-point", '{"conf": {}, "alpha_fp": 0.5, "alpha_fn": 0.5}',
+     "Error: invalid operating point: missing key 'tau'"),
+    ("--operating-point", '{"conf": {"Person": 0.5, "Persn": 0.5}, "alpha_fp": 0.5, "alpha_fn": 0.5, "tau": 0.5}',
+     "Error: invalid operating point: conf class 'Persn' is not one of ['Foot', 'Hand', 'Head', 'LowerArm', "
+     "'LowerLeg', 'Person', 'Torso', 'UpperArm', 'UpperLeg']"),
 ], ids=["nan-bbox", "infinity-bbox", "overflow-bbox", "string-bbox", "string-score",
         "non-object-detection", "non-object-image", "non-object-annotation",
         "non-utf8-detections", "non-utf8-gt", "non-utf8-category-map", "non-utf8-operating-point",
@@ -1123,7 +1135,8 @@ DET = '{"image_id": 1, "category_id": 1, "bbox": %s, "score": %s}'
         "tau-above-one", "tau-zero", "threshold-above-one", "missing-gt-image-id", "duplicate-gt-image-id",
         "negative-height-gt-bbox", "negative-height-bbox", "repeated-category-map-key",
         "repeated-operating-point-key", "repeated-conf-key", "repeated-config-key", "line-break-annotation-id",
-        "non-object-category-map", "gt-without-annotations", "non-array-detections"])
+        "non-object-category-map", "gt-without-annotations", "non-array-detections",
+        "missing-conf", "missing-alpha-fp", "missing-alpha-fn", "missing-tau", "unknown-conf-class"])
 def test_malformed_records_exit_2(tmp_path, flag, payload, fragment):
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
