@@ -9,11 +9,22 @@ code; slowness is the point.
 ``oracle_threshold`` and ``oracle_alphas`` are the brute-force references of
 the two calibration choices: an F1 rescan over every candidate threshold, and
 an MCC argmax over every point of the alpha grid.
+
+``pipeline`` is the reference of a whole command: what ``calibrate``,
+``evaluate`` or ``monitor`` writes, from the decoded JSON of its inputs and
+its resolved options. It writes out the routing of each stream through its
+category map, both min-area filter modes, the dropping of entries on images
+the ground truth does not list, the scene universe without ground truth, the
+grouping and the keep rule, on plain namespaces: no ``datamodel`` or ``cli``
+code builds or checks its records.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from dataclasses import asdict
+from types import SimpleNamespace
 from typing import Sequence
 
 from .datamodel import Detection, DetectionClass, GtAnnotation, Scene
@@ -155,6 +166,16 @@ def oracle_greedy_partition(
     return GtPartition(tp_gt=tuple(tp), fp_gt=tuple(fp), fn_gt=tuple(fn), tau=tau)
 
 
+def _partition(dets, gts, tau: float, matching: MatchingMode, category=None) -> GtPartition:
+    """``dets`` partitioned under ``matching`` against ``gts``, or against its ``category`` entries when given.
+    ``oracle_partition`` is looked up in the module at each call, so a caller may swap it."""
+    if category is not None:
+        gts = [a for a in gts if a.category is category]
+    if matching is MatchingMode.GREEDY:
+        return oracle_greedy_partition(dets, gts, tau)
+    return oracle_partition(dets, gts, tau)
+
+
 def oracle_metrics(
     scenes: Sequence[Scene],
     tau: float,
@@ -169,11 +190,7 @@ def oracle_metrics(
     c_tptp = c_tpfp = c_fptp = c_fpfp = c_fnfn = c_tnfn = 0
 
     for scene in scenes:
-        gt_persons = [a for a in scene.gt if a.category is DetectionClass.PERSON]
-        if matching is MatchingMode.GREEDY:
-            part = oracle_greedy_partition(scene.persons, gt_persons, tau)
-        else:
-            part = oracle_partition(scene.persons, gt_persons, tau)
+        part = _partition(scene.persons, scene.gt, tau, matching, DetectionClass.PERSON)
         alert = oracle_per_image(scene.persons, scene.parts, alpha_fp, alpha_fn)
         verdict = oracle_per_object(scene.persons, scene.parts, alpha_fp, alpha_fn)
 
@@ -213,7 +230,7 @@ def oracle_metrics(
                     found = True
             if found:
                 c_fnfn += 1
-        anchors = scene.gt if ghost_all_classes else tuple(gt_persons)
+        anchors = [a for a in scene.gt if ghost_all_classes or a.category is DetectionClass.PERSON]
         for orphan in verdict.fn_mon:
             ghost = True
             for ann in anchors:
@@ -271,10 +288,7 @@ def oracle_threshold(
         for image_id in {r.image_id for r in [*dets, *gts]}:
             kept = [d for d in dets if d.image_id == image_id and (d.score > t if strict else d.score >= t)]
             image_gts = [g for g in gts if g.image_id == image_id]
-            if matching is MatchingMode.GREEDY:
-                part = oracle_greedy_partition(kept, image_gts, tau)
-            else:
-                part = oracle_partition(kept, image_gts, tau)
+            part = _partition(kept, image_gts, tau, matching)
             tp += len(part.tp_gt)
             fp += len(part.fp_gt)
             fn += len(part.fn_gt)
@@ -300,11 +314,7 @@ def oracle_alphas(scenes: Sequence[Scene], tau: float, matching: MatchingMode, s
         k += 1
     labels = []
     for scene in scenes:
-        gt_persons = [a for a in scene.gt if a.category is DetectionClass.PERSON]
-        if matching is MatchingMode.GREEDY:
-            part = oracle_greedy_partition(scene.persons, gt_persons, tau)
-        else:
-            part = oracle_partition(scene.persons, gt_persons, tau)
+        part = _partition(scene.persons, scene.gt, tau, matching, DetectionClass.PERSON)
         labels.append((len(part.fp_gt) >= 1, len(part.fn_gt) >= 1))
     best, best_mcc = [None, None], [-2.0, -2.0]  # every MCC is at least -1
     for alpha in grid:
@@ -325,3 +335,82 @@ def oracle_alphas(scenes: Sequence[Scene], tau: float, matching: MatchingMode, s
             if mcc > best_mcc[kind]:
                 best[kind], best_mcc[kind] = alpha, mcc
     return best[0], best[1]
+
+
+def _namespace(entry: dict, category, **fields) -> SimpleNamespace:
+    x, y, w, h = (float(value) for value in entry["bbox"])
+    return SimpleNamespace(image_id=entry["image_id"], category=category, box=SimpleNamespace(x=x, y=y, w=w, h=h),
+                           **fields)
+
+
+def pipeline_scenes(command: str, files: dict, options: dict) -> list:
+    """The scenes ``command`` runs on, before the keep rule. ``files`` holds the decoded JSON of each input file
+    given, by option name; ``options`` the command's resolved options (``min_area`` and ``filter_mode`` here)."""
+    classes = {stream: {int(key): DetectionClass(name) for key, name in
+                        (files.get(f"{stream}_category_map") or files["category_map"]).items()}
+               for stream in ("persons", "parts", "gt")}  # the ground truth has no map of its own
+    by_image = defaultdict(lambda: {"persons": [], "parts": [], "gt": []})
+    for stream in ("persons", "parts"):
+        for index, entry in enumerate(files[stream]):
+            category = classes[stream][int(entry["category_id"])]
+            if (category is DetectionClass.PERSON) == (stream == "persons"):
+                by_image[entry["image_id"]][stream].append(
+                    _namespace(entry, category, score=float(entry["score"]), det_id=index))
+    universe = set(by_image)  # without ground truth: the images holding a detection of its stream's kind
+    if files.get("gt") is not None:
+        universe = {image["id"] for image in files["gt"]["images"]}
+        annotations = [_namespace(entry, classes["gt"][int(entry["category_id"])], ann_id=entry["id"])
+                       for entry in files["gt"]["annotations"]]
+        for ann in annotations:
+            by_image[ann.image_id]["gt"].append(ann)
+        if command != "monitor":
+            persons = [ann for ann in annotations if ann.category is DetectionClass.PERSON]
+            universe -= {ann.image_id for ann in persons if ann.box.w * ann.box.h < options["min_area"]}
+            if options["filter_mode"] == "require_all_above":
+                universe &= {ann.image_id for ann in persons}
+    return [SimpleNamespace(image_id=image_id, **{key: tuple(records) for key, records in by_image[image_id].items()})
+            for image_id in sorted(universe)]
+
+
+def pipeline(command: str, files: dict, options: dict):
+    """What ``command`` writes, as parsed values: the operating point of ``calibrate``, the report of ``evaluate``
+    without its ratios and manifest, or the lines of ``monitor``, from the inputs of ``pipeline_scenes``. Raises
+    ValueError where the command exits 2: a class of detections without a threshold, or without ground truth."""
+    scenes = pipeline_scenes(command, files, options)
+    if command == "calibrate":
+        tau, matching, strict = options["tau"], MatchingMode(options["matching"]), options["strict_conf"]
+        classes = {d.category for s in scenes for d in (*s.persons, *s.parts)}
+        dets = {c: [d for s in scenes for d in (*s.persons, *s.parts) if d.category is c] for c in classes}
+        gts = {c: [a for s in scenes for a in s.gt if a.category is c] for c in classes}
+        if not classes or not all(gts.values()):
+            raise ValueError("no detections, or a class of detections without ground truth")
+        op = {"conf": {c.value: oracle_threshold(dets[c], gts[c], tau, matching, strict) for c in classes}, "tau": tau}
+        kept = _kept(scenes, op["conf"], strict)
+        op["alpha_fp"], op["alpha_fn"] = oracle_alphas(kept, tau, matching, options["alpha_grid_step"])
+        return {**op, "strict_conf": True} if strict else op
+    op = files["operating_point"]
+    scenes, alphas = _kept(scenes, op["conf"], op.get("strict_conf", False)), (op["alpha_fp"], op["alpha_fn"])
+    if command == "monitor" and options["mode"] == "image":
+        return [{"image_id": s.image_id, **asdict(oracle_per_image(s.persons, s.parts, *alphas))} for s in scenes]
+    if command == "monitor":
+        verdicts = [(s.image_id, asdict(oracle_per_object(s.persons, s.parts, *alphas))) for s in scenes]
+        return [{"image_id": image_id, **{key: [{"det_id": d.det_id, "category": d.category.value, "score": d.score,
+                                                 "bbox": [d.box.x, d.box.y, d.box.w, d.box.h]} for d in dets]
+                                          for key, dets in verdict.items()}} for image_id, verdict in verdicts]
+    fp_alert, fn_alert, confusion, bal = oracle_metrics(scenes, op["tau"], *alphas, options["ghost_all_classes"],
+                                                        MatchingMode(options["matching"]))
+    if options["protocol"] == "per-image":
+        return {"system": options["system"], "total_images": len(scenes), "fp_alert": asdict(fp_alert),
+                "fn_alert": asdict(fn_alert)}
+    return {"system": options["system"], "confusion": asdict(confusion), "balances": asdict(bal)}
+
+
+def _kept(scenes: list, conf: dict, strict: bool) -> list:
+    """The scenes with only the detections whose score passes their class's threshold, ``conf`` keyed by class name."""
+    def passes(det) -> bool:
+        if det.category.value not in conf:
+            raise ValueError(f"no confidence threshold for class {det.category.value}")
+        return det.score > conf[det.category.value] if strict else det.score >= conf[det.category.value]
+
+    return [SimpleNamespace(image_id=s.image_id, persons=tuple(filter(passes, s.persons)),
+                            parts=tuple(filter(passes, s.parts)), gt=s.gt) for s in scenes]

@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,11 +15,10 @@ import partmon.calibration
 import partmon.cli as cli_module
 import partmon.synth
 from partmon.cli import cli
-from partmon.datamodel import DetectionClass, group_into_scenes, load_category_map, load_detections, load_ground_truth
+from partmon.datamodel import DetectionClass
 from partmon.geometry import intersection_area, iou
-from partmon.oracle import oracle_alphas, oracle_metrics, oracle_per_image, oracle_per_object, oracle_threshold
-from partmon.partition import MatchingMode
-from partmon.synth import SynthConfig, generate
+from partmon.oracle import pipeline, pipeline_scenes
+from partmon.synth import generate
 
 runner = CliRunner()
 
@@ -161,149 +160,6 @@ def test_evaluate_per_image_csv_contract(tmp_path, corpus_dir):
     assert (tmp_path / "report.csv.manifest.json").exists()
 
 
-def test_evaluate_matches_oracle_on_unfiltered_corpus(tmp_path, corpus_dir):
-    op = write_json(tmp_path / "op.json", ZERO_OP)
-    out = tmp_path / "report.json"
-    result = runner.invoke(
-        cli,
-        ["evaluate", *corpus_args(corpus_dir), "--operating-point", op,
-         "--protocol", "per-object", "--out", str(out)],
-    )
-    assert result.exit_code == 0, result.output
-    report = json.loads(out.read_text())
-
-    corpus = generate(SynthConfig(seed=5, n_scenes=10))
-    _, _, confusion, bal = oracle_metrics(list(corpus.scenes()), 0.5, 0.5, 0.5)
-    assert report["confusion"] == {
-        "tp_gt_tp_mon": confusion.tp_gt_tp_mon,
-        "tp_gt_fp_mon": confusion.tp_gt_fp_mon,
-        "fp_gt_tp_mon": confusion.fp_gt_tp_mon,
-        "fp_gt_fp_mon": confusion.fp_gt_fp_mon,
-        "fn_gt_fn_mon": confusion.fn_gt_fn_mon,
-        "tn_gt_fn_mon": confusion.tn_gt_fn_mon,
-    }
-    assert report["balances"] == {"fp_balance": bal.fp_balance, "fn_balance": bal.fn_balance}
-    assert report["manifest"]["command"] == "evaluate"
-
-
-def corpus_scenes(corpus):
-    """The corpus's scenes, loaded and grouped with no min-area filter."""
-    cat_map = load_category_map(corpus / "category_map.json")
-    return group_into_scenes(load_ground_truth(corpus / "gt.json", cat_map),
-                             load_detections(corpus / "persons.json", cat_map),
-                             load_detections(corpus / "parts.json", cat_map)).scenes
-
-
-def duplicated_persons_corpus(tmp_path, n_scenes, factor):
-    """Synth seed 8, three persons a scene, and a second detection, at ``factor`` times the score, of every
-    third person: greedy matching validates one of the two, existential matching both."""
-    corpus = tmp_path / "corpus"
-    result = runner.invoke(cli, ["synth", "--seed", "8", "--n-scenes", str(n_scenes), "--persons-per-scene", "3:3",
-                                 "--jitter", "2", "--out", str(corpus)])
-    assert result.exit_code == 0, result.output
-    persons = json.loads((corpus / "persons.json").read_text())
-    write_json(corpus / "persons.json", persons + [dict(d, score=d["score"] * factor) for d in persons[::3]])
-    return corpus
-
-
-def kept_under(scenes, conf):
-    """The scenes with only the detections whose score reaches their class's threshold (keyed by class name)."""
-    return [replace(s, persons=tuple(d for d in s.persons if d.score >= conf[d.category.value]),
-                    parts=tuple(d for d in s.parts if d.score >= conf[d.category.value])) for s in scenes]
-
-
-def oracle_operating_point(scenes, tau, matching=MatchingMode.EXISTENTIAL):
-    """Thresholds by class name, then (alpha_fp, alpha_fn), as the brute-force references choose them."""
-    dets, gts = {}, {}
-    for scene in scenes:
-        for d in (*scene.persons, *scene.parts):
-            dets.setdefault(d.category.value, []).append(d)
-        for a in scene.gt:
-            gts.setdefault(a.category.value, []).append(a)
-    conf = {name: oracle_threshold(dets[name], gts[name], tau, matching) for name in dets}
-    return conf, oracle_alphas(kept_under(scenes, conf), tau, matching, 0.05)
-
-
-def calibrated(tmp_path, corpus, *flags):
-    """The operating point ``calibrate`` writes for the corpus with no min-area filter, as parsed JSON."""
-    out = tmp_path / "calibrated.json"
-    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus), "--min-area", "0", *flags, "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    return json.loads(out.read_text())
-
-
-def test_calibrate_greedy_matches_greedy_oracle(tmp_path):
-    # On 12 scenes with half-score duplicates, the greedy thresholds drop every duplicate, so the alpha
-    # labels agree under both matchings; here 0.9-score duplicates survive and move alpha_fp.
-    scenes = corpus_scenes(corpus := duplicated_persons_corpus(tmp_path, 24, 0.9))
-    conf, alphas = oracle_operating_point(scenes, 0.5, MatchingMode.GREEDY)
-    assert conf != oracle_operating_point(scenes, 0.5)[0]  # greedy thresholds differ from existential ones
-    kept = kept_under(scenes, conf)
-    assert alphas != oracle_alphas(kept, 0.5, MatchingMode.EXISTENTIAL, 0.05)  # so do the labels of the kept scenes
-    op = calibrated(tmp_path, corpus, "--matching", "greedy")
-    assert (op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (conf, alphas)
-
-
-def test_calibrate_honours_tau(tmp_path):
-    corpus = tmp_path / "corpus"
-    result = runner.invoke(cli, ["synth", "--seed", "6", "--n-scenes", "10", "--jitter", "6", "--out", str(corpus)])
-    assert result.exit_code == 0, result.output
-    scenes = corpus_scenes(corpus)
-    conf, alphas = oracle_operating_point(scenes, 0.9)
-    default_conf, default_alphas = oracle_operating_point(scenes, 0.5)
-    assert all(conf[name] != default_conf[name] for name in conf) and alphas[1] != default_alphas[1]
-    op = calibrated(tmp_path, corpus, "--tau", "0.9")
-    assert (op["tau"], op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (0.9, conf, alphas)
-
-
-def test_evaluate_honours_ghost_all_classes(tmp_path):
-    # The part detection at (300, 300) has no person around it; it overlaps a Torso annotation but no person one.
-    write_json(tmp_path / "gt.json", {"images": [{"id": 1}], "annotations": [
-        {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 100, 200]},
-        {"id": 2, "image_id": 1, "category_id": 2, "bbox": [300, 300, 30, 30]},
-    ]})
-    write_json(tmp_path / "persons.json", [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 100, 200], "score": 0.9}])
-    write_json(tmp_path / "parts.json", [
-        {"image_id": 1, "category_id": 2, "bbox": [10, 10, 30, 30], "score": 0.9},
-        {"image_id": 1, "category_id": 2, "bbox": [305, 305, 30, 30], "score": 0.9},
-    ])
-    write_json(tmp_path / "category_map.json", {"1": "Person", "2": "Torso"})
-    op = write_json(tmp_path / "op.json", ZERO_OP)
-    reports = []
-    for flag in ([], ["--ghost-all-classes"]):
-        out = tmp_path / f"report{len(reports)}.json"
-        result = runner.invoke(cli, ["evaluate", *corpus_args(tmp_path), "--operating-point", op,
-                                     "--protocol", "per-object", *flag, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        reports.append(json.loads(out.read_text()))
-    scenes = corpus_scenes(tmp_path)
-    for report, ghost_all_classes in zip(reports, (False, True)):
-        _, _, confusion, bal = oracle_metrics(scenes, 0.5, 0.5, 0.5, ghost_all_classes=ghost_all_classes)
-        assert (report["confusion"], report["balances"]) == (asdict(confusion), asdict(bal))
-    assert reports[0]["confusion"] != reports[1]["confusion"]
-
-
-def test_evaluate_greedy_matches_greedy_oracle(tmp_path):
-    corpus = duplicated_persons_corpus(tmp_path, 12, 0.5)
-    scenes = corpus_scenes(corpus)
-    want_fp, want_fn, want_confusion, want_balances = oracle_metrics(scenes, 0.5, 0.5, 0.5,
-                                                                     matching=MatchingMode.GREEDY)
-    assert (want_fp, want_fn) != oracle_metrics(scenes, 0.5, 0.5, 0.5)[:2]  # the two matchings differ here
-    op = write_json(tmp_path / "op.json", ZERO_OP)
-    reports = {}
-    for protocol in ("per-image", "per-object"):
-        out = tmp_path / f"{protocol}.json"
-        result = runner.invoke(cli, ["evaluate", *corpus_args(corpus), "--operating-point", op, "--matching", "greedy",
-                                     "--min-area", "0", "--protocol", protocol, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        reports[protocol] = json.loads(out.read_text())
-    for alert, want in (("fp_alert", want_fp), ("fn_alert", want_fn)):
-        assert {k: reports["per-image"][alert][k] for k in ("tp", "fp", "fn", "tn")} == asdict(want)
-    assert reports["per-image"]["total_images"] == len(scenes)
-    assert reports["per-object"]["confusion"] == asdict(want_confusion)
-    assert reports["per-object"]["balances"] == asdict(want_balances)
-
-
 @pytest.fixture(scope="module")
 def interior_corpus(tmp_path_factory):
     """Synth seed 6, 300 scenes with half the persons and parts dropped, and its operating point at tau 0.9.
@@ -318,80 +174,6 @@ def interior_corpus(tmp_path_factory):
     return corpus, op
 
 
-def evaluated(tmp_path, corpus, op, *flags):
-    """The parsed per-image and per-object reports of ``evaluate``, by protocol."""
-    reports = {}
-    for protocol in ("per-image", "per-object"):
-        out = tmp_path / f"{protocol}.json"
-        result = runner.invoke(cli, ["evaluate", *corpus_args(corpus), "--operating-point", str(op), *flags,
-                                     "--protocol", protocol, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        reports[protocol] = json.loads(out.read_text())
-    return reports
-
-
-def assert_reports_match_oracle(reports, scenes, tau, alpha_fp, alpha_fn):
-    want_fp, want_fn, want_confusion, want_balances = oracle_metrics(scenes, tau, alpha_fp, alpha_fn)
-    for alert, want in (("fp_alert", want_fp), ("fn_alert", want_fn)):
-        assert {k: reports["per-image"][alert][k] for k in ("tp", "fp", "fn", "tn")} == asdict(want)
-    assert reports["per-image"]["total_images"] == len(scenes)
-    assert reports["per-object"]["confusion"] == asdict(want_confusion)
-    assert reports["per-object"]["balances"] == asdict(want_balances)
-
-
-def test_monitor_applies_each_alpha_to_its_own_alert(tmp_path, interior_corpus):
-    corpus, op_path = interior_corpus
-    op = json.loads(op_path.read_text())
-    assert op["alpha_fp"] != op["alpha_fn"]
-    scenes = kept_under(corpus_scenes(corpus), op["conf"])
-
-    def record(d):
-        return {"det_id": d.det_id, "category": d.category.value, "bbox": [d.box.x, d.box.y, d.box.w, d.box.h],
-                "score": d.score}
-
-    def oracle_lines(mode, alpha_fp, alpha_fn):
-        if mode == "image":
-            return [{"image_id": s.image_id, **asdict(oracle_per_image(s.persons, s.parts, alpha_fp, alpha_fn))}
-                    for s in scenes]
-        verdicts = [(s.image_id, oracle_per_object(s.persons, s.parts, alpha_fp, alpha_fn)) for s in scenes]
-        return [{"image_id": image_id, **{key: [record(d) for d in getattr(v, key)]
-                                          for key in ("tp_mon", "fp_mon", "fn_mon")}} for image_id, v in verdicts]
-
-    for mode in ("image", "object"):
-        want = oracle_lines(mode, op["alpha_fp"], op["alpha_fn"])
-        assert want != oracle_lines(mode, op["alpha_fn"], op["alpha_fp"])  # swapped alphas would show
-        out = tmp_path / f"{mode}.jsonl"
-        result = runner.invoke(cli, ["monitor", *corpus_args(corpus), "--operating-point", str(op_path),
-                                     "--mode", mode, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert [json.loads(line) for line in out.read_text().splitlines()] == want
-
-
-def test_evaluate_scores_at_the_tau_of_the_operating_point(tmp_path, interior_corpus):
-    corpus, op_path = interior_corpus
-    op = json.loads(op_path.read_text())
-    assert op["tau"] == 0.9
-    scenes, alphas = kept_under(corpus_scenes(corpus), op["conf"]), (op["alpha_fp"], op["alpha_fn"])
-    assert oracle_metrics(scenes, 0.9, *alphas) != oracle_metrics(scenes, 0.5, *alphas)  # tau 0.5 would show
-    reports = evaluated(tmp_path, corpus, op_path, "--min-area", "0")
-    assert_reports_match_oracle(reports, scenes, 0.9, *alphas)
-
-
-def test_min_area_reaches_calibrate_and_evaluate(tmp_path, interior_corpus):
-    corpus, _ = interior_corpus
-    scenes = [s for s in corpus_scenes(corpus) if all(a.box.w * a.box.h >= 40000 for a in s.gt_persons())]
-    assert 0 < len(scenes) < 300
-    conf, alphas = oracle_operating_point(scenes, 0.9)
-    op_path = tmp_path / "op.json"
-    result = runner.invoke(cli, ["calibrate", *corpus_args(corpus), "--tau", "0.9", "--min-area", "40000",
-                                 "--out", str(op_path)])
-    assert result.exit_code == 0, result.output
-    op = json.loads(op_path.read_text())
-    assert (op["conf"], (op["alpha_fp"], op["alpha_fn"])) == (conf, alphas)
-    reports = evaluated(tmp_path, corpus, op_path, "--min-area", "40000")
-    assert_reports_match_oracle(reports, kept_under(scenes, conf), 0.9, *alphas)
-
-
 INPUT_NAMES = ("gt", "persons", "parts", "category_map")
 
 
@@ -404,6 +186,111 @@ def rewritten_corpus(corpus, out, rewrite):
     for name, payload in files.items():
         write_json(out / f"{name}.json", payload)
     return out
+
+
+@pytest.fixture(scope="module")
+def table_inputs(tmp_path_factory, interior_corpus):
+    """The corpora (directories) and operating points (files) of ``TABLE``, by name."""
+    root = tmp_path_factory.mktemp("table")
+    for name, flags in {"seed4": "--seed 4 --persons-per-scene 0:2", "seed5": "--seed 5",
+                        "seed6": "--seed 6 --jitter 6",
+                        "duplicated": "--seed 8 --n-scenes 24 --persons-per-scene 3:3 --jitter 2"}.items():
+        result = runner.invoke(cli, ["synth", "--n-scenes", "10", *flags.split(), "--out", str(root / name)])
+        assert result.exit_code == 0, result.output
+
+    def duplicate(gt, persons, parts, category_map):
+        # A second detection of every third person: greedy matching validates one of the two, existential both.
+        # At 0.9 times the score the duplicates survive the greedy thresholds and move alpha_fp; at half, not.
+        persons += [dict(d, score=d["score"] * 0.9) for d in persons[::3]]
+
+    def stray(gt, persons, parts, category_map):
+        # Entries on an image that the ground truth does not list, and a part far from every person on a listed
+        # image, which a Torso annotation anchors but no person one.
+        image_id = gt["images"][0]["id"]
+        gt["annotations"] += [dict(gt["annotations"][0], id=999, image_id=999_999),
+                              {"id": 998, "image_id": image_id, "category_id": 2, "bbox": [5000, 5000, 30, 30]}]
+        persons.append(dict(persons[0], image_id=999_999))
+        parts.append({"image_id": image_id, "category_id": 2, "bbox": [5005, 5005, 30, 30], "score": 0.9})
+
+    def split(gt, persons, parts, category_map):  # the person stream calls its persons 42, and --category-map Torso
+        for d in persons:
+            d["category_id"] = 42
+        category_map["42"] = "Torso"
+
+    rewritten_corpus(root / "duplicated", root / "duplicated", duplicate)
+    rewritten_corpus(root / "seed5", root / "seed5", stray)
+    write_json(rewritten_corpus(root / "seed5", root / "split", split) / "persons_category_map.json", {"42": "Person"})
+    corpus, op = interior_corpus
+    calibrated = json.loads(op.read_text())  # its alphas differ and its thresholds are scores of its detections
+    return {**{path.name: path for path in root.iterdir()}, "interior": corpus, "interior-op": op,
+            "zero-op": write_json(root / "zero.json", ZERO_OP),
+            "strict-op": write_json(root / "strict.json", {**calibrated, "strict_conf": True}),
+            "tau-0.5-op": write_json(root / "tau.json", {**calibrated, "tau": 0.5}),
+            "swapped-op": write_json(root / "swapped.json", {**calibrated, "alpha_fp": calibrated["alpha_fn"],
+                                                                "alpha_fn": calibrated["alpha_fp"]})}
+
+
+ZERO = {"operating_point": "zero-op"}
+INTERIOR = {"operating_point": "interior-op"}
+
+# Each row runs one command on a corpus, with the input files and operating point named as in ``table_inputs``. Its
+# output must equal ``oracle.pipeline``'s, and the reference must answer differently under the row's alternative.
+TABLE = {
+    "calibrate-greedy": ("calibrate", "duplicated", {"matching": "greedy", "min_area": 0},
+                         {"matching": "existential"}),
+    "calibrate-tau": ("calibrate", "seed6", {"tau": 0.9}, {"tau": 0.5}),
+    "calibrate-min-area": ("calibrate", "seed6", {"min_area": 30000}, {"min_area": 0}),
+    "calibrate-strict": ("calibrate", "seed6", {"strict_conf": True}, {"strict_conf": False}),
+    **{f"evaluate-{protocol}-{name}": ("evaluate", corpus, {"protocol": protocol, **options}, alternative)
+       for protocol in ("per-image", "per-object") for name, corpus, options, alternative in (
+           ("unfiltered", "seed5", {**ZERO, "min_area": 0}, {"min_area": 30000}),
+           ("greedy", "duplicated", {**ZERO, "matching": "greedy", "min_area": 0}, {"matching": "existential"}),
+           ("tau", "interior", {**INTERIOR, "min_area": 0}, {"operating_point": "tau-0.5-op"}),
+           ("min-area", "interior", {**INTERIOR, "min_area": 40000}, {"min_area": 0}),
+           ("strict", "interior", {"operating_point": "strict-op"}, INTERIOR),
+           ("persons-map", "split", {**ZERO, "persons_category_map": True}, {"persons_category_map": False}))},
+    "evaluate-per-object-ghost-all-classes": ("evaluate", "seed5", {**ZERO, "protocol": "per-object",
+                                                                    "ghost_all_classes": True},
+                                              {"ghost_all_classes": False}),
+    "evaluate-per-image-filter-mode": ("evaluate", "seed4", {**ZERO, "filter_mode": "require_all_above"},
+                                       {"filter_mode": "drop_if_any_below"}),
+    "monitor-image-unknown-image": ("monitor", "seed5", ZERO, {"gt": False}),
+    **{f"monitor-{mode}-{name}": ("monitor", "interior", {"mode": mode, **options}, alternative)
+       for mode in ("image", "object") for name, options, alternative in (
+           ("alphas", INTERIOR, {"operating_point": "swapped-op"}),
+           ("strict", {"operating_point": "strict-op"}, INTERIOR),
+           ("without-gt", {**INTERIOR, "gt": False}, {"gt": True}))},
+}
+
+
+def table_case(inputs, command, corpus, options):
+    """(the command line, the decoded input files, the resolved options) of ``command`` on the named corpus with
+    ``options``: a corpus file is given unless its name is False (``persons_category_map`` only if True), the
+    operating point is given by name, and the other options are flags."""
+    options = dict(options)
+    paths = {name: inputs[corpus] / f"{name}.json" for name in (*INPUT_NAMES, "persons_category_map")
+             if options.pop(name, name in INPUT_NAMES)}
+    paths |= {"operating_point": inputs[options.pop("operating_point")]} if "operating_point" in options else {}
+    args = [command, *[arg for name, value in (*paths.items(), *options.items()) if value is not False
+                       for arg in (f"--{name.replace('_', '-')}", *([] if value is True else [str(value)]))]]
+    files = {name: json.loads(Path(path).read_text()) for name, path in paths.items()}
+    return args, files, {param.name: param.default for param in cli.commands[command].params} | options
+
+
+@pytest.mark.parametrize("row", TABLE)
+def test_command_output_equals_the_reference_pipeline(tmp_path, table_inputs, row):
+    command, corpus, options, alternative = TABLE[row]
+    args, files, resolved = table_case(table_inputs, command, corpus, options)
+    result = runner.invoke(cli, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    text = (tmp_path / "out").read_text()
+    got = [json.loads(line) for line in text.splitlines()] if command == "monitor" else json.loads(text)
+    if command == "evaluate":  # the report without its manifest and ratios
+        got = {key: {k: v for k, v in value.items() if k not in ("precision", "recall", "mcc")}
+               if key.endswith("_alert") else value for key, value in got.items() if key != "manifest"}
+    want = pipeline(command, files, resolved)
+    assert got == want
+    assert pipeline(command, *table_case(table_inputs, command, corpus, options | alternative)[1:]) != want
 
 
 def doubled_corpus(corpus, out):
@@ -446,10 +333,15 @@ def test_doubling_the_corpus_keeps_the_operating_point_and_doubles_every_count(t
             assert ops[0].read_bytes() == ops[1].read_bytes()
             op = json.loads(ops[0].read_text())
             alphas.append((op["alpha_fp"], op["alpha_fn"]))
-            reports = [evaluated(tmp_path, source, ops[0], "--matching", matching) for source in (corpus, twice)]
-            for protocol, report in reports[0].items():
-                del report["manifest"], reports[1][protocol]["manifest"]
-                assert_counts_doubled(report, reports[1][protocol])
+            for protocol in ("per-image", "per-object"):
+                reports = []
+                for source in (corpus, twice):
+                    out = tmp_path / f"{source.name}-{protocol}.json"
+                    result = runner.invoke(cli, ["evaluate", *corpus_args(source), "--operating-point", str(ops[0]),
+                                                 "--matching", matching, "--protocol", protocol, "--out", str(out)])
+                    assert result.exit_code == 0, result.output
+                    reports.append({k: v for k, v in json.loads(out.read_text()).items() if k != "manifest"})
+                assert_counts_doubled(*reports)
     assert any(alpha_fp != alpha_fn for alpha_fp, alpha_fn in alphas)
 
 
@@ -574,7 +466,8 @@ def monitor_records(data, original_id=lambda record: record["det_id"]):
 def test_shuffling_the_entries_of_every_file_keeps_every_output(tmp_path, interior_corpus, interior_outputs):
     # A metamorphic relation: an output depends on the entries of each file, not on their order.
     corpus = interior_corpus[0]
-    assert not greedy_order_dependences(corpus_scenes(corpus))  # the premise under greedy matching
+    scenes = pipeline_scenes("calibrate", *table_case({"interior": corpus}, "calibrate", "interior", {})[1:])
+    assert not greedy_order_dependences(scenes)  # the premise under greedy matching
     rng, orders = random.Random(11), {}
 
     def rewrite(gt, persons, parts, category_map):

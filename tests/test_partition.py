@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partmon.calibration
+import partmon.oracle
+from partmon.datamodel import Scene
 from partmon.geometry import Box, iou
-from partmon.oracle import oracle_greedy_partition, oracle_partition
+from partmon.oracle import oracle_greedy_partition, oracle_metrics, oracle_partition
 from partmon.partition import MatchingMode, matches, partition
 
 from conftest import ann, det, pos_boxes
@@ -166,3 +169,16 @@ def test_matches_and_partition_agree_with_the_oracles(case):
         kept = [d for d in dets if d.score >= cut]
         consumed = {j for i, j in pairs if dets[i].score >= cut}
         assert oracle_greedy_partition(kept, gts, tau).fn_gt == tuple(g for j, g in enumerate(gts) if j not in consumed)
+
+
+def test_the_partitions_that_perfbench_swaps_are_read_at_each_call(monkeypatch):
+    # perfbench's gate swaps partmon.oracle.oracle_partition for a greedy one under --matching greedy, and its
+    # tracer swaps partmon.calibration.partition. Synth corpora never separate the two matchings, so perfbench's
+    # own tests would still pass if the gate's swap reached nothing.
+    persons = (det(Box(0, 0, 10, 10), score=0.9), det(Box(0, 0, 10, 9), score=0.5))  # a lower-scored near-duplicate
+    scenes = [Scene(1, persons=persons, gt=(ann(Box(0, 0, 10, 10)),))]
+    existential = oracle_metrics(scenes, 0.5, 0.5, 0.5)
+    monkeypatch.setattr(partmon.oracle, "oracle_partition", oracle_greedy_partition)
+    assert oracle_metrics(scenes, 0.5, 0.5, 0.5) == oracle_metrics(scenes, 0.5, 0.5, 0.5, matching=MatchingMode.GREEDY)
+    assert oracle_metrics(scenes, 0.5, 0.5, 0.5) != existential
+    assert partmon.calibration.partition is partition
