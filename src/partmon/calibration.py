@@ -2,13 +2,15 @@
 
 Per-class confidence thresholds come from an exhaustive sweep over the
 observed scores, keeping the best F1. ``build_operating_point`` walks the
-grouped scenes once, matching each scene's classes whose two sides are
-non-empty. Matches do not depend on the threshold: under greedy matching the
-detections kept at any threshold (ties kept or dropped together) are a prefix
-of the score-descending visiting order. A box is missed at t iff its best
-matched score is not kept, so each candidate is scored by bisection; and the
-person pairs label each scene with no second ``partition`` pass: FP iff a
-kept person is in no pair, FN iff a ground-truth person is missed. The two
+grouped scenes once, splitting each into per-class detections and prepared
+ground-truth boxes, and makes one ``partition._matches`` call per class whose
+two sides are non-empty. Matches do not depend on the threshold: under greedy
+matching the detections kept at any threshold (ties kept or dropped together)
+are a prefix of the score-descending visiting order. A box is missed at t iff
+its best matched score is not kept, so one walk down each class's distinct
+scores, adding up per-score counts, scores every candidate; and the person
+pairs label each scene with no second ``partition`` pass: FP iff a kept
+person is in no pair, FN iff a ground-truth person is missed. The two
 overlap parameters are chosen independently over a regular grid in (0, 1) by
 the Matthews correlation of the per-image alerts against the ground-truth
 image labels: the FP alert depends only on alpha_fp, the FN alert only on
@@ -22,19 +24,17 @@ MCC keeps the smaller alpha (more sensitive monitor).
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .datamodel import _CLASS_BY_NAME, Detection, DetectionClass, GtAnnotation, Scene, _number, read_json, write_json
 from .errors import CalibrationError, ValidationError, check_open_unit
 from .monitor import overlaps
-from .partition import GtPartition, MatchingMode, matches, partition  # noqa: F401 (perfbench swaps partition)
+from .partition import GtPartition, MatchingMode, _matches, partition  # noqa: F401 (perfbench swaps partition)
 
 _ONE_PLUS_ULP = math.nextafter(1.0, math.inf)
 _OPERATING_POINT_KEYS = ("conf", "alpha_fp", "alpha_fn", "tau", "strict_conf")
@@ -138,43 +138,55 @@ def select_confidence_threshold(
 ) -> float:
     """Pick the score cutoff with the best F1 for one class.
 
-    Candidates are the distinct observed scores, zero, and one value just
-    above the maximum score (the discard-everything option). Detections are
-    retained when score >= threshold, or score > threshold with ``strict``.
-    With no detections at all the threshold is 1.0, since there is nothing to
-    retain; otherwise raises CalibrationError when the class has no
+    Candidates are the distinct observed scores, +0.0 (never -0.0), and one
+    value just above the maximum score (the discard-everything option).
+    Detections are retained when score >= threshold, or score > threshold with
+    ``strict``. With no detections at all the threshold is 1.0, since there is
+    nothing to retain; otherwise raises CalibrationError when the class has no
     ground-truth instances (F1 undefined).
     """
     if not dets:
         return 1.0
-    cls = dets[0].category
-    sweeps, _ = _sweep(({cls: group} for group in _buckets(dets, gts, attrgetter("image_id")).values()), tau, matching)
+    cls, images = dets[0].category, defaultdict(lambda: ([], []))  # per image, its detections and ground-truth boxes
+    for d in dets:
+        images[d.image_id][0].append(d)
+    for g in gts:
+        boxes, b = images[g.image_id][1], g.box
+        boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, len(boxes)))
+    sweeps, _ = _sweep(({cls: pair} for pair in images.values()), tau, matching)
     return _max_f1_threshold(cls, *sweeps[cls], strict)
 
 
-def _buckets(dets, gts, key) -> dict:
-    """``dets`` and ``gts`` split by ``key`` into (detections, ground truth) pairs, in first-seen order."""
-    out = defaultdict(lambda: ([], []))
-    for side, records in enumerate((dets, gts)):
-        for record in records:
-            out[key(record)][side].append(record)
+def _by_class(scene: Scene) -> dict:
+    """A scene's {class: (detections, ground-truth boxes as ``partition._matches`` takes them)}, in one pass."""
+    out = {}
+    for g in scene.gt:
+        if (pair := out.get(g.category)) is None:
+            pair = out[g.category] = ([], [])
+        boxes, b = pair[1], g.box
+        boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, len(boxes)))
+    for d in (*scene.persons, *scene.parts):
+        if (pair := out.get(d.category)) is None:
+            pair = out[d.category] = ([], [])
+        pair[0].append(d)
     return out
 
 
 def _sweep(images, tau: float, matching: MatchingMode) -> tuple[dict, list[tuple[float, float]]]:
-    """One matching pass per image and class (``images``: each image's {class: (detections, ground truth)}): each
-    class's score lists for ``_max_f1_threshold``, and each image's person scores for ``build_operating_point``."""
+    """One matching pass per image and class (``images``: each image's {class: (detections, ground-truth boxes)}):
+    each class's score lists for ``_max_f1_threshold``, and each image's person scores for ``build_operating_point``."""
+    check_open_unit("tau", tau)  # once, for every ``_matches`` call below
     sweeps, persons = defaultdict(lambda: ([], [], [])), []
     for by_class in images:
         unpaired, covered = -1.0, math.inf
-        for cls, (dets, gts) in by_class.items():
-            all_scores, matched_scores, best_scores = sweeps[cls]
-            best, matched = [-1.0] * len(gts), {}
-            for i, j in matches(dets, gts, tau, matching) if dets and gts else ():
+        for cls, (dets, boxes) in by_class.items():
+            all_dets, matched_scores, best_scores = sweeps[cls]
+            best, matched = [-1.0] * len(boxes), {}
+            for i, j in _matches(dets, boxes, tau, matching) if dets and boxes else ():
                 matched[i] = score = dets[i].score
                 if score > best[j]:
                     best[j] = score
-            all_scores += [d.score for d in dets]
+            all_dets += dets
             matched_scores += matched.values()
             best_scores += best
             if cls is DetectionClass.PERSON:
@@ -184,24 +196,22 @@ def _sweep(images, tau: float, matching: MatchingMode) -> tuple[dict, list[tuple
     return sweeps, persons
 
 
-def _max_f1_threshold(cls, all_scores, matched_scores, best_scores, strict) -> float:
-    """The first threshold of best F1 from the top down, from one class's scores: every detection's, the matched
-    detections', and each ground-truth box's best matched score (-1.0: unmatched)."""
+def _max_f1_threshold(cls, dets, matched_scores, best_scores, strict) -> float:
+    """The first threshold of best F1 from the top down, from one class's detections, the matched ones' scores and
+    each ground-truth box's best matched score (-1.0: unmatched): one walk down the distinct positive scores, then
+    0.0 (never -0.0), adds up the counts kept. Discarding everything scores F1 0: a candidate wins by a higher F1."""
     if not best_scores:
         raise CalibrationError(f"F1 undefined for class {cls.value}: no ground-truth instances")
-    all_scores.sort()
-    matched_scores.sort()
-    best_scores.sort()
-    cut = bisect_right if strict else bisect_left
-
-    def f1(t: float) -> float:
-        kept = len(all_scores) - cut(all_scores, t)
-        tp = len(matched_scores) - cut(matched_scores, t)
-        fn = cut(best_scores, t)
+    counts, matched, best = Counter([d.score for d in dets]), Counter(matched_scores), Counter(best_scores)
+    chosen, top_f1, kept, tp, covered = math.nextafter(max(counts), math.inf), 0.0, 0, 0, 0
+    walk = sorted([score for score in counts if score > 0.0], reverse=True) + [0.0]
+    for t, score in zip(walk, [None, *walk] if strict else walk):  # under strict, t keeps the scores above it
+        kept, tp, covered = kept + counts.get(score, 0), tp + matched.get(score, 0), covered + best.get(score, 0)
+        fn = len(best_scores) - covered
         precision, recall = tp / kept if kept else 0.0, tp / (tp + fn) if tp + fn else 0.0
-        return 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-
-    return max(sorted({*all_scores, 0.0, math.nextafter(all_scores[-1], math.inf)}, reverse=True), key=f1)
+        if (f1 := 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0) > top_f1:
+            chosen, top_f1 = t, f1
+    return chosen
 
 
 def select_alphas(
@@ -236,20 +246,21 @@ def _select_alphas(
 ) -> tuple[float, float]:
     """``select_alphas`` on each scene's (FP, FN) image labels in place of its partition."""
     n = _grid_length(grid_step)
-    point = functools.cache(lambda k: round((k + 1) * grid_step, 10))  # alpha_grid(grid_step)[k]
+    points = {}  # alpha_grid(grid_step)[k] for each k read so far; no point is 0.0, so ``points.get(k) or point(k)``
+    point = lambda k: points.setdefault(k, round((k + 1) * grid_step, 10))  # noqa: E731
     # flips[kind][label][k]: scenes whose alert of that kind first turns on at point(k); k = n: never.
     flips = [[Counter(), Counter()], [Counter(), Counter()]]
     for scene, (fp_label, fn_label) in zip(scenes, labels):
         # best_fp[i]: grid points at which person i is supported; best_fn[j]: at which part j is covered.
         best_fp, best_fn = [0] * len(scene.persons), [0] * len(scene.parts)
-        for i, j, inter, part_area in overlaps(scene.persons, scene.parts, point(0)):
+        for i, j, inter, part_area in overlaps(scene.persons, scene.parts, points.get(0) or point(0)):
             if (k := int(inter / part_area / grid_step)) > n:  # coverage near 1: past the last point
                 k = n
-            while k < n and inter >= point(k) * part_area:
+            while k < n and inter >= (points.get(k) or point(k)) * part_area:
                 k += 1
-            while k and not inter >= point(k - 1) * part_area:
+            while k and not inter >= (points.get(k - 1) or point(k - 1)) * part_area:
                 k -= 1
-            best_fp[i], best_fn[j] = max(best_fp[i], k), max(best_fn[j], k)
+            best_fp[i], best_fn[j] = k if k > best_fp[i] else best_fp[i], k if k > best_fn[j] else best_fn[j]
         flips[0][fp_label][min(best_fp, default=n)] += 1
         flips[1][fn_label][min(best_fn, default=n)] += 1
 
@@ -291,9 +302,8 @@ def build_operating_point(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    images = (_buckets((*s.persons, *s.parts), s.gt, attrgetter("category")) for s in scenes)
-    sweeps, persons = _sweep(images, tau, matching)
-    classes = sorted([cls for cls, (all_scores, _, _) in sweeps.items() if all_scores], key=lambda c: c.value)
+    sweeps, persons = _sweep(map(_by_class, scenes), tau, matching)
+    classes = sorted([cls for cls, (dets, _, _) in sweeps.items() if dets], key=lambda c: c.value)
     if not classes:
         raise CalibrationError("no detections to calibrate on")
     conf = {cls: _max_f1_threshold(cls, *sweeps[cls], strict_conf) for cls in classes}

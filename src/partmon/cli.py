@@ -23,7 +23,6 @@ Each command, a process of its own, imports only the layers it runs, inside the 
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -37,6 +36,7 @@ from . import __version__
 from .datamodel import (
     FilterMode,
     Scene,
+    _collector_paused,
     filter_images_by_min_person_area,
     group_into_scenes,
     load_category_map,
@@ -77,9 +77,8 @@ class _FiniteRange(click.FloatRange):
 class _PartmonCommand(click.Command):
     """Pauses the collector, applies ``--config``, checks and writes a command's outputs; bad input exits 2."""
 
+    @_collector_paused()
     def invoke(self, ctx):
-        collecting = gc.isenabled()
-        gc.disable()  # a command's records form no cycles: reference counting frees them
         try:
             _apply_config(ctx, ctx.params.get("config"))
             written = _outputs(ctx)
@@ -90,9 +89,6 @@ class _PartmonCommand(click.Command):
                 click.echo(summary)
         except (ValidationError, OSError) as exc:
             raise InputError(str(exc).translate(_LINE_BREAKS)) from exc
-        finally:
-            if collecting:
-                gc.enable()
 
 
 @click.group()

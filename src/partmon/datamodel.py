@@ -15,10 +15,12 @@ messages: ``_parse_bbox`` and ``_parse_score`` are the rules.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -264,6 +266,19 @@ def _parse_image_id(raw, what: str, key, name="image_id") -> int:
         raise ValidationError(f"{what}{key}: {name} must be an integer, got {raw!r}") from None
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its state: records form no cycles. The loaders run under it
+    from decode to the last record, as most of the collections a load would trigger come during ``json.loads``."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _objects(entries: list, what: str):
     """Yield (index, entry), rejecting non-objects; each leaves ``entries``, so it is freed once the caller moves on."""
     for index, entry in enumerate(entries):
@@ -273,6 +288,7 @@ def _objects(entries: list, what: str):
         yield index, entry
 
 
+@_collector_paused()
 def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> GroundTruth:
     """Load a COCO-style annotation file.
 
@@ -309,6 +325,7 @@ def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping
     return GroundTruth(annotations=tuple(annotations), images=tuple(images))
 
 
+@_collector_paused()
 def load_detections(path, category_map: Mapping[int, DetectionClass]) -> tuple[Detection, ...]:
     """Load a COCO-style results array of {image_id, category_id, bbox, score}.
 

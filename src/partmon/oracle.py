@@ -276,12 +276,12 @@ def oracle_threshold(
 ) -> float:
     """Best-F1 confidence threshold of one class with at least one detection.
 
-    Every candidate (each distinct score, 0.0, and the next float above the
+    Every candidate (each distinct score, +0.0, and the next float above the
     top score) re-partitions each image's kept detections (score >= t, or
     score > t with ``strict``) from scratch. On equal F1 the higher threshold
-    wins.
+    wins. A -0.0 score is the +0.0 candidate, so a zero threshold is +0.0.
     """
-    candidates = sorted({d.score for d in dets} | {0.0, math.nextafter(max(d.score for d in dets), math.inf)})
+    candidates = sorted({0.0, math.nextafter(max(d.score for d in dets), math.inf)} | {d.score for d in dets})
     best_t, best_f1 = None, -1.0
     for t in candidates:
         tp = fp = fn = 0

@@ -7,10 +7,10 @@ single ground-truth box may validate several detections. The greedy mode
 exists for comparison with the usual benchmark convention and is off by
 default.
 
-``matches`` is the one place where the match rule is written; ``partition``
-and the confidence-threshold sweep both derive their counts from its pairs.
-It takes its pairs from ``geometry.overlap_pairs`` and computes IoU only for
-boxes that overlap: a disjoint pair has IoU 0, never above tau > 0.
+``_matches`` is the one place where the match rule is written; ``matches``,
+``partition`` and the confidence-threshold sweep all reach it. It takes the
+ground truth as ``geometry.overlap_pairs`` box tuples and computes IoU only
+for boxes that overlap: a disjoint pair has IoU 0, never above tau > 0.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ def matches(
     """
     check_open_unit("tau", tau)
     boxes = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, j) for j, gt in enumerate(gt_persons) for b in (gt.box,)]
+    return _matches(persons, boxes, tau, matching)
+
+
+def _matches(persons: Sequence[Detection], boxes: list, tau: float, matching: MatchingMode) -> list[tuple[int, int]]:
+    """``matches`` on ground-truth box j given as ``(x1, y1, x2, y2, area, j)``, with tau already checked."""
     above, ious = [], []  # the pairs with IoU > tau, by detection and then ground truth, and their IoUs
     for i, j, inter, gt_area in overlap_pairs(persons, boxes):
         a = persons[i].box

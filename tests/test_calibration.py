@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import random
@@ -131,6 +132,50 @@ def test_threshold_sweep_strict_mode_uses_exclusive_comparison():
     gts = [ann(Box(0, 0, 10, 10))]
     dets = [det(Box(0, 0, 10, 10), score=0.7)]
     assert select_confidence_threshold(dets, gts, tau=0.5, strict=True) == 0.0
+
+
+def _one_per_image(specs, missed=0):
+    """A detection per (score, matched) spec, each on an image of its own with a ground-truth person under it when
+    matched, and ``missed`` further ground-truth persons on images without detections."""
+    box = Box(0, 0, 10, 10)
+    dets = [det(box, image_id=image_id, score=score) for image_id, (score, _) in enumerate(specs, 1)]
+    gts = [ann(box, image_id=image_id) for image_id, (_, matched) in enumerate(specs, 1) if matched]
+    return dets, gts + [ann(box, image_id=len(specs) + k) for k in range(1, missed + 1)]
+
+
+# (specs, missed ground truth, threshold with >=, threshold with >); the F1 values are exact floats.
+_F1_TIES = {
+    # >=: 2/3 at 0.9 and again at 0.6, lower at 0.8 and 0.7 between them. >: 2/3 at 0.8 and at 0.0.
+    "non-adjacent": ([(0.9, True), (0.8, False), (0.7, False), (0.6, True)], 0, 0.9, 0.8),
+    # >=: F1 1 at the lowest score, 0.4, and at 0.0, which keep the same detections. >: 0.0 alone keeps both.
+    "lowest-and-zero": ([(0.9, True), (0.4, True)], 0, 0.4, 0.0),
+    # >: 2/3 at the lowest score, 0.4 (keeping 0.9 only), and at 0.0 (keeping all four). >=: 2/3 at 0.9 too.
+    "lowest-and-zero-strict": ([(0.9, True), (0.4, True), (0.4, False), (0.4, False)], 0, 0.9, 0.4),
+    # The top score is 1.0: F1 0 everywhere, so the 1.0+ulp candidate, the first one, wins.
+    "top-one-unmatched": ([(1.0, False), (0.5, False)], 1, math.nextafter(1.0, 2.0), math.nextafter(1.0, 2.0)),
+    # >=: 1.0 keeps the one match. >: 1.0 keeps nothing and ties 1.0+ulp at 0, and 0.5 keeps the match.
+    "top-one-matched": ([(1.0, True), (0.5, False)], 0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["keep-at-least", "keep-above"])
+@pytest.mark.parametrize("matching", list(MatchingMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("case", list(_F1_TIES))
+def test_equal_f1_keeps_the_higher_threshold_as_the_oracle_does(case, matching, strict):
+    specs, missed, at_least, above = _F1_TIES[case]
+    dets, gts = _one_per_image(specs, missed)
+    chosen = select_confidence_threshold(dets, gts, 0.5, matching=matching, strict=strict)
+    assert chosen == oracle_threshold(dets, gts, 0.5, matching, strict) == (above if strict else at_least)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_negative_zero_score_gives_a_positive_zero_threshold(strict):
+    # The loaders accept a -0.0 score (0.0 <= -0.0). Both detections match, so keeping both is best under >=, and
+    # keeping the 0.5 one is best under >: either way the threshold is the zero candidate, which is +0.0.
+    dets, gts = _one_per_image([(-0.0, True), (0.5, True)])
+    for select in (select_confidence_threshold, oracle_threshold):
+        chosen = select(dets, gts, 0.5, strict=strict)
+        assert chosen == 0.0 and math.copysign(1.0, chosen) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -515,6 +560,29 @@ def test_build_operating_point_refusals_keep_their_text_and_order():
     for matching in MatchingMode:
         with pytest.raises(CalibrationError, match=r"^F1 undefined for class Head: no ground-truth instances$"):
             build_operating_point([scene], matching=matching, grid_step=2.0)
+
+
+@pytest.mark.parametrize("matching", list(MatchingMode), ids=lambda mode: mode.value)
+def test_build_operating_point_makes_one_kernel_call_per_scene_and_class(monkeypatch, matching):
+    # The count is deterministic: a return of per-call set-up (a call per pair of boxes, or through the public
+    # wrapper that rebuilds the ground-truth boxes and checks tau) shows without any timing.
+    scenes = generate(SynthConfig(seed=3, n_scenes=200, jitter=2.0)).scenes()
+    expected = sum(len({d.category for d in (*s.persons, *s.parts)} & {a.category for a in s.gt}) for s in scenes)
+    calls, kernel = [], calibration._matches
+
+    def counting(dets, boxes, tau, matching):
+        calls.append((len(dets), len(boxes)))
+        return kernel(dets, boxes, tau, matching)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("build_operating_point called partition.matches")
+
+    monkeypatch.setattr(calibration, "_matches", counting)
+    # By module name: the package's ``partition`` attribute is the function.
+    monkeypatch.setattr(importlib.import_module("partmon.partition"), "matches", refused)
+    build_operating_point(scenes, matching=matching)
+    assert len(calls) == expected > len(scenes)
+    assert all(n_dets and n_boxes for n_dets, n_boxes in calls)
 
 
 def _composed_operating_point(scenes, tau, grid_step, matching, strict_conf):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -95,6 +96,29 @@ def test_calibrate_writes_reproducible_operating_point(tmp_path, corpus_dir):
     op = json.loads(out1.read_text())
     assert set(op) == {"conf", "alpha_fp", "alpha_fn", "tau"}
     assert (tmp_path / "op1.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["keep-at-least", "keep-above"])
+def test_calibrate_writes_a_zero_threshold_as_positive_zero(tmp_path, strict):
+    # Two images, each with a person and a Torso matched by a detection; on image 1 both detections score -0.0,
+    # which the loaders accept (0.0 <= -0.0). Both classes calibrate to the zero candidate, which is +0.0.
+    person, torso = [0, 0, 40, 80], [10, 20, 20, 30]
+    entries = [(image_id, category, box) for image_id in (1, 2) for category, box in ((1, person), (2, torso))]
+    gt = write_json(tmp_path / "gt.json", {"images": [{"id": 1}, {"id": 2}], "annotations": [
+        {"id": k, "image_id": image_id, "category_id": category, "bbox": box}
+        for k, (image_id, category, box) in enumerate(entries, 1)]})
+    dets = [{"image_id": image_id, "category_id": category, "bbox": box, "score": -0.0 if image_id == 1 else 0.5}
+            for image_id, category, box in entries]
+    args = ["calibrate", "--gt", gt, "--persons", write_json(tmp_path / "persons.json", dets[::2]),
+            "--parts", write_json(tmp_path / "parts.json", dets[1::2]), "--min-area", "0",
+            "--category-map", write_json(tmp_path / "map.json", {"1": "Person", "2": "Torso"})]
+    op = tmp_path / "op.json"
+    result = runner.invoke(cli, [*args, *(["--strict-conf"] if strict else []), "--out", str(op)])
+    assert result.exit_code == 0, result.output
+    assert "-0.0" in (tmp_path / "persons.json").read_text() and "-0.0" not in op.read_text()
+    conf = json.loads(op.read_text())["conf"]
+    assert conf == {"Person": 0.0, "Torso": 0.0}
+    assert all(math.copysign(1.0, t) == 1.0 for t in conf.values())
 
 
 def test_calibrate_deterministic_across_threads(tmp_path, corpus_dir):

@@ -336,6 +336,43 @@ def test_loaders_release_each_decoded_entry(monkeypatch, tmp_path):
         assert entries == [None] * len(records)
 
 
+_GOOD_BOX, _ZERO_WIDTH = [0, 0, 5, 5], [0, 0, 0, 5]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("valid", [True, False], ids=["loads", "raises"])
+@pytest.mark.parametrize("loader", ["ground-truth", "detections"])
+def test_loaders_pause_the_collector_and_restore_its_state(monkeypatch, tmp_path, loader, valid, enabled):
+    seen = []  # the collector's state while the loader decodes its file and at each image id it parses
+    for name in ("read_json", "_parse_image_id"):
+        def recording(*args, original=getattr(partmon.datamodel, name)):
+            seen.append(gc.isenabled())
+            return original(*args)
+
+        monkeypatch.setattr(partmon.datamodel, name, recording)
+    last = _GOOD_BOX if valid else _ZERO_WIDTH  # the second entry's box: a refusal comes after one parsed image id
+    if loader == "ground-truth":
+        path = write_json(tmp_path / "gt.json", {"images": [{"id": 1}], "annotations": [
+            {"id": k, "image_id": 1, "category_id": 1, "bbox": box} for k, box in enumerate((_GOOD_BOX, last))]})
+        load = load_ground_truth
+    else:
+        path = write_json(tmp_path / "dets.json", [{"image_id": 1, "category_id": 1, "bbox": box, "score": 0.5}
+                                                   for box in (_GOOD_BOX, last)])
+        load = load_detections
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if valid:
+            load(path, CATEGORY_MAP)
+        else:
+            with pytest.raises(ValidationError, match="bbox width and height must be positive"):
+                load(path, CATEGORY_MAP)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert len(seen) >= 2 and not any(seen)
+
+
 def test_load_detections_empty_and_bad_score(tmp_path):
     assert load_detections(write_json(tmp_path / "e.json", []), CATEGORY_MAP) == ()
     path = write_json(
