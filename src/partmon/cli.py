@@ -34,6 +34,7 @@ import click
 
 from . import __version__
 from .datamodel import (
+    DetectionClass,
     FilterMode,
     Scene,
     _collector_paused,
@@ -180,15 +181,16 @@ def _manifest(params: dict, operating_point: OperatingPoint) -> dict:
     }
 
 
-def _scenes_from(p: dict) -> list[Scene]:
+def _scenes_from(p: dict, gt_classes=None) -> list[Scene]:
     """Load the command's inputs and group them into scenes, echoing grouping warnings.
 
-    Commands with a ``min_area`` option keep only images that pass that filter.
+    Commands with a ``min_area`` option keep only images that pass that filter. The scenes hold the annotations of
+    ``gt_classes`` only (``load_ground_truth``'s ``classes``; all by default).
     """
     base_map = load_category_map(p["category_map"])
     persons_map = load_category_map(p["persons_category_map"]) if p["persons_category_map"] else base_map
     parts_map = load_category_map(p["parts_category_map"]) if p["parts_category_map"] else base_map
-    gt = load_ground_truth(p["gt"], base_map) if p["gt"] else None
+    gt = load_ground_truth(p["gt"], base_map, gt_classes) if p["gt"] else None
     person_dets = load_detections(p["persons"], persons_map)
     part_dets = load_detections(p["parts"], parts_map)
     retained = None
@@ -200,11 +202,11 @@ def _scenes_from(p: dict) -> list[Scene]:
     return list(grouping.scenes)
 
 
-def _apply_operating_point(p: dict, rule) -> tuple[OperatingPoint, list[Scene], list]:
+def _apply_operating_point(p: dict, rule, gt_classes) -> tuple[OperatingPoint, list[Scene], list]:
     """Load --operating-point, keep detections under its recorded rule, run ``rule``: (op, scenes, results)."""
     from .calibration import OperatingPoint, apply_confidence_thresholds
     op = OperatingPoint.load(p["operating_point"])
-    scenes = apply_confidence_thresholds(_scenes_from(p), op.conf_thresholds, strict=op.strict_conf)
+    scenes = apply_confidence_thresholds(_scenes_from(p, gt_classes), op.conf_thresholds, strict=op.strict_conf)
     return op, scenes, [rule(s.persons, s.parts, alpha_fp=op.alpha_fp, alpha_fn=op.alpha_fn) for s in scenes]
 
 
@@ -342,7 +344,8 @@ def cmd_calibrate(**p):
 def cmd_monitor(**p):
     """Run the monitor and stream one JSON line per scene."""
     image = p["mode"] == "image"
-    op, scenes, results = _apply_operating_point(p, per_image_rule if image else per_object_rule)
+    # --gt gives only the scene universe and the unknown-image warnings: no annotation record is kept
+    op, scenes, results = _apply_operating_point(p, per_image_rule if image else per_object_rule, ())
 
     def line(scene: Scene, result) -> dict:
         if image:
@@ -381,7 +384,8 @@ def cmd_evaluate(**p):
     except UnicodeEncodeError:
         raise ValidationError(f"--system label is not valid UTF-8: {p['system']!r}") from None
     per_image = p["protocol"] == "per-image"
-    op, scenes, results = _apply_operating_point(p, per_image_rule if per_image else per_object_rule)
+    gt_classes = None if p["ghost_all_classes"] else {DetectionClass.PERSON}  # what the scoring reads
+    op, scenes, results = _apply_operating_point(p, per_image_rule if per_image else per_object_rule, gt_classes)
     matching = MatchingMode(p["matching"])
     partitions = [partition(s.persons, s.gt_persons(), op.tau, matching) for s in scenes]
     manifest = _manifest(p, op)

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ParseError, TaxonomyError, ValidationError
 from .geometry import Box, _draft, _record, area
@@ -82,7 +82,8 @@ class GtAnnotation:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """All annotations of a dataset plus its image ids, in file order."""
+    """A dataset's annotations plus its image ids, in file order. Loaded with ``classes``, ``annotations`` holds
+    only those classes' annotations and every annotation on an image that ``images`` does not list."""
 
     annotations: tuple[GtAnnotation, ...]
     images: tuple[int, ...]
@@ -289,21 +290,27 @@ def _objects(entries: list, what: str):
 
 
 @_collector_paused()
-def load_ground_truth(path, category_map: Mapping[int, DetectionClass]) -> GroundTruth:
+def load_ground_truth(path, category_map: Mapping[int, DetectionClass],
+                      classes: Collection[DetectionClass] | None = None) -> GroundTruth:
     """Load a COCO-style annotation file.
 
     Expects objects ``images`` (each with an ``id``) and ``annotations`` (each
     with ``id``, ``image_id``, ``category_id``, ``bbox``). Category ids are
     mapped through ``category_map``; unknown ids raise TaxonomyError.
+
+    Every entry is checked. With ``classes``, an annotation of another class is
+    kept only if its image is unlisted, so ``unknown_image_warnings`` still
+    names it; the default keeps every annotation.
     """
     raw = read_json(path)
     if not (isinstance(raw, dict) and isinstance(raw.get("images"), list)
             and isinstance(raw.get("annotations"), list)):
         raise ValidationError(f"ground truth must contain 'images' and 'annotations' arrays: {path}")
-    return _ground_truth(raw["images"], raw["annotations"], category_map)
+    return _ground_truth(raw["images"], raw["annotations"], category_map, classes)
 
 
-def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping[int, DetectionClass]) -> GroundTruth:
+def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping[int, DetectionClass],
+                  classes: Collection[DetectionClass] | None = None) -> GroundTruth:
     """The records of a decoded annotation file's two arrays; each entry of both lists is set to None."""
     images = {}  # an image entry's other fields (width, height, file_name) are not read
     for index, img in _objects(images_raw, "image entry"):
@@ -318,6 +325,8 @@ def _ground_truth(images_raw: list, annotations_raw: list, category_map: Mapping
         cls = _map_category(entry.get("category_id"), category_map, "annotation id ", ann_id)
         box = _parse_bbox(entry.get("bbox"), "annotation id ", ann_id)
         image_id = _parse_image_id(entry.get("image_id"), "annotation id ", ann_id)
+        if classes is not None and cls not in classes and image_id in images:
+            continue
         ann = _GtAnnotationDraft()
         ann.image_id, ann.category, ann.box, ann.ann_id = image_id, cls, box, ann_id
         ann.__class__ = GtAnnotation

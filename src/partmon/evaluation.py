@@ -12,8 +12,6 @@ cannot alias each other.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -198,6 +196,8 @@ def render_report(result: PerImageResult | PerObjectResult, fmt: str, manifest: 
     if fmt == "json":
         return json_text(report)
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()

@@ -623,21 +623,60 @@ def test_detection_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir):
         f"warning: person detection det_id={len(persons)} references unknown image id 999999"]
 
 
-@pytest.mark.parametrize("protocol", ["per-image", "per-object"])
-def test_annotation_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir, protocol):
-    op = write_json(tmp_path / "op.json", ZERO_OP)
-    args = ["evaluate", *corpus_args(corpus_dir), "--operating-point", op, "--protocol", protocol]
+# evaluate under each protocol, and monitor with --gt: the commands that read the ground truth with an operating point.
+GT_RUNS = {"per-image": ["evaluate", "--protocol", "per-image"], "per-object": ["evaluate", "--protocol", "per-object"],
+           "monitor": ["monitor", "--mode", "object"]}
+
+
+def gt_run_args(run, corpus_dir, tmp_path):
+    return [*GT_RUNS[run], *corpus_args(corpus_dir), "--operating-point", write_json(tmp_path / "op.json", ZERO_OP)]
+
+
+def annotation_of(gt: dict, category: str) -> dict:
+    """The first annotation of ``category`` in a synth ground truth."""
+    cat_id = partmon.synth.CATEGORY_IDS[DetectionClass(category)]
+    return next(a for a in gt["annotations"] if a["category_id"] == cat_id)
+
+
+@pytest.mark.parametrize("category", ["Person", "Torso"])
+@pytest.mark.parametrize("run", GT_RUNS)
+def test_annotation_on_an_unknown_image_is_a_warning(tmp_path, corpus_dir, run, category):
+    # Whatever classes a command scores, an annotation on an unlisted image is read and named.
+    args = gt_run_args(run, corpus_dir, tmp_path)
     clean = runner.invoke(cli, [*args, "--out", str(tmp_path / "clean.json")])
     gt = json.loads((corpus_dir / "gt.json").read_text())
-    stray = dict(gt["annotations"][0], id=999, image_id=999_999)
+    stray = dict(annotation_of(gt, category), id=999, image_id=999_999)
     write_json(corpus_dir / "gt.json", dict(gt, annotations=[*gt["annotations"], stray]))
     result = runner.invoke(cli, [*args, "--out", str(tmp_path / "report.json")])
     assert clean.exit_code == result.exit_code == 0, result.output
     assert result.stderr.splitlines() == ["warning: annotation id=999 references unknown image id 999999"]
-    # The report still names its inputs by digest; every count is the clean corpus's.
-    report, clean_report = (json.loads((tmp_path / name).read_text()) for name in ("report.json", "clean.json"))
-    assert report.pop("manifest")["inputs"]["gt"] != clean_report.pop("manifest")["inputs"]["gt"]
-    assert report == clean_report
+    # The output still names its inputs by digest; every count and verdict is the clean corpus's.
+    outputs = [tmp_path / "report.json", tmp_path / "clean.json"]
+    if run == "monitor":
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        manifests = [json.loads(Path(f"{path}.manifest.json").read_text()) for path in outputs]
+    else:
+        report, clean_report = (json.loads(path.read_text()) for path in outputs)
+        manifests = [report.pop("manifest"), clean_report.pop("manifest")]
+        assert report == clean_report
+    assert manifests[0]["inputs"]["gt"] != manifests[1]["inputs"]["gt"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"bbox": [3, 4, 0, 10]}, "annotation id 999: bbox width and height must be positive, got [3, 4, 0, 10]"),
+    ({"image_id": 1.5}, "annotation id 999: image_id must be an integer, got 1.5"),
+], ids=["zero-width", "fractional-image-id"])
+@pytest.mark.parametrize("run", GT_RUNS)
+def test_an_annotation_of_a_class_that_is_not_scored_is_still_checked(tmp_path, corpus_dir, run, bad, message):
+    # A Torso annotation on a listed image: no command here keeps its record, and each refuses it as validate does.
+    gt = json.loads((corpus_dir / "gt.json").read_text())
+    torso = annotation_of(gt, "Torso")
+    write_json(corpus_dir / "gt.json", dict(gt, annotations=[*gt["annotations"], dict(torso, id=999, **bad)]))
+    checked = runner.invoke(cli, ["validate", *corpus_args(corpus_dir)])
+    result = runner.invoke(cli, [*gt_run_args(run, corpus_dir, tmp_path), "--out", str(tmp_path / "out.json")])
+    assert checked.exit_code == result.exit_code == 2
+    assert result.output.splitlines() == checked.output.splitlines() == ["Error: " + message]
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "evaluate"])

@@ -426,6 +426,28 @@ def test_round_trip_ground_truth_and_detections(tmp_path):
     )
 
 
+@pytest.mark.parametrize("classes", [(), {DetectionClass.PERSON}, frozenset(DetectionClass)],
+                         ids=["no-class", "person", "all-nine"])
+def test_load_ground_truth_keeps_the_given_classes_and_every_entry_on_an_unlisted_image(tmp_path, classes):
+    # Every third annotation also appears, after its original, on one of two images the file does not list.
+    paths = write_corpus(generate(SynthConfig(seed=4, n_scenes=6)), tmp_path)
+    category_map = load_category_map(paths["category_map"])
+    raw = json.loads(paths["gt"].read_text())
+    annotations = []
+    for index, entry in enumerate(raw["annotations"]):
+        annotations += [entry, dict(entry, id=1000 + index, image_id=900 + index % 2)][:1 + (index % 3 == 0)]
+    write_json(paths["gt"], dict(raw, annotations=annotations))
+
+    full = load_ground_truth(paths["gt"], category_map)
+    loaded = load_ground_truth(paths["gt"], category_map, classes)
+    assert loaded.images == full.images and 900 not in full.images
+    assert loaded.annotations == tuple(a for a in full.annotations
+                                       if a.category in classes or a.image_id not in full.images)
+    strays = {a.category for a in full.annotations if a.image_id >= 900}
+    assert DetectionClass.PERSON in strays and len(strays) > 2  # the unlisted images hold persons and parts
+    assert len({a.category for a in full.annotations}) == len(DetectionClass)
+
+
 def _gt_with_person_areas(areas_by_image):
     annotations = []
     images = []

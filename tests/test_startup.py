@@ -55,7 +55,7 @@ def loaded_modules(cwd, args) -> set[str]:
     (["monitor", "{data}", "{op}", "--out", "verdicts.jsonl"], ("partmon.calibration",),
      ("partmon.evaluation", "partmon.synth")),
     (["evaluate", "{data}", "{op}", "--out", "report.json"], ("partmon.calibration", "partmon.evaluation"),
-     ("partmon.synth",)),
+     ("partmon.synth", "csv")),
     (["synth", "--n-scenes", "2", "--out", "small"], ("partmon.synth",), ("partmon.calibration", "partmon.evaluation")),
 ], ids=["import", "validate", "validate-operating-point", "calibrate", "monitor", "evaluate", "synth"])
 def test_command_imports_only_its_layers(inputs, command, needed, unused):
