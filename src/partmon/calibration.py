@@ -1,20 +1,21 @@
 """Operating-point selection.
 
 Per-class confidence thresholds come from an exhaustive sweep over the
-observed scores, keeping the best F1. ``build_operating_point`` walks the
-grouped scenes once, splitting each into per-class detections and prepared
-ground-truth boxes, and makes one ``partition._matches`` call per class whose
-two sides are non-empty. Matches do not depend on the threshold: under greedy
-matching the detections kept at any threshold (ties kept or dropped together)
-are a prefix of the score-descending visiting order. A box is missed at t iff
-its best matched score is not kept, so one walk down each class's distinct
-scores, adding up per-score counts, scores every candidate; and the person
-pairs label each scene with no second ``partition`` pass: FP iff a kept
-person is in no pair, FN iff a ground-truth person is missed. The two
-overlap parameters are chosen independently over a regular grid in (0, 1) by
-the Matthews correlation of the per-image alerts against the ground-truth
-image labels: the FP alert depends only on alpha_fp, the FN alert only on
-alpha_fn, and each turns on at most once as alpha grows.
+observed scores, keeping the best F1. ``_sweep`` walks the images once
+(``build_operating_point``'s scenes, or one class's records grouped by image
+in ``select_confidence_threshold``), splits each by class in one pass that
+prepares the ground-truth boxes, and makes one ``partition._matches`` call per
+class with both sides non-empty. Matches do not depend on the threshold: under
+greedy matching the detections kept at any threshold (ties kept or dropped
+together) are a prefix of the score-descending visiting order. A box is missed
+at t iff its best matched score is not kept, so one walk down each class's
+distinct scores, adding up per-score counts, scores every candidate; and the
+person pairs label each scene with no second ``partition`` pass: FP iff a kept
+person is in no pair, FN iff a ground-truth person is missed. The two overlap
+parameters are chosen independently over a regular grid in (0, 1) by the
+Matthews correlation of the per-image alerts against the ground-truth image
+labels: the FP alert depends only on alpha_fp, the FN alert only on alpha_fn,
+and each turns on at most once as alpha grows.
 
 Each choice is the first maximum of its score along a walk in tie-break
 order. Thresholds are walked from the top down, so equal F1 keeps the higher
@@ -136,49 +137,44 @@ def select_confidence_threshold(
     matching: MatchingMode = MatchingMode.EXISTENTIAL,
     strict: bool = False,
 ) -> float:
-    """Pick the score cutoff with the best F1 for one class.
+    """Pick the score cutoff with the best F1 for one class, its records grouped by image for ``_sweep``.
 
-    Candidates are the distinct observed scores, +0.0 (never -0.0), and one
-    value just above the maximum score (the discard-everything option).
-    Detections are retained when score >= threshold, or score > threshold with
-    ``strict``. With no detections at all the threshold is 1.0, since there is
-    nothing to retain; otherwise raises CalibrationError when the class has no
-    ground-truth instances (F1 undefined).
+    Candidates are the distinct observed scores, +0.0 (never -0.0), and one value just above the maximum score (the
+    discard-everything option). Detections are retained when score >= threshold, or score > threshold with
+    ``strict``. With no detections at all the threshold is 1.0, since there is nothing to retain. Otherwise raises
+    ValidationError when the detections and annotations are of more than one class, and CalibrationError when the
+    class has no ground-truth instances (F1 undefined).
     """
     if not dets:
         return 1.0
-    cls, images = dets[0].category, defaultdict(lambda: ([], []))  # per image, its detections and ground-truth boxes
-    for d in dets:
-        images[d.image_id][0].append(d)
+    images = defaultdict(lambda: ([], []))  # per image, its ground truth and detections
     for g in gts:
-        boxes, b = images[g.image_id][1], g.box
-        boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, len(boxes)))
-    sweeps, _ = _sweep(({cls: pair} for pair in images.values()), tau, matching)
-    return _max_f1_threshold(cls, *sweeps[cls], strict)
-
-
-def _by_class(scene: Scene) -> dict:
-    """A scene's {class: (detections, ground-truth boxes as ``partition._matches`` takes them)}, in one pass."""
-    out = {}
-    for g in scene.gt:
-        if (pair := out.get(g.category)) is None:
-            pair = out[g.category] = ([], [])
-        boxes, b = pair[1], g.box
-        boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, len(boxes)))
-    for d in (*scene.persons, *scene.parts):
-        if (pair := out.get(d.category)) is None:
-            pair = out[d.category] = ([], [])
-        pair[0].append(d)
-    return out
+        images[g.image_id][0].append(g)
+    for d in dets:
+        images[d.image_id][1].append(d)
+    sweeps, _ = _sweep(images.values(), tau, matching)
+    if len(classes := sorted(cls.value for cls in sweeps)) > 1:  # their records would pool into one F1
+        raise ValidationError(f"select_confidence_threshold takes one class, got {classes[0]} and {classes[1]}")
+    return _max_f1_threshold(dets[0].category, *sweeps[dets[0].category], strict)
 
 
 def _sweep(images, tau: float, matching: MatchingMode) -> tuple[dict, list[tuple[float, float]]]:
-    """One matching pass per image and class (``images``: each image's {class: (detections, ground-truth boxes)}):
+    """Per image (``images``: each image's (ground truth, detections)), one pass splitting it by class and building
+    the ground-truth boxes as ``_matches`` takes them, then one ``_matches`` call per class with both sides non-empty:
     each class's score lists for ``_max_f1_threshold``, and each image's person scores for ``build_operating_point``."""
     check_open_unit("tau", tau)  # once, for every ``_matches`` call below
     sweeps, persons = defaultdict(lambda: ([], [], [])), []
-    for by_class in images:
-        unpaired, covered = -1.0, math.inf
+    for gts, image_dets in images:
+        by_class, unpaired, covered = {}, -1.0, math.inf  # by_class: {class: (detections, ground-truth boxes)}
+        for g in gts:
+            if (pair := by_class.get(g.category)) is None:
+                pair = by_class[g.category] = ([], [])
+            boxes, b = pair[1], g.box
+            boxes.append((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, len(boxes)))
+        for d in image_dets:
+            if (pair := by_class.get(d.category)) is None:
+                pair = by_class[d.category] = ([], [])
+            pair[0].append(d)
         for cls, (dets, boxes) in by_class.items():
             all_dets, matched_scores, best_scores = sweeps[cls]
             best, matched = [-1.0] * len(boxes), {}
@@ -302,7 +298,7 @@ def build_operating_point(
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    sweeps, persons = _sweep(map(_by_class, scenes), tau, matching)
+    sweeps, persons = _sweep(((s.gt, (*s.persons, *s.parts)) for s in scenes), tau, matching)
     classes = sorted([cls for cls, (dets, _, _) in sweeps.items() if dets], key=lambda c: c.value)
     if not classes:
         raise CalibrationError("no detections to calibrate on")

@@ -151,7 +151,7 @@ _INPUT_FILES = ("gt", "persons", "parts", "category_map", "persons_category_map"
 
 def _outputs(ctx: click.Context) -> list:
     """Every file the command writes, its manifest last (``--out`` and ``<out>.manifest.json``, or synth's corpus
-    files and ``corpus.manifest.json`` inside ``--out``); refuses any that the command reads."""
+    files and ``corpus.manifest.json`` inside ``--out``); refuses any that is a directory or that the command reads."""
     p = ctx.params
     if "out" not in p:
         return []
@@ -160,6 +160,8 @@ def _outputs(ctx: click.Context) -> list:
         from .synth import CORPUS_FILES
         written = [Path(p["out"]) / name for name in (*CORPUS_FILES.values(), "corpus.manifest.json")]
     for path in written:
+        if os.path.isdir(path):  # refused before any output is written, with the message its write would give
+            raise ValidationError(f"cannot write {path}: Is a directory")
         for name in (*_INPUT_FILES, "config"):
             if p.get(name) is not None and os.path.exists(path) and os.path.samefile(path, p[name]):
                 raise ValidationError(f"cannot write {path}: it is the --{name.replace('_', '-')} input")

@@ -3,7 +3,9 @@
 Everything rooted at ValidationError is an input or output problem (bad files,
 bad values, unusable configurations, unwritable outputs) and maps to CLI exit
 code 2; anything else escaping a command is an internal error (exit code 1).
-ValidationError is a ValueError, as json.JSONDecodeError is.
+Library calls raise it too, for every input they refuse: a negative box size or
+a zero-area part box (geometry.DegeneratePartBoxError) as much as a bad alpha or
+a SynthConfig value out of range. It is a ValueError, as json.JSONDecodeError is.
 """
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
-from .errors import check_open_unit
+from .errors import ValidationError, check_open_unit
 
 
-class DegeneratePartBoxError(ValueError):
+class DegeneratePartBoxError(ValidationError):
     """A body-part box with zero area cannot anchor an overlap test."""
 
 
@@ -56,7 +56,7 @@ class Box:
 
     def __post_init__(self):
         if self.w < 0 or self.h < 0:
-            raise ValueError(f"box width/height must be non-negative, got w={self.w}, h={self.h}")
+            raise ValidationError(f"box width/height must be non-negative, got w={self.w}, h={self.h}")
 
 
 def area(b: Box) -> float:
@@ -120,7 +120,7 @@ def part_overlap_at_least(person: Box, part: Box, alpha: float) -> bool:
     detection: the part belongs to the person when their intersection is at
     least alpha times the part's own area.
 
-    Raises DegeneratePartBoxError for a zero-area part and ValueError for an
+    Raises DegeneratePartBoxError for a zero-area part and ValidationError for an
     alpha outside the open interval (0, 1).
     """
     check_open_unit("alpha", alpha)

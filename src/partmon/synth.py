@@ -78,15 +78,15 @@ class SynthConfig:
         for name in ("drop_person_prob", "drop_part_prob", "ghost_person_prob", "ghost_part_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         for name in ("persons_per_scene", "parts_per_person"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must be a non-empty non-negative range, got ({lo}, {hi})")
+                raise ValidationError(f"{name} must be a non-empty non-negative range, got ({lo}, {hi})")
         if self.n_scenes < 0:
-            raise ValueError(f"n_scenes must be non-negative, got {self.n_scenes}")
+            raise ValidationError(f"n_scenes must be non-negative, got {self.n_scenes}")
         if not 0 <= self.jitter < math.inf:  # as --jitter: a NaN or infinite jitter makes boxes the loaders refuse
-            raise ValueError(f"jitter must be finite and non-negative, got {self.jitter}")
+            raise ValidationError(f"jitter must be finite and non-negative, got {self.jitter}")
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,17 @@ def test_threshold_sweep_requires_ground_truth():
         select_confidence_threshold([det(Box(0, 0, 5, 5), score=0.5)], [], tau=0.5)
 
 
+@pytest.mark.parametrize("matching", list(MatchingMode))
+@pytest.mark.parametrize("dets, gts", [
+    ([det(Box(0, 0, 10, 10), score=0.7)], [ann(Box(0, 0, 10, 10), category=DetectionClass.TORSO)]),
+    ([det(Box(0, 0, 10, 10), score=0.7), part_det(Box(0, 0, 10, 10), score=0.6)], [ann(Box(0, 0, 10, 10))]),
+], ids=["person-detection-torso-annotation", "person-and-torso-detections"])
+def test_threshold_sweep_refuses_records_of_two_classes(dets, gts, matching):
+    # One class's F1 must not pool another class's records, whichever side they are on.
+    with pytest.raises(ValidationError, match="^select_confidence_threshold takes one class, got Person and Torso$"):
+        select_confidence_threshold(dets, gts, tau=0.5, matching=matching)
+
+
 def test_threshold_sweep_no_detections_returns_one():
     # Nothing can be kept, so no F1 is needed, with or without ground truth.
     assert select_confidence_threshold([], [ann(Box(0, 0, 5, 5))], tau=0.5) == 1.0
@@ -583,6 +594,14 @@ def test_build_operating_point_makes_one_kernel_call_per_scene_and_class(monkeyp
     build_operating_point(scenes, matching=matching)
     assert len(calls) == expected > len(scenes)
     assert all(n_dets and n_boxes for n_dets, n_boxes in calls)
+    # select_confidence_threshold runs the same sweep on one class's records: one call per image with both sides.
+    for cls in DetectionClass:
+        dets = [d for s in scenes for d in (*s.persons, *s.parts) if d.category is cls]
+        gts = [a for s in scenes for a in s.gt if a.category is cls]
+        calls.clear()
+        select_confidence_threshold(dets, gts, 0.5, matching)
+        assert len(calls) == len({d.image_id for d in dets} & {a.image_id for a in gts}) > 0, cls
+        assert all(n_dets and n_boxes for n_dets, n_boxes in calls)
 
 
 def _composed_operating_point(scenes, tau, grid_step, matching, strict_conf):

@@ -1308,6 +1308,8 @@ def test_unwritable_sidecar_exits_2_before_the_summary(tmp_path, corpus_dir, com
     result = runner.invoke(cli, [command, *args, "--out", str(out)])
     assert_input_error(result, f"Error: cannot write {sidecar}: Is a directory")
     assert result.output == f"Error: cannot write {sidecar}: Is a directory\n"
+    # Refused before anything is written: neither --out nor synth's corpus files exist.
+    assert ([path.name for path in out.iterdir()] == [sidecar.name]) if command == "synth" else not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "calibrate", "evaluate", "monitor"])

@@ -11,6 +11,7 @@ from partmon.geometry import Box, part_overlap_at_least
 from partmon.monitor import per_image_rule, per_object_rule
 from partmon.oracle import oracle_per_image, oracle_per_object
 from partmon.partition import partition
+from partmon.synth import SynthConfig
 
 from conftest import det, part_det, pos_boxes
 
@@ -90,6 +91,23 @@ def test_rules_reject_alpha_outside_open_interval(alpha):
             with pytest.raises(ValidationError, match=rf"^{name} must lie in \(0, 1\), got {alpha}$"):
                 call()
     assert issubclass(ValidationError, ValueError)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: Box(0, 0, -1, 2), "box width/height must be non-negative, got w=-1, h=2"),
+    (lambda: part_overlap_at_least(Box(0, 0, 1, 1), Box(0, 0, 0, 1), 0.5),
+     "degenerate part box: Box(x=0, y=0, w=0, h=1)"),
+    (lambda: SynthConfig(ghost_part_prob=1.5), "ghost_part_prob must lie in [0, 1], got 1.5"),
+    (lambda: SynthConfig(parts_per_person=(3, 2)),
+     "parts_per_person must be a non-empty non-negative range, got (3, 2)"),
+    (lambda: SynthConfig(n_scenes=-1), "n_scenes must be non-negative, got -1"),
+    (lambda: SynthConfig(jitter=math.inf), "jitter must be finite and non-negative, got inf"),
+], ids=["negative-box", "degenerate-part", "probability", "range", "n-scenes", "jitter"])
+def test_every_input_refusal_is_a_validation_error(refused, message):
+    # A library caller that catches ValidationError sees every input problem, each with its own message.
+    with pytest.raises(ValidationError) as caught:
+        refused()
+    assert str(caught.value) == message
 
 
 scene_persons = st.lists(pos_boxes, max_size=6).map(
