@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .datamodel import _CLASS_BY_NAME, Detection, DetectionClass, GtAnnotation, Scene, _number, read_json, write_json
+from .datamodel import _CLASS_BY_NAME, Detection, DetectionClass, GtAnnotation, Scene, _number, read_json
 from .errors import CalibrationError, ValidationError, check_open_unit
 from .monitor import overlaps
 from .partition import GtPartition, MatchingMode, _matches, partition  # noqa: F401 (perfbench swaps partition)
@@ -95,9 +95,6 @@ class OperatingPoint:
             raise ValidationError(f"invalid operating point: missing key {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"invalid operating point: {exc}") from exc
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "OperatingPoint":

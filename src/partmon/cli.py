@@ -9,9 +9,10 @@ lists every file the command writes (``--out``, or synth's corpus files, and
 the manifest last) and refuses any that the command reads. Every produced
 report has a manifest recording the command, the tool version, input file
 hashes, and the operating point used; JSON reports embed it inline. A writing
-command returns its manifest and summary line, and the boundary then writes
-the manifest to a ``<out>.manifest.json`` sidecar (synth: one
-``corpus.manifest.json`` for the corpus) before it echoes the summary.
+command writes nothing: it returns the texts of its outputs, its manifest and
+its summary line. The boundary, the one writer of files, writes the texts in
+``_outputs`` order, then the manifest to a ``<out>.manifest.json`` sidecar
+(synth: one ``corpus.manifest.json`` for the corpus), then echoes the summary.
 
 Each optional flag can also be supplied through ``--config FILE`` (a JSON
 object keyed by the flag's underscored name); explicit flags win on conflict.
@@ -43,9 +44,9 @@ from .datamodel import (
     load_category_map,
     load_detections,
     load_ground_truth,
+    json_text,
     read_json,
     unknown_image_warnings,
-    write_json,
     write_text,
 )
 from .errors import ValidationError
@@ -76,7 +77,9 @@ class _FiniteRange(click.FloatRange):
 
 
 class _PartmonCommand(click.Command):
-    """Pauses the collector, applies ``--config``, checks and writes a command's outputs; bad input exits 2."""
+    """Pauses the collector, applies ``--config``, checks a command's outputs and writes the ``(texts, manifest,
+    summary)`` it returns: each chunk iterable of ``texts`` in ``_outputs`` order, then the manifest; bad input exits 2.
+    """
 
     @_collector_paused()
     def invoke(self, ctx):
@@ -85,9 +88,10 @@ class _PartmonCommand(click.Command):
             written = _outputs(ctx)
             returned = super().invoke(ctx)
             if written:
-                manifest, summary = returned
-                write_json(written[-1], manifest)
-                click.echo(summary)
+                texts, manifest, summary = returned
+                for path, chunks in zip(written, [*texts, [json_text(manifest)]], strict=True):
+                    write_text(path, chunks)
+                click.echo(summary.translate(_LINE_BREAKS))
         except (ValidationError, OSError) as exc:
             raise InputError(str(exc).translate(_LINE_BREAKS)) from exc
 
@@ -250,20 +254,23 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def cmd_synth(**p):
     """Generate a seeded synthetic corpus with known error labels."""
-    from .synth import SynthConfig, generate, write_corpus
+    import hashlib
+    from .synth import CORPUS_FILES, SynthConfig, _make_dir, generate
     ranges = {name: _parse_range(str(p[name]), "--" + name.replace("_", "-"))
               for name in ("persons_per_scene", "parts_per_person")}
     config = SynthConfig(**{f.name: p[f.name] for f in fields(SynthConfig)} | ranges)  # each field has its option
     corpus = generate(config)
-    paths = write_corpus(corpus, p["out"])
+    out_dir = _make_dir(p["out"])
+    texts = [json_text(corpus.files[role]) for role in CORPUS_FILES]
     manifest = {
         "command": click.get_current_context().command.name,
         "version": __version__,
         "config": asdict(config),
-        "outputs": {name: {"path": str(path), "sha256": _sha256(path)} for name, path in paths.items()},
+        "outputs": {role: {"path": str(out_dir / name), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+                    for (role, name), text in zip(CORPUS_FILES.items(), texts)},
     }
-    return manifest, (f"wrote corpus: {config.n_scenes} scenes, {len(corpus.person_dets)} person dets, "
-                      f"{len(corpus.part_dets)} part dets -> {p['out']}")
+    return ([[text] for text in texts], manifest, f"wrote corpus: {config.n_scenes} scenes, "
+            f"{len(corpus.person_dets)} person dets, {len(corpus.part_dets)} part dets -> {p['out']}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +334,8 @@ def cmd_calibrate(**p):
         matching=MatchingMode(p["matching"]),
         strict_conf=p["strict_conf"],
     )
-    op.save(p["out"])
-    return _manifest(p, op), f"operating point -> {p['out']} (alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn})"
+    return ([[json_text(op.to_json_dict())]], _manifest(p, op),
+            f"operating point -> {p['out']} (alpha_fp={op.alpha_fp}, alpha_fn={op.alpha_fn})")
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +366,8 @@ def cmd_monitor(**p):
             "fn_mon": [_det_record(d) for d in result.fn_mon],
         }
 
-    write_text(p["out"], (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results)))
-    return _manifest(p, op), f"monitored {len(scenes)} scenes -> {p['out']}"
+    lines = (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results))  # streamed as written
+    return [lines], _manifest(p, op), f"monitored {len(scenes)} scenes -> {p['out']}"
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +398,15 @@ def cmd_evaluate(**p):
     matching = MatchingMode(p["matching"])
     partitions = [partition(s.persons, s.gt_persons(), op.tau, matching) for s in scenes]
     manifest = _manifest(p, op)
-
     if per_image:
         fp_counts, fn_counts = per_image_counts(scenes, partitions, results)
-        result = PerImageResult(
-            system=p["system"], total_images=len(scenes),
-            fp_alert=fp_counts, fn_alert=fn_counts,
-        )
+        result = PerImageResult(system=p["system"], total_images=len(scenes), fp_alert=fp_counts, fn_alert=fn_counts)
     else:
-        confusion = object_confusion(
-            scenes, partitions, results, alpha_fn=op.alpha_fn,
-            ghost_all_classes=p["ghost_all_classes"],
-        )
-        result = PerObjectResult(
-            system=p["system"], confusion=confusion, balances=balances(confusion),
-        )
-    write_text(p["out"], [render_report(result, p["fmt"], manifest)])
-    return manifest, f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}"
+        confusion = object_confusion(scenes, partitions, results, alpha_fn=op.alpha_fn,
+                                     ghost_all_classes=p["ghost_all_classes"])
+        result = PerObjectResult(system=p["system"], confusion=confusion, balances=balances(confusion))
+    return ([[render_report(result, p["fmt"], manifest)]], manifest,
+            f"evaluated {len(scenes)} scenes ({p['protocol']}) -> {p['out']}")
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,6 @@ def write_text(path, chunks: Iterable[str]) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_json(path, payload) -> None:
-    """Write ``payload`` to ``path`` as ``json_text``."""
-    write_text(path, [json_text(payload)])
-
-
 def load_category_map(path) -> dict[int, DetectionClass]:
     """Load a JSON object mapping source category id -> taxonomy class name.
 

@@ -32,7 +32,8 @@ from .datamodel import (
     _detections,
     _ground_truth,
     group_into_scenes,
-    write_json,
+    json_text,
+    write_text,
 )
 from .errors import ValidationError
 
@@ -41,8 +42,8 @@ _CLASS_BY_ID = dict(enumerate(DetectionClass, 1))
 CATEGORY_IDS = {cls: cat_id for cat_id, cls in _CLASS_BY_ID.items()}
 CATEGORY_MAP = {str(cat_id): cls.value for cls, cat_id in CATEGORY_IDS.items()}
 
-# The files of a corpus directory, each named after its role: write_corpus writes them, and the CLI
-# refuses a synth --config that is one of them.
+# The files of a corpus directory, each named after its role: write_corpus and the synth command write them,
+# and synth refuses a --config that is one of them.
 CORPUS_FILES = {role: f"{role}.json" for role in ("gt", "persons", "parts", "category_map", "labels")}
 
 # (x, y, w, h) as fractions of the person box; every slot stays inside it.
@@ -217,14 +218,20 @@ def generate(config: SynthConfig) -> Corpus:
     return Corpus(gt=gt, person_dets=read("persons"), part_dets=read("parts"), labels=tuple(labels), files=files)
 
 
-def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
-    """Write a corpus's payloads to the COCO-style files the loaders ingest, named by ``CORPUS_FILES``."""
+def _make_dir(out_dir) -> Path:
+    """Create the corpus directory ``out_dir`` and its parents; return it as a Path."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # the message of every other failed write
         raise ValidationError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
+    return out_dir
+
+
+def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
+    """Write a corpus's payloads to the COCO-style files the loaders ingest, named by ``CORPUS_FILES``."""
+    out_dir = _make_dir(out_dir)
     paths = {role: out_dir / name for role, name in CORPUS_FILES.items()}
     for role, path in paths.items():
-        write_json(path, corpus.files[role])
+        write_text(path, [json_text(corpus.files[role])])
     return paths

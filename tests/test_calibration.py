@@ -685,7 +685,7 @@ def test_operating_point_round_trip(tmp_path):
         tau=0.5,
     )
     path = tmp_path / "op.json"
-    op.save(path)
+    path.write_text(json.dumps(op.to_json_dict()), encoding="utf-8")
     assert OperatingPoint.load(path) == op
     raw = json.loads(path.read_text())
     assert raw["conf"] == {"Head": 0.25, "Person": 0.4}

@@ -1321,6 +1321,41 @@ def test_summary_names_out_as_given(tmp_path, corpus_dir, monkeypatch, command):
     assert f"-> ./{command}" in result.output, result.output
 
 
+@pytest.mark.parametrize("command", ["synth", "calibrate", "evaluate", "monitor"])
+def test_a_summary_quoting_a_line_break_stays_one_line(tmp_path, corpus_dir, monkeypatch, command):
+    args = _writing_command_args(command, tmp_path, corpus_dir)
+    monkeypatch.chdir(tmp_path)
+    out = "c\nd" if command == "synth" else "op\nx.json"
+    result = runner.invoke(cli, [command, *args, "--out", out])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 1, result.stdout
+    assert "-> " + out.replace("\n", "\\n") in result.stdout, result.stdout
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate", "evaluate", "monitor"])
+def test_the_boundary_is_the_only_writer(tmp_path, corpus_dir, monkeypatch, command):
+    # Every file goes through the boundary's write_text, in _outputs order, and nothing else is written.
+    recorded, write_text = [], cli_module.write_text
+
+    def recording_write_text(path, chunks):
+        recorded.append(Path(path))
+        write_text(path, chunks)
+
+    monkeypatch.setattr(cli_module, "write_text", recording_write_text)
+    args = _writing_command_args(command, tmp_path, corpus_dir)
+    location = tmp_path / "outputs"
+    if command == "synth":
+        names = ["gt.json", "persons.json", "parts.json", "category_map.json", "labels.json", "corpus.manifest.json"]
+        out = location
+    else:
+        names, out = ["out.json", "out.json.manifest.json"], location / "out.json"
+        location.mkdir()
+    result = runner.invoke(cli, [command, *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert recorded == [location / name for name in names]
+    assert sorted(path.name for path in location.iterdir()) == sorted(names)
+
+
 def test_every_command_is_the_boundary_class():
     assert cli.commands and all(type(command) is cli_module._PartmonCommand for command in cli.commands.values())
 
