@@ -13,6 +13,7 @@ command writes nothing: it returns the texts of its outputs, its manifest and
 its summary line. The boundary, the one writer of files, writes the texts in
 ``_outputs`` order, then the manifest to a ``<out>.manifest.json`` sidecar
 (synth: one ``corpus.manifest.json`` for the corpus), then echoes the summary.
+``monitor`` lays out its own JSON lines, each byte for byte ``json.dumps(line, sort_keys=True)``.
 
 Each optional flag can also be supplied through ``--config FILE`` (a JSON
 object keyed by the flag's underscored name); explicit flags win on conflict.
@@ -216,13 +217,16 @@ def _apply_operating_point(p: dict, rule, gt_classes) -> tuple[OperatingPoint, l
     return op, scenes, [rule(s.persons, s.parts, alpha_fp=op.alpha_fp, alpha_fn=op.alpha_fn) for s in scenes]
 
 
-def _det_record(det) -> dict:
-    return {
-        "det_id": det.det_id,
-        "category": det.category.value,
-        "bbox": [det.box.x, det.box.y, det.box.w, det.box.h],
-        "score": det.score,
-    }
+# monitor's lines are byte for byte json.dumps(line, sort_keys=True): sorted keys, ", " and ": ", and repr for numbers,
+# as json writes an int or a finite float. The loaders guarantee every value: _integer gives int ids, _parse_bbox and
+# _parse_score finite floats, det_id is the entry's index, and the ASCII class names need no escaping.
+_CLASS_NAMES, _BOOLEANS = {cls: cls.value for cls in DetectionClass}, ("false", "true")
+
+
+def _det_records(dets) -> str:
+    """The items of a ``monitor --mode object`` detection list, one JSON object per detection."""
+    return ", ".join([f'{{"bbox": [{d.box.x!r}, {d.box.y!r}, {d.box.w!r}, {d.box.h!r}], "category": '
+                      f'"{_CLASS_NAMES[d.category]}", "det_id": {d.det_id!r}, "score": {d.score!r}}}' for d in dets])
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +359,13 @@ def cmd_monitor(**p):
     image = p["mode"] == "image"
     # --gt gives only the scene universe and the unknown-image warnings: no annotation record is kept
     op, scenes, results = _apply_operating_point(p, per_image_rule if image else per_object_rule, ())
-
-    def line(scene: Scene, result) -> dict:
-        if image:
-            return {"image_id": scene.image_id, "alert_fp": result.alert_fp, "alert_fn": result.alert_fn}
-        return {
-            "image_id": scene.image_id,
-            "tp_mon": [_det_record(d) for d in result.tp_mon],
-            "fp_mon": [_det_record(d) for d in result.fp_mon],
-            "fn_mon": [_det_record(d) for d in result.fn_mon],
-        }
-
-    lines = (json.dumps(line(s, r), sort_keys=True) + "\n" for s, r in zip(scenes, results))  # streamed as written
+    if image:  # streamed as written
+        lines = (f'{{"alert_fn": {_BOOLEANS[r.alert_fn]}, "alert_fp": {_BOOLEANS[r.alert_fp]}, '
+                 f'"image_id": {s.image_id!r}}}\n' for s, r in zip(scenes, results))
+    else:
+        lines = (f'{{"fn_mon": [{_det_records(r.fn_mon)}], "fp_mon": [{_det_records(r.fp_mon)}], '
+                 f'"image_id": {s.image_id!r}, "tp_mon": [{_det_records(r.tp_mon)}]}}\n'
+                 for s, r in zip(scenes, results))
     return [lines], _manifest(p, op), f"monitored {len(scenes)} scenes -> {p['out']}"
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -309,12 +310,60 @@ def test_command_output_equals_the_reference_pipeline(tmp_path, table_inputs, ro
     assert result.exit_code == 0, result.output
     text = (tmp_path / "out").read_text()
     got = [json.loads(line) for line in text.splitlines()] if command == "monitor" else json.loads(text)
+    if command == "monitor":  # monitor lays out its own lines: byte for byte what json writes
+        assert text == "".join(json.dumps(line, sort_keys=True) + "\n" for line in got)
     if command == "evaluate":  # the report without its manifest and ratios
         got = {key: {k: v for k, v in value.items() if k not in ("precision", "recall", "mcc")}
                if key.endswith("_alert") else value for key, value in got.items() if key != "manifest"}
     want = pipeline(command, files, resolved)
     assert got == want
     assert pipeline(command, *table_case(table_inputs, command, corpus, options | alternative)[1:]) != want
+
+
+# Values at the extremes the loaders accept. An id is written as a JSON integer, a float or a string, a box value or a
+# score as drawn: the integers among them are read as floats.
+_EXTREME_IDS = [-7, 0, 2**53 + 1, 10**30]
+_EXTREME_BOX_VALUES = [-0.0, 5e-324, 1e-300, 1.7e308, 2, 3.0]
+_EXTREME_SCORES = [0, 1, 5e-324, 0.0, 1.0]
+
+
+def _accepted_box(box):
+    """The box rule of the loaders: finite far edges, a positive width and height, an area in (0, max / 2]."""
+    x, y, w, h = box
+    return math.isfinite(x + w) and math.isfinite(y + h) and w > 0 and h > 0 and 0 < w * h <= sys.float_info.max / 2
+
+
+@st.composite
+def _extreme_corpus(draw):
+    """(ground truth, person detections, part detections) on images with drawn ids, each id in one written form."""
+    ids = [draw(st.sampled_from([value, float(value), str(value)]))
+           for value in draw(st.lists(st.sampled_from(_EXTREME_IDS), min_size=1, unique=True))]
+    boxes = st.tuples(*[st.sampled_from(_EXTREME_BOX_VALUES)] * 4).filter(_accepted_box).map(list)
+
+    def detections(category_ids):
+        return draw(st.lists(st.fixed_dictionaries({
+            "image_id": st.sampled_from(ids), "category_id": category_ids, "bbox": boxes,
+            "score": st.sampled_from(_EXTREME_SCORES)}), max_size=4))
+
+    return {"images": [{"id": i} for i in ids], "annotations": []}, detections(st.just(1)), detections(st.integers(2, 9))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpus=_extreme_corpus())
+def test_monitor_lines_are_what_json_writes_at_the_extremes_the_loaders_accept(tmp_path, corpus):
+    gt, persons, parts = corpus
+    category_map = {str(number): cls.value for number, cls in enumerate(DetectionClass, 1)}  # 1 is Person
+    args = ["monitor", "--gt", write_json(tmp_path / "gt.json", gt),
+            "--persons", write_json(tmp_path / "persons.json", persons),
+            "--parts", write_json(tmp_path / "parts.json", parts),
+            "--category-map", write_json(tmp_path / "category_map.json", category_map),
+            "--operating-point", write_json(tmp_path / "op.json", ZERO_OP)]
+    for mode in ("image", "object"):
+        result = runner.invoke(cli, [*args, "--mode", mode, "--out", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out.jsonl").read_text().splitlines()
+        assert len(lines) == len(gt["images"])
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines), lines
 
 
 def doubled_corpus(corpus, out):
