@@ -10,9 +10,10 @@ the manifest last) and refuses any that the command reads. Every produced
 report has a manifest recording the command, the tool version, input file
 hashes, and the operating point used; JSON reports embed it inline. A writing
 command writes nothing: it returns the texts of its outputs, its manifest and
-its summary line. The boundary, the one writer of files, writes the texts in
-``_outputs`` order, then the manifest to a ``<out>.manifest.json`` sidecar
-(synth: one ``corpus.manifest.json`` for the corpus), then echoes the summary.
+its summary line. The boundary writes the texts through ``write_text``, the one
+writer of files, in ``_outputs`` order, then the manifest to a ``<out>.manifest.json``
+sidecar (synth: one ``corpus.manifest.json`` in the directory ``cmd_synth`` makes),
+then echoes the summary. No other module writes to the file system.
 ``monitor`` lays out its own JSON lines, each byte for byte ``json.dumps(line, sort_keys=True)``.
 
 Each optional flag can also be supplied through ``--config FILE`` (a JSON
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import click
 
@@ -48,7 +49,6 @@ from .datamodel import (
     json_text,
     read_json,
     unknown_image_warnings,
-    write_text,
 )
 from .errors import ValidationError
 from .monitor import per_image_rule, per_object_rule
@@ -75,6 +75,15 @@ class _FiniteRange(click.FloatRange):
         if not math.isfinite(number):
             self.fail(f"{value!r} is not a finite number", param, ctx)
         return number
+
+
+def write_text(path, chunks: Iterable[str]) -> None:
+    """The one output writer: ``chunks`` to ``path`` in order, as UTF-8 with no newline translation."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class _PartmonCommand(click.Command):
@@ -259,12 +268,16 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 def cmd_synth(**p):
     """Generate a seeded synthetic corpus with known error labels."""
     import hashlib
-    from .synth import CORPUS_FILES, SynthConfig, _make_dir, generate
+    from .synth import CORPUS_FILES, SynthConfig, generate
     ranges = {name: _parse_range(str(p[name]), "--" + name.replace("_", "-"))
               for name in ("persons_per_scene", "parts_per_person")}
     config = SynthConfig(**{f.name: p[f.name] for f in fields(SynthConfig)} | ranges)  # each field has its option
     corpus = generate(config)
-    out_dir = _make_dir(p["out"])
+    out_dir = Path(p["out"])
+    try:  # after generate, so a refused jitter creates nothing
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the message of every other failed write
+        raise ValidationError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     texts = [json_text(corpus.files[role]) for role in CORPUS_FILES]
     manifest = {
         "command": click.get_current_context().command.name,
@@ -387,7 +400,7 @@ def cmd_monitor(**p):
 def cmd_evaluate(**p):
     """Score the monitor against ground truth and write a report."""
     from .evaluation import PerImageResult, PerObjectResult, balances, object_confusion, per_image_counts, render_report
-    try:  # up front: an unencodable label would fail the CSV writer halfway through the file
+    try:  # up front: write_text would fail to encode it in a CSV report, exit 1 and leave that report empty
         p["system"].encode("utf-8")
     except UnicodeEncodeError:
         raise ValidationError(f"--system label is not valid UTF-8: {p['system']!r}") from None

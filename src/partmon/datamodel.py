@@ -6,7 +6,7 @@ category map). Ground truth arrives as a COCO annotation file, detections as
 a COCO results array; both are mapped onto the taxonomy via an explicit
 category-map JSON so DensePose/COCO/VOC id spaces all work unchanged.
 
-The package only reads COCO; it writes none. The loaders check each field once,
+This module only reads COCO; ``cli`` writes every file. The loaders check each field once,
 then fill a draft of the record and set its ``__class__`` (``geometry._draft``):
 the public constructors' re-checks are skipped, and ``synth`` reads its payloads
 back the same way. Both paths refuse the same boxes and scores with the same
@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import ParseError, TaxonomyError, ValidationError
 from .geometry import Box, _draft, _record, area
@@ -152,15 +152,6 @@ def _unique(pairs: list) -> dict:
 def json_text(payload) -> str:
     """The one output JSON format: sorted keys, two-space indent, one trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_text(path, chunks: Iterable[str]) -> None:
-    """The one output writer: ``chunks`` to ``path`` in order, as UTF-8 with no newline translation."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def load_category_map(path) -> dict[int, DetectionClass]:

@@ -14,7 +14,8 @@ own output whenever jitter is zero. Ghost persons (y 500-790) and ghost parts
 person; the band stays, since moving a strip changes every corpus's bytes.
 
 The random source is Python's Mersenne Twister (random.Random), so a seed
-reproduces the same corpus on any platform.
+reproduces the same corpus on any platform. The module only generates:
+``partmon synth`` writes a corpus's files, and their manifest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .datamodel import (
     Detection,
@@ -32,8 +32,6 @@ from .datamodel import (
     _detections,
     _ground_truth,
     group_into_scenes,
-    json_text,
-    write_text,
 )
 from .errors import ValidationError
 
@@ -42,8 +40,8 @@ _CLASS_BY_ID = dict(enumerate(DetectionClass, 1))
 CATEGORY_IDS = {cls: cat_id for cat_id, cls in _CLASS_BY_ID.items()}
 CATEGORY_MAP = {str(cat_id): cls.value for cls, cat_id in CATEGORY_IDS.items()}
 
-# The files of a corpus directory, each named after its role: write_corpus and the synth command write them,
-# and synth refuses a --config that is one of them.
+# The files of a corpus directory, each named after its role: the synth command writes them, and refuses a --config
+# that is one of them.
 CORPUS_FILES = {role: f"{role}.json" for role in ("gt", "persons", "parts", "category_map", "labels")}
 
 # (x, y, w, h) as fractions of the person box; every slot stays inside it.
@@ -103,7 +101,8 @@ class SceneLabels:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Labels, ``files`` (the decoded JSON of each file of ``CORPUS_FILES``, by role) and the records read from them."""
+    """Labels, ``files`` (the JSON payload of each file of ``CORPUS_FILES``, by role, as ``partmon synth`` writes it)
+    and the records read from them."""
 
     gt: GroundTruth
     person_dets: tuple[Detection, ...]
@@ -217,21 +216,3 @@ def generate(config: SynthConfig) -> Corpus:
     gt = _ground_truth(list(images), list(annotations), _CLASS_BY_ID)
     return Corpus(gt=gt, person_dets=read("persons"), part_dets=read("parts"), labels=tuple(labels), files=files)
 
-
-def _make_dir(out_dir) -> Path:
-    """Create the corpus directory ``out_dir`` and its parents; return it as a Path."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # the message of every other failed write
-        raise ValidationError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
-    return out_dir
-
-
-def write_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
-    """Write a corpus's payloads to the COCO-style files the loaders ingest, named by ``CORPUS_FILES``."""
-    out_dir = _make_dir(out_dir)
-    paths = {role: out_dir / name for role, name in CORPUS_FILES.items()}
-    for role, path in paths.items():
-        write_text(path, [json_text(corpus.files[role])])
-    return paths

@@ -1,11 +1,17 @@
-"""Shared test helpers: box/record builders and hypothesis strategies."""
+"""Shared test helpers: box/record builders, hypothesis strategies and a corpus written by ``partmon synth``."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
+from partmon.cli import cli
 from partmon.datamodel import Detection, DetectionClass, GtAnnotation
 from partmon.geometry import Box
+from partmon.synth import CORPUS_FILES
 
 # Integer-valued coordinates keep all box arithmetic exact in floats, so
 # equality-based invariants can be asserted without tolerances.
@@ -35,3 +41,13 @@ def ann(box: Box, image_id: int = 1, category: DetectionClass = DetectionClass.P
         ann_id: int | None = None) -> GtAnnotation:
     return GtAnnotation(image_id=image_id, category=category, box=box, ann_id=ann_id)
 
+
+def synth_corpus(config, out_dir) -> dict[str, Path]:
+    """Write the corpus of a ``SynthConfig`` with ``partmon synth``, one flag per field; return its files by role."""
+    args = ["synth", "--out", str(out_dir)]
+    for f in fields(config):
+        value = getattr(config, f.name)
+        args += [f"--{f.name.replace('_', '-')}", "%d:%d" % value if isinstance(value, tuple) else repr(value)]
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    return {role: Path(out_dir) / name for role, name in CORPUS_FILES.items()}

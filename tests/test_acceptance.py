@@ -25,9 +25,9 @@ from partmon.geometry import Box, iou
 from partmon.monitor import per_image_rule, per_object_rule
 from partmon.oracle import oracle_alphas, oracle_per_image, oracle_per_object, oracle_threshold
 from partmon.partition import MatchingMode, partition
-from partmon.synth import SynthConfig, generate, write_corpus
+from partmon.synth import SynthConfig, generate
 
-from conftest import ann, det
+from conftest import ann, det, synth_corpus
 
 runner = CliRunner()
 
@@ -345,9 +345,9 @@ def test_c8_end_to_end_determinism_and_exit_codes(tmp_path, monkeypatch, capsys)
 
 
 def test_c9_ingestion_round_trip_and_min_area_filter(tmp_path, capsys):
-    corpus = generate(SynthConfig(seed=321, n_scenes=15, jitter=1.5,
-                                  ghost_person_prob=0.3, ghost_part_prob=0.3))
-    paths = write_corpus(corpus, tmp_path / "corpus")
+    config = SynthConfig(seed=321, n_scenes=15, jitter=1.5, ghost_person_prob=0.3, ghost_part_prob=0.3)
+    corpus = generate(config)
+    paths = synth_corpus(config, tmp_path / "corpus")
     category_map = load_category_map(paths["category_map"])
     assert load_ground_truth(paths["gt"], category_map) == corpus.gt
     assert load_detections(paths["persons"], category_map) == corpus.person_dets

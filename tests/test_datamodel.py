@@ -28,9 +28,9 @@ from partmon.datamodel import (
 )
 from partmon.errors import ParseError, TaxonomyError, ValidationError
 from partmon.geometry import Box, area, iou
-from partmon.synth import SynthConfig, generate, write_corpus
+from partmon.synth import SynthConfig
 
-from conftest import ann, det, part_det
+from conftest import ann, det, part_det, synth_corpus
 
 CATEGORY_MAP = {1: DetectionClass.PERSON, 2: DetectionClass.TORSO, 9: DetectionClass.HEAD}
 
@@ -299,7 +299,7 @@ def test_records_are_slotted(tmp_path, gt_file):
 
 def test_loaded_detection_retains_few_bytes(tmp_path):
     # Retained per detection: 288 B slotted on CPython 3.10-3.13; 352-456 B with a __dict__ per record.
-    paths = write_corpus(generate(SynthConfig(seed=1, n_scenes=300)), tmp_path)
+    paths = synth_corpus(SynthConfig(seed=1, n_scenes=300), tmp_path)
     entries = json.loads(paths["parts"].read_text(encoding="utf-8"))[:2000]
     assert len(entries) == 2000
     dets_file = write_json(tmp_path / "dets.json", entries)
@@ -318,7 +318,7 @@ def test_loaded_detection_retains_few_bytes(tmp_path):
 
 def test_loaders_release_each_decoded_entry(monkeypatch, tmp_path):
     # Each decoded dict is freed once its record is built, not with the whole file after the last one.
-    paths = write_corpus(generate(SynthConfig(seed=2, n_scenes=5)), tmp_path)
+    paths = synth_corpus(SynthConfig(seed=2, n_scenes=5), tmp_path)
     category_map = load_category_map(paths["category_map"])
     decoded = []
 
@@ -430,7 +430,7 @@ def test_round_trip_ground_truth_and_detections(tmp_path):
                          ids=["no-class", "person", "all-nine"])
 def test_load_ground_truth_keeps_the_given_classes_and_every_entry_on_an_unlisted_image(tmp_path, classes):
     # Every third annotation also appears, after its original, on one of two images the file does not list.
-    paths = write_corpus(generate(SynthConfig(seed=4, n_scenes=6)), tmp_path)
+    paths = synth_corpus(SynthConfig(seed=4, n_scenes=6), tmp_path)
     category_map = load_category_map(paths["category_map"])
     raw = json.loads(paths["gt"].read_text())
     annotations = []

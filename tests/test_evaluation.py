@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from partmon.datamodel import DetectionClass, Scene, write_text
+from partmon.cli import write_text
+from partmon.datamodel import DetectionClass, Scene
 from partmon.errors import ValidationError
 from partmon.evaluation import (
     Balances,

@@ -1,6 +1,7 @@
 """Each command imports only the layers it runs: every command is a process of its own, so an
-import it never uses is start-up time paid on every run."""
+import it never uses is start-up time paid on every run. And only ``cli`` writes to the file system."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -66,6 +67,33 @@ def test_command_imports_only_its_layers(inputs, command, needed, unused):
     assert "partmon.cli" in modules
     assert set(needed) <= modules
     assert not modules & set(unused), sorted(modules & set(unused))
+
+
+# Calls that write to the file system, besides open() with a writing mode and the package's own write_text().
+_WRITING_METHODS = {"mkdir", "makedirs", "write_text", "write_bytes", "touch", "unlink", "rmdir"}
+_WRITING_OS_CALLS = {"replace", "rename", "remove"}
+
+
+def _writes(call: ast.Call) -> bool:
+    fn = call.func
+    if isinstance(fn, ast.Name):
+        if fn.id != "open":
+            return fn.id == "write_text"
+        mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+        # a mode that is not a literal counts as writing: the scan cannot tell
+        return mode is not None and not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value))
+    if isinstance(fn, ast.Attribute):
+        is_os = isinstance(fn.value, ast.Name) and fn.value.id == "os"
+        return fn.attr in _WRITING_METHODS or is_os and fn.attr in _WRITING_OS_CALLS
+    return False
+
+
+def test_only_the_cli_module_writes_files():
+    # The boundary in cli.py writes every output; a module that writes on its own would bypass its checks.
+    found = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "partmon").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and _writes(node)]
+    assert {site.split(":")[0] for site in found} == {"cli.py"}, found
 
 
 def run_module(cwd, *args) -> subprocess.CompletedProcess:

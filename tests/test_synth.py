@@ -15,9 +15,9 @@ from partmon.geometry import Box, intersection_area
 from partmon.monitor import per_object_rule
 from partmon.oracle import oracle_metrics, oracle_per_object
 from partmon.partition import partition
-from partmon.synth import CATEGORY_IDS, SceneLabels, SynthConfig, generate, write_corpus
+from partmon.synth import CATEGORY_IDS, SceneLabels, SynthConfig, generate
 
-from conftest import ann, det, part_det
+from conftest import ann, det, part_det, synth_corpus
 
 
 def test_generation_is_deterministic():
@@ -106,8 +106,9 @@ def test_labels_sound_against_partition_at_default_tau(seed):
 
 
 def test_corpus_round_trips_through_files(tmp_path):
-    corpus = generate(SynthConfig(seed=21, n_scenes=6, jitter=1.5))
-    paths = write_corpus(corpus, tmp_path)
+    config = SynthConfig(seed=21, n_scenes=6, jitter=1.5)
+    corpus = generate(config)
+    paths = synth_corpus(config, tmp_path)
     category_map = load_category_map(paths["category_map"])
     assert load_ground_truth(paths["gt"], category_map) == corpus.gt
     assert load_detections(paths["persons"], category_map) == corpus.person_dets
@@ -122,12 +123,13 @@ def test_each_written_box_passes_the_loaders_bbox_rule_once(tmp_path):
         if event == "call" and frame.f_code is code:
             calls.append(frame.f_locals["raw"])
 
+    config = SynthConfig(seed=23, n_scenes=30, jitter=2.0)
     sys.setprofile(profile)
     try:
-        corpus = generate(SynthConfig(seed=23, n_scenes=30, jitter=2.0))
+        corpus = generate(config)
     finally:
         sys.setprofile(None)
-    paths = write_corpus(corpus, tmp_path)
+    paths = synth_corpus(config, tmp_path)
     written = [entry["bbox"] for role in ("persons", "parts") for entry in json.loads(paths[role].read_text())]
     written += [entry["bbox"] for entry in json.loads(paths["gt"].read_text())["annotations"]]
     assert len(written) > 100
@@ -135,9 +137,10 @@ def test_each_written_box_passes_the_loaders_bbox_rule_once(tmp_path):
 
 
 def test_empty_corpus_is_valid(tmp_path):
-    corpus = generate(SynthConfig(seed=0, n_scenes=0))
+    config = SynthConfig(seed=0, n_scenes=0)
+    corpus = generate(config)
     assert corpus.gt.annotations == () and corpus.labels == ()
-    paths = write_corpus(corpus, tmp_path)
+    paths = synth_corpus(config, tmp_path)
     category_map = load_category_map(paths["category_map"])
     assert load_ground_truth(paths["gt"], category_map) == corpus.gt
 
